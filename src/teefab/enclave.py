@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 import traceback
 from enum import IntEnum
 
@@ -370,11 +371,14 @@ register_ta_kind(TA_KIND_PROBE, ProbeTa)
 
 
 class EnclaveRuntime:
-    """One emulated core: worker thread, mailbox doorbell, RST/INT lines.
+    """One emulated core: mailbox, RST/INT lines, an ISR on the caller's thread.
 
     The fabric loads an image over DMA while RST is asserted, deasserts RST
-    to boot, then exchanges 12-word frames: it raises INT, the core serves
-    the request in its ISR and clears INT when the reply is in the mailbox.
+    to boot, then exchanges 12-word frames: deliver() places a request and
+    raises INT, and the core serves it in its ISR on the delivering thread,
+    clearing INT once the reply is in the mailbox. The core zeroizes on
+    entering reset; a reset that lands mid-dispatch aborts the handler and
+    the ISR's exit zeroizes.
     """
 
     def __init__(self, index, services):
@@ -387,10 +391,8 @@ class EnclaveRuntime:
         self._cond = threading.Condition()
         self._rst = True
         self._int = False
-        self._isr_active = False
+        self._isr_thread = None
         self._reply_serial = 0
-        self._state = CoreState.RESET
-        self._shutdown = False
         self._abort = threading.Event()
         self._abort.set()
         self._faulted = False
@@ -399,9 +401,6 @@ class EnclaveRuntime:
         self._ta = None
         self._sessions = {}
         self._last_sid = 0
-        self._thread = threading.Thread(
-            target=self._run, name=f"enclave-{index}", daemon=True)
-        self._thread.start()
 
     # ---- lines the fabric drives ----
 
@@ -412,58 +411,74 @@ class EnclaveRuntime:
                 raise RuntimeError("DMA into a running enclave")
             self.tcm.write(0, data)
 
-    def assert_reset(self, wait=True):
-        """Pull RST; aborts any in-flight handler, then zeroizes."""
+    def assert_reset(self):
+        """Pull RST: abort any in-flight handler, wait for another thread's
+        dispatch to leave the ISR, then zeroize."""
         with self._cond:
             self._rst = True
             self._abort.set()
-            self._cond.notify_all()
-            while wait and not self._shutdown and self._state != CoreState.RESET:
+            while self._isr_thread not in (None, threading.get_ident()):
                 self._cond.wait()
+            if self._isr_thread is None:
+                self._zeroize()
 
-    def deassert_reset(self, wait=True):
+    def deassert_reset(self):
         """Release RST; the core boots from whatever TCM now holds."""
         with self._cond:
             if not self._rst:
                 return
             self._abort.clear()
             self._rst = False
-            self._cond.notify_all()
-            while wait and not self._shutdown and self._state == CoreState.RESET:
-                self._cond.wait()
+            self._boot()
 
     def deliver(self, words):
-        """Place a request, ring INT, wait for the ISR to clear it."""
-        words = list(words)
+        """Place a request, ring INT and run the ISR on this thread."""
+        words = tuple(words)
         if len(words) != MAILBOX_WORDS:
             raise InvalidFrame(f"mailbox holds {MAILBOX_WORDS} words")
-        for word in words:
-            if not isinstance(word, int) or not 0 <= word <= WORD_MASK:
-                raise InvalidFrame(f"mailbox word {word!r} is not 32-bit")
         with self._cond:
             if self._rst:
                 raise EnclaveResetError(f"enclave {self.index} is in reset")
-            if self._int or self._isr_active:
+            if self._int:
                 raise RuntimeError(f"enclave {self.index} mailbox is busy")
-            serial = self._reply_serial
             self._mailbox[:] = words
             self._int = True
-            self._cond.notify_all()
-            while self._reply_serial == serial and not self._rst:
-                self._cond.wait()
-            # Only the exact next serial with the core out of reset is a
-            # reply; anything else means the slot was torn down under us.
-            if self._rst or self._reply_serial != serial + 1:
-                raise EnclaveResetError(
-                    f"enclave {self.index} reset while a request was in flight")
-            return tuple(self._mailbox)
+            self._isr_thread = threading.get_ident()
+        reply = None
+        try:
+            reply = self._dispatch(words)
+        except AbortedError:
+            pass
+        finally:
+            with self._cond:
+                self._isr_thread = None
+                self._int = False
+                if self._rst:
+                    self._zeroize()
+                    reply = None
+                elif reply is not None:
+                    self._mailbox[:] = reply
+                    self._reply_serial += 1
+                self._cond.notify_all()
+        if reply is None:
+            raise EnclaveResetError(
+                f"enclave {self.index} reset while a request was in flight")
+        # The host core would now sleep until INT; yield the interpreter
+        # here too, or no request ever blocks and the 5 ms switch interval
+        # alone decides which client thread runs next.
+        time.sleep(0)
+        return reply
 
     def snapshot(self):
         """Register scan: control lines plus bookkeeping, for tests and CLI."""
         with self._cond:
+            if self._isr_thread is not None:
+                state = CoreState.ISR
+            else:
+                state = CoreState.RESET if self._rst else CoreState.WFI
             return {
                 "index": self.index,
-                "state": self._state,
+                "state": state,
                 "rst": self._rst,
                 "int": self._int,
                 "sessions": len(self._sessions),
@@ -481,49 +496,15 @@ class EnclaveRuntime:
         return self._faulted
 
     def shutdown(self):
+        """Hold the core in reset without waiting on a dispatch in flight;
+        that dispatch zeroizes the core when it leaves the ISR."""
         with self._cond:
-            self._shutdown = True
             self._rst = True
             self._abort.set()
-            self._cond.notify_all()
-        self._thread.join(timeout=5)
+            if self._isr_thread is None:
+                self._zeroize()
 
     # ---- the core itself ----
-
-    def _run(self):
-        with self._cond:
-            while True:
-                self._state = CoreState.RESET
-                self._cond.notify_all()
-                while self._rst and not self._shutdown:
-                    self._cond.wait()
-                if self._shutdown:
-                    return
-                self._boot()
-                self._state = CoreState.WFI
-                self._cond.notify_all()
-                while not self._rst and not self._shutdown:
-                    if not self._int:
-                        self._cond.wait()
-                        continue
-                    self._state = CoreState.ISR
-                    request = tuple(self._mailbox)
-                    self._isr_active = True
-                    self._cond.release()
-                    try:
-                        reply = self._dispatch(request)
-                    except AbortedError:
-                        reply = None
-                    finally:
-                        self._cond.acquire()
-                        self._isr_active = False
-                    if reply is not None and not self._rst:
-                        self._mailbox[:] = reply
-                        self._int = False
-                        self._reply_serial += 1
-                    self._state = CoreState.WFI
-                    self._cond.notify_all()
-                self._zeroize()
 
     def _zeroize(self):
         """Reset entry: no secret survives in TCM, window, mailbox or state."""
@@ -576,7 +557,6 @@ class EnclaveRuntime:
         """Serve one mailbox frame; returns the 12 reply words."""
         try:
             frame = decode_frame(words)
-            frame.validate()
         except InvalidFrame as exc:
             self.uart.log(f"isr: bad frame: {exc}")
             return encode_reply(ReplyFrame(

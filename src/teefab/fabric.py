@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 import uuid as uuid_mod
@@ -149,10 +148,6 @@ class Fabric:
         self._events = []
         self._traces = []
         self._log_lock = threading.Lock()
-        self._cleanup_queue = queue.Queue()
-        self._cleaner = threading.Thread(
-            target=self._cleanup_worker, name="fabric-cleaner", daemon=True)
-        self._cleaner.start()
         self._log("boot", slots=len(self._slots),
                   device=self.config.device_profile)
 
@@ -263,25 +258,19 @@ class Fabric:
                   dur_ns=time.perf_counter_ns() - start)
 
     def manager_close(self, slot_index):
-        """Tear one slot down: reset, zeroize, mark free. Idempotent."""
+        """Tear one slot down: reset, zeroize, mark free. Idempotent; a load
+        or teardown already under way is waited out first."""
         record = self._slots[slot_index]
         with self._manager:
+            while record.state in (SlotState.LOADING, SlotState.CLEANING):
+                self._manager.wait()
             if record.state is SlotState.FREE:
                 return
-            if record.uuid is not None:
-                self.loaded_tas.pop(record.uuid, None)
-            record.state = SlotState.CLEANING
-        record.runtime.assert_reset()
-        with self._manager:
-            record.state = SlotState.FREE
-            record.uuid = None
-            record.sessions = 0
-            record.pending = 0
-            self._manager.notify_all()
-        self._log("close", slot=slot_index)
+            self._begin_scrub(record)
+        self._scrub(record)
 
     def release_pending(self, slot_index):
-        """Drop one open-retain; may trigger cleanup of an unused slot."""
+        """Drop one open-retain; may scrub a slot nobody uses any more."""
         record = self._slots[slot_index]
         with self._manager:
             record.pending = max(0, record.pending - 1)
@@ -289,30 +278,30 @@ class Fabric:
 
     def _maybe_cleanup(self, record):
         with self._manager:
-            if (record.state is SlotState.TAKEN
-                    and record.sessions == 0 and record.pending == 0):
-                if record.uuid is not None:
-                    self.loaded_tas.pop(record.uuid, None)
-                record.state = SlotState.CLEANING
-                self._cleanup_queue.put(record.index)
+            if (record.state is not SlotState.TAKEN
+                    or record.sessions or record.pending):
+                return
+            self._begin_scrub(record)
+        self._scrub(record)
 
-    def _cleanup_worker(self):
-        while True:
-            slot_index = self._cleanup_queue.get()
-            try:
-                if slot_index is None:
-                    return
-                record = self._slots[slot_index]
-                record.runtime.assert_reset()
-                with self._manager:
-                    record.state = SlotState.FREE
-                    record.uuid = None
-                    record.sessions = 0
-                    record.pending = 0
-                    self._manager.notify_all()
-                self._log("close", slot=slot_index)
-            finally:
-                self._cleanup_queue.task_done()
+    def _begin_scrub(self, record):
+        """TAKEN -> CLEANING; caller holds the manager lock."""
+        if record.uuid is not None:
+            self.loaded_tas.pop(record.uuid, None)
+        record.state = SlotState.CLEANING
+
+    def _scrub(self, record):
+        """CLEANING -> FREE on the calling thread: hold the core in reset,
+        which zeroizes it once any dispatch in flight has aborted, then
+        free the slot once that dispatch has let go of it."""
+        record.runtime.assert_reset()
+        with record.lock, self._manager:
+            record.state = SlotState.FREE
+            record.uuid = None
+            record.sessions = 0
+            record.pending = 0
+            self._manager.notify_all()
+        self._log("close", slot=record.index)
 
     # ---- communication agent ----
 
@@ -342,15 +331,20 @@ class Fabric:
             self._log("dispatch", slot=slot_index, op=frame.operation.name,
                       cmd=frame.cmd_id, code=reply.code.name,
                       dur_ns=time.perf_counter_ns() - start)
-        if reply.code is ReturnCode.SUCCESS:
-            if frame.operation is OperationId.OPEN:
+            if (reply.code is ReturnCode.SUCCESS
+                    and frame.operation is not OperationId.INVOKE):
+                # Still under the slot lock, which a scrub needs to free the
+                # slot: the count lands on the load that answered, or on
+                # none once that load is CLEANING.
                 with self._manager:
-                    record.pending = max(0, record.pending - 1)
-                    record.sessions += 1
-            elif frame.operation is OperationId.CLOSE:
-                with self._manager:
-                    record.sessions = max(0, record.sessions - 1)
-                self._maybe_cleanup(record)
+                    if record.state is SlotState.TAKEN:
+                        if frame.operation is OperationId.OPEN:
+                            record.pending = max(0, record.pending - 1)
+                            record.sessions += 1
+                        else:
+                            record.sessions = max(0, record.sessions - 1)
+                if frame.operation is OperationId.CLOSE:
+                    self._maybe_cleanup(record)
         return reply
 
     def exchange(self, slot_index):
@@ -440,9 +434,9 @@ class Fabric:
             return self.slot_snapshot()
 
     def wait_idle(self, timeout=30):
-        """Block until background cleanups have drained."""
+        """Block until no slot is CLEANING: scrubs run on the thread that
+        frees the slot, so this only waits out those still in progress."""
         deadline = time.monotonic() + timeout
-        self._cleanup_queue.join()
         with self._manager:
             while any(r.state is SlotState.CLEANING for r in self._slots):
                 remaining = deadline - time.monotonic()
@@ -451,9 +445,8 @@ class Fabric:
                 self._manager.wait(remaining)
 
     def shutdown(self):
-        """Stop the cleaner and all enclave worker threads."""
-        self._cleanup_queue.put(None)
-        self._cleaner.join(timeout=5)
+        """Hold every core in reset without waiting on a TA in flight; such
+        a dispatch zeroizes its core when it leaves the ISR."""
         for record in self._slots:
             record.runtime.shutdown()
         self._log("shutdown")

@@ -241,8 +241,7 @@ class ReplyFrame:
 
 
 def encode_frame(frame):
-    """MailboxFrame -> 12 words."""
-    frame.validate()
+    """MailboxFrame -> 12 words; build() has validated the frame."""
     return (int(frame.operation), frame.session_id, frame.param_type,
             *frame.gp, frame.cmd_id)
 

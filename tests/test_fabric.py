@@ -1,11 +1,14 @@
 """Fabric agents: staging, loads, slot lifecycle, dispatch, observability."""
 
+import random
+import sys
 import threading
 import time
 
 import pytest
 
 from conftest import make_image
+from teefab.client_api import Context, Direction, Operation, Value
 from teefab.enclave import (
     TA_KIND_ECHO,
     TA_KIND_INCREMENT,
@@ -15,6 +18,8 @@ from teefab.enclave import (
 from teefab.fabric import CmRegion, DelayModel
 from teefab.protocol import (
     MAX_IMAGE_SIZE,
+    SHM_WINDOW_SIZE,
+    TCM_SIZE,
     AccessDeniedError,
     ImageFormatError,
     ImageSizeError,
@@ -28,6 +33,7 @@ from teefab.protocol import (
 )
 
 TA_KIND_TRIPWIRE = 245
+TA_KIND_STALL = 246
 
 
 class TripwireTa(TrustedApp):
@@ -37,7 +43,18 @@ class TripwireTa(TrustedApp):
         raise RuntimeError("tripwire")
 
 
+class StallTa(TrustedApp):
+    """Blocks inside invoke until the core is reset."""
+
+    started = threading.Event()
+
+    def invoke_command(self, session, cmd_id, params):
+        StallTa.started.set()
+        self.env.sleep(30.0)
+
+
 register_ta_kind(TA_KIND_TRIPWIRE, TripwireTa)
+register_ta_kind(TA_KIND_STALL, StallTa)
 
 
 def open_frame():
@@ -280,3 +297,112 @@ def test_mailbox_transfers_are_costed(fabric_factory):
     elapsed = time.perf_counter_ns() - start
     # One request and one reply mailbox copy, 2ms per transfer.
     assert elapsed >= 4_000_000
+
+def assert_scrubbed(fabric, slot):
+    runtime = fabric.slot_runtime(slot)
+    assert fabric.slot_snapshot()[slot]["state"] == "FREE"
+    assert runtime.tcm.read(0, TCM_SIZE) == bytes(TCM_SIZE)
+    assert runtime.window.read(0, SHM_WINDOW_SIZE) == bytes(SHM_WINDOW_SIZE)
+
+
+def test_fabric_starts_no_threads(fabric_factory):
+    before = threading.active_count()
+    fabric = fabric_factory(enclave_count=4)
+    slot, sid = open_ta(fabric, TA_KIND_INCREMENT)
+    assert threading.active_count() == before
+    fabric.comm_dispatch(slot, close_frame(sid))
+    fabric.shutdown()
+    assert threading.active_count() == before
+
+
+def test_session_close_scrubs_before_returning(fabric):
+    ta_uuid, image = make_image(TA_KIND_ECHO, payload=b"\xa5" * 600)
+    with Context(fabric) as ctx:
+        session = ctx.open_session(ta_uuid, image)
+        fabric.shm_write(session.slot_index, 0, b"\x5a" * 64)
+        session.close()
+        assert_scrubbed(fabric, session.slot_index)
+        assert not fabric.loaded_tas
+
+
+def test_manager_close_resets_a_blocked_invoke(fabric):
+    slot, sid = open_ta(fabric, TA_KIND_STALL, payload=b"\xa5" * 600)
+    fabric.shm_write(slot, 0, b"\x5a" * 64)
+    StallTa.started.clear()
+    outcome = []
+
+    def invoker():
+        try:
+            fabric.comm_dispatch(slot, MailboxFrame.build(
+                OperationId.INVOKE, sid, [], cmd_id=0))
+            outcome.append("returned")
+        except AccessDeniedError:
+            outcome.append("denied")
+
+    thread = threading.Thread(target=invoker)
+    thread.start()
+    assert StallTa.started.wait(5.0)
+    fabric.manager_close(slot)
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert outcome == ["denied"]
+    assert_scrubbed(fabric, slot)
+    fabric.audit()
+    closes = fabric.events().count(f"event=close slot={slot}")
+    fabric.manager_close(slot)
+    assert fabric.events().count(f"event=close slot={slot}") == closes == 1
+    assert_scrubbed(fabric, slot)
+
+
+def test_clients_survive_concurrent_resets(fabric):
+    """Four clients open, increment and close over three TAs on two slots
+    while a fifth thread tears slots down at random: every reply is right
+    or refused, and the fabric ends audited, free and zeroed."""
+    images = [make_image(TA_KIND_INCREMENT, tag=tag) for tag in (1, 2, 3)]
+    failures, done = [], threading.Event()
+
+    def client(seed):
+        rng = random.Random(seed)
+        with Context(fabric) as ctx:
+            for _ in range(40):
+                value = rng.getrandbits(31)
+                try:
+                    session = ctx.open_session(*rng.choice(images))
+                except (OutOfEnclavesError, AccessDeniedError):
+                    continue
+                try:
+                    result = session.invoke_command(
+                        0, Operation(Value(Direction.INOUT, value)))
+                    if result.success and result.value(0)[0] != value + 1:
+                        failures.append(f"{value} -> {result.value(0)}")
+                except AccessDeniedError:
+                    pass
+                finally:
+                    session.close()
+
+    def resetter():
+        rng = random.Random(99)
+        while not done.is_set():
+            fabric.manager_close(rng.randrange(2))
+            time.sleep(0.002)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        clients = [threading.Thread(target=client, args=(seed,))
+                   for seed in range(4)]
+        chaos = threading.Thread(target=resetter)
+        for thread in clients + [chaos]:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=30.0)
+        done.set()
+        chaos.join(timeout=5.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in clients + [chaos])
+    assert not failures
+    fabric.wait_idle(timeout=5)
+    fabric.audit()
+    for slot in range(2):
+        assert_scrubbed(fabric, slot)
