@@ -291,16 +291,18 @@ class Fabric:
         record.state = SlotState.CLEANING
 
     def _scrub(self, record):
-        """CLEANING -> FREE on the calling thread: hold the core in reset,
-        which zeroizes it once any dispatch in flight has aborted, then
-        free the slot once that dispatch has let go of it."""
-        record.runtime.assert_reset()
-        with record.lock, self._manager:
-            record.state = SlotState.FREE
-            record.uuid = None
-            record.sessions = 0
-            record.pending = 0
-            self._manager.notify_all()
+        """CLEANING -> FREE on the calling thread: raise RST so a dispatch
+        in flight aborts and lets go of the slot, then zeroize and free the
+        slot under its lock, so no REE window copy lands in between."""
+        record.runtime.shutdown()
+        with record.lock:
+            record.runtime.assert_reset()
+            with self._manager:
+                record.state = SlotState.FREE
+                record.uuid = None
+                record.sessions = 0
+                record.pending = 0
+                self._manager.notify_all()
         self._log("close", slot=record.index)
 
     # ---- communication agent ----

@@ -2,7 +2,6 @@
 
 from .crypto import (
     CryptoError,
-    Digest,
     InvalidKey,
     InvalidSignature,
     ORDER_N,
@@ -12,7 +11,6 @@ from .crypto import (
     ecdsa_sign,
     ecdsa_verify,
     hmac_digest,
-    point_mul,
 )
 from .rng import Csprng
 from .storage import (
@@ -28,7 +26,6 @@ __all__ = [
     "CryptoError",
     "Csprng",
     "DeviceKey",
-    "Digest",
     "InvalidKey",
     "InvalidSignature",
     "MonotonicCounter",
@@ -43,5 +40,4 @@ __all__ = [
     "ecdsa_sign",
     "ecdsa_verify",
     "hmac_digest",
-    "point_mul",
 ]

@@ -1,23 +1,30 @@
 """Digest, HMAC, and ECDSA primitives offered to trusted applications.
 
-Digests and HMAC wrap hashlib behind a closed algorithm whitelist.  The
-secp256k1 signing path (curve arithmetic, RFC 6979 deterministic nonces,
-low-s normalization) is implemented here in full so the trusted side has
-no dependency on host crypto libraries.
+Digests and HMAC wrap hashlib behind a closed algorithm whitelist.  secp256k1
+key derivation, signing and verification run in the OpenSSL-backed
+`cryptography` package: its scalar multiplication does not branch on key
+bits, and `deterministic_signing` draws RFC 6979 nonces.  This module keeps
+the trust-boundary checks (key range, digest, signature and point lengths),
+the low-s normalisation and the compact 64-byte r||s format.
 """
 
 import hashlib
 import hmac as hmac_mod
 
-# secp256k1 domain parameters
-FIELD_P = 2**256 - 2**32 - 977
+import cryptography.exceptions
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.utils import (
+    Prehashed,
+    decode_dss_signature,
+    encode_dss_signature,
+)
+from cryptography.hazmat.primitives.hashes import SHA256
+
+# secp256k1 group order
 ORDER_N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 ORDER_HALF = ORDER_N // 2
-CURVE_B = 7
-GENERATOR = (
-    0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798,
-    0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8,
-)
+
+_CURVE = ec.SECP256K1()
 
 _ALGORITHMS = {"sha256": hashlib.sha256, "sha512": hashlib.sha512}
 
@@ -51,121 +58,9 @@ def digest(algorithm, message):
     return _resolve(algorithm)(bytes(message)).digest()
 
 
-class Digest:
-    """Incremental variant; update chunks, then finalize once."""
-
-    def __init__(self, algorithm):
-        self._hasher = _resolve(algorithm)()
-        self._done = False
-
-    def update(self, chunk):
-        if self._done:
-            raise CryptoError("digest already finalized")
-        self._hasher.update(bytes(chunk))
-        return self
-
-    def finalize(self):
-        self._done = True
-        return self._hasher.digest()
-
-
 def hmac_digest(algorithm, key, message):
     """Keyed MAC over the same algorithm whitelist."""
     return hmac_mod.new(bytes(key), bytes(message), _resolve(algorithm)).digest()
-
-
-# --- curve arithmetic (Jacobian coordinates, a = 0) -------------------------
-
-def _jac_double(point):
-    x, y, z = point
-    if not y:
-        return (0, 0, 0)
-    ysq = (y * y) % FIELD_P
-    s = (4 * x * ysq) % FIELD_P
-    m = (3 * x * x) % FIELD_P
-    nx = (m * m - 2 * s) % FIELD_P
-    ny = (m * (s - nx) - 8 * ysq * ysq) % FIELD_P
-    nz = (2 * y * z) % FIELD_P
-    return (nx, ny, nz)
-
-
-def _jac_add(p, q):
-    if not p[2]:
-        return q
-    if not q[2]:
-        return p
-    z1sq = (p[2] * p[2]) % FIELD_P
-    z2sq = (q[2] * q[2]) % FIELD_P
-    u1 = (p[0] * z2sq) % FIELD_P
-    u2 = (q[0] * z1sq) % FIELD_P
-    s1 = (p[1] * z2sq * q[2]) % FIELD_P
-    s2 = (q[1] * z1sq * p[2]) % FIELD_P
-    if u1 == u2:
-        if s1 != s2:
-            return (0, 0, 0)
-        return _jac_double(p)
-    h = (u2 - u1) % FIELD_P
-    r = (s2 - s1) % FIELD_P
-    hsq = (h * h) % FIELD_P
-    hcu = (hsq * h) % FIELD_P
-    u1hsq = (u1 * hsq) % FIELD_P
-    nx = (r * r - hcu - 2 * u1hsq) % FIELD_P
-    ny = (r * (u1hsq - nx) - s1 * hcu) % FIELD_P
-    nz = (h * p[2] * q[2]) % FIELD_P
-    return (nx, ny, nz)
-
-
-def _jac_from_affine(point):
-    if point is None:
-        return (0, 0, 0)
-    return (point[0], point[1], 1)
-
-
-def _jac_to_affine(point):
-    if not point[2]:
-        return None
-    zinv = pow(point[2], -1, FIELD_P)
-    zinv2 = (zinv * zinv) % FIELD_P
-    return ((point[0] * zinv2) % FIELD_P,
-            (point[1] * zinv2 * zinv) % FIELD_P)
-
-
-def point_mul(scalar, point=None):
-    """scalar * point in affine coordinates; None means the generator."""
-    acc = (0, 0, 0)
-    addend = _jac_from_affine(GENERATOR if point is None else point)
-    k = scalar % ORDER_N
-    while k:
-        if k & 1:
-            acc = _jac_add(acc, addend)
-        addend = _jac_double(addend)
-        k >>= 1
-    return _jac_to_affine(acc)
-
-
-def _on_curve(point):
-    x, y = point
-    return (y * y - x * x * x - CURVE_B) % FIELD_P == 0
-
-
-def _encode_point(point):
-    x, y = point
-    return bytes([2 + (y & 1)]) + x.to_bytes(32, "big")
-
-
-def _decode_point(encoded):
-    if len(encoded) != 33 or encoded[0] not in (2, 3):
-        raise InvalidKey(f"not a 33-byte compressed point: {len(encoded)} bytes")
-    x = int.from_bytes(encoded[1:], "big")
-    if x >= FIELD_P:
-        raise InvalidKey("x coordinate out of field range")
-    ysq = (pow(x, 3, FIELD_P) + CURVE_B) % FIELD_P
-    y = pow(ysq, (FIELD_P + 1) // 4, FIELD_P)
-    if (y * y) % FIELD_P != ysq:
-        raise InvalidKey("point not on curve")
-    if (y & 1) != (encoded[0] & 1):
-        y = FIELD_P - y
-    return (x, y)
 
 
 def _scalar_from_key(private_key):
@@ -180,69 +75,53 @@ def _scalar_from_key(private_key):
     return scalar
 
 
+def _check_digest(msg_hash):
+    if len(msg_hash) != 32:
+        raise InvalidSignature(f"digest must be 32 bytes, got {len(msg_hash)}")
+    return bytes(msg_hash)
+
+
 def derive_public_key(private_key):
     """Compressed 33-byte public point for a private scalar."""
-    return _encode_point(point_mul(_scalar_from_key(private_key)))
-
-
-def rfc6979_nonce(private_scalar, msg_hash):
-    """Yield deterministic nonces per RFC 6979 (HMAC-SHA256, qlen = 256)."""
-    x_octets = private_scalar.to_bytes(32, "big")
-    h_octets = (int.from_bytes(msg_hash, "big") % ORDER_N).to_bytes(32, "big")
-    v = b"\x01" * 32
-    k = b"\x00" * 32
-    k = hmac_mod.new(k, v + b"\x00" + x_octets + h_octets, hashlib.sha256).digest()
-    v = hmac_mod.new(k, v, hashlib.sha256).digest()
-    k = hmac_mod.new(k, v + b"\x01" + x_octets + h_octets, hashlib.sha256).digest()
-    v = hmac_mod.new(k, v, hashlib.sha256).digest()
-    while True:
-        v = hmac_mod.new(k, v, hashlib.sha256).digest()
-        nonce = int.from_bytes(v, "big")
-        if 1 <= nonce < ORDER_N:
-            yield nonce
-        k = hmac_mod.new(k, v + b"\x00", hashlib.sha256).digest()
-        v = hmac_mod.new(k, v, hashlib.sha256).digest()
+    secret = ec.derive_private_key(_scalar_from_key(private_key), _CURVE)
+    point = secret.public_key().public_numbers()
+    return bytes([2 + (point.y & 1)]) + point.x.to_bytes(32, "big")
 
 
 def ecdsa_sign(private_key, msg_hash):
     """Sign a 32-byte digest; compact r||s, s forced to the low half."""
-    if len(msg_hash) != 32:
-        raise InvalidSignature(f"digest must be 32 bytes, got {len(msg_hash)}")
-    scalar = _scalar_from_key(private_key)
-    z = int.from_bytes(msg_hash, "big")
-    for nonce in rfc6979_nonce(scalar, msg_hash):
-        point = point_mul(nonce)
-        r = point[0] % ORDER_N
-        if not r:
-            continue
-        s = (pow(nonce, -1, ORDER_N) * (z + r * scalar)) % ORDER_N
-        if not s:
-            continue
-        if s > ORDER_HALF:
-            s = ORDER_N - s
-        return r.to_bytes(32, "big") + s.to_bytes(32, "big")
+    msg_hash = _check_digest(msg_hash)
+    secret = ec.derive_private_key(_scalar_from_key(private_key), _CURVE)
+    # Built per call, not at import: a deterministic ECDSA loads OpenSSL's
+    # backend module and its cipher and RSA modules on first use.
+    der = secret.sign(
+        msg_hash, ec.ECDSA(Prehashed(SHA256()), deterministic_signing=True))
+    r, s = decode_dss_signature(der)
+    if s > ORDER_HALF:
+        s = ORDER_N - s
+    return r.to_bytes(32, "big") + s.to_bytes(32, "big")
 
 
 def ecdsa_verify(public_key, msg_hash, signature):
     """True iff signature is a valid ECDSA signature over msg_hash."""
-    if len(msg_hash) != 32:
-        raise InvalidSignature(f"digest must be 32 bytes, got {len(msg_hash)}")
+    msg_hash = _check_digest(msg_hash)
     if len(signature) != 64:
         raise InvalidSignature(f"signature must be 64 bytes, got {len(signature)}")
-    point = _decode_point(bytes(public_key))
+    public_key = bytes(public_key)
+    if len(public_key) != 33 or public_key[0] not in (2, 3):
+        raise InvalidKey(
+            f"not a 33-byte compressed point: {len(public_key)} bytes")
+    try:
+        point = ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, public_key)
+    except ValueError:
+        raise InvalidKey("not a point on secp256k1") from None
     r = int.from_bytes(signature[:32], "big")
     s = int.from_bytes(signature[32:], "big")
     if not (1 <= r < ORDER_N and 1 <= s < ORDER_N):
         return False
-    z = int.from_bytes(msg_hash, "big")
-    s_inv = pow(s, -1, ORDER_N)
-    u1 = (z * s_inv) % ORDER_N
-    u2 = (r * s_inv) % ORDER_N
-    combined = _jac_add(
-        _jac_from_affine(point_mul(u1)),
-        _jac_from_affine(point_mul(u2, point)),
-    )
-    affine = _jac_to_affine(combined)
-    if affine is None:
+    try:
+        point.verify(encode_dss_signature(r, s), msg_hash,
+                     ec.ECDSA(Prehashed(SHA256())))
+    except cryptography.exceptions.InvalidSignature:
         return False
-    return affine[0] % ORDER_N == r
+    return True

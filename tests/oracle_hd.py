@@ -1,10 +1,11 @@
 """Independent reference implementation for wallet-path expected values.
 
 Everything here is deliberately written against primitives the package under
-test does not share: hashlib/hmac for the digest chain, and the OpenSSL-backed
-`cryptography` package for all elliptic-curve work (public-key derivation and
-deterministic ECDSA).  Tests freeze the values this module computes; the
-package must reproduce them through its own code paths.
+test does not share: hashlib/hmac for the digest chain, and a pure-Python
+secp256k1 (affine point arithmetic, RFC 6979 nonces, low-s signing) for all
+elliptic-curve work, where the package calls OpenSSL through `cryptography`.
+This module imports nothing from `cryptography`.  Tests freeze the values it
+computes; the package must reproduce them through its own code paths.
 
 Run as a script to print the frozen-vector block:
 
@@ -13,17 +14,6 @@ Run as a script to print the frozen-vector block:
 
 import hashlib
 import hmac
-
-from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.asymmetric import ec
-from cryptography.hazmat.primitives.asymmetric.utils import (
-    Prehashed,
-    decode_dss_signature,
-)
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    PublicFormat,
-)
 
 SECP256K1_ORDER = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 HARDENED = 0x80000000
@@ -54,12 +44,67 @@ def derive_hardened(parent_sk, parent_cc, index):
     return child.to_bytes(32, "big"), digest[32:]
 
 
+# --- secp256k1, textbook affine arithmetic (variable time; tests only) -----
+
+SECP256K1_P = 2**256 - 2**32 - 977
+SECP256K1_G = (
+    0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798,
+    0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8,
+)
+
+
+def _point_add(a, b):
+    """a + b on y^2 = x^3 + 7; None is the point at infinity."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    (x1, y1), (x2, y2) = a, b
+    if x1 == x2 and (y1 + y2) % SECP256K1_P == 0:
+        return None
+    if a == b:
+        slope = 3 * x1 * x1 * pow(2 * y1, -1, SECP256K1_P)
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, SECP256K1_P)
+    x3 = (slope * slope - x1 - x2) % SECP256K1_P
+    return x3, (slope * (x1 - x3) - y1) % SECP256K1_P
+
+
+def point_mul(scalar):
+    """scalar * G by double-and-add."""
+    result, point = None, SECP256K1_G
+    while scalar:
+        if scalar & 1:
+            result = _point_add(result, point)
+        point = _point_add(point, point)
+        scalar >>= 1
+    return result
+
+
 def compressed_pubkey(sk):
-    """Compressed SEC1 point for sk, via OpenSSL."""
-    priv = ec.derive_private_key(int.from_bytes(sk, "big"), ec.SECP256K1())
-    return priv.public_key().public_bytes(
-        Encoding.X962, PublicFormat.CompressedPoint
-    )
+    """Compressed SEC1 point for sk."""
+    x, y = point_mul(int.from_bytes(sk, "big"))
+    return bytes([2 + (y & 1)]) + x.to_bytes(32, "big")
+
+
+def rfc6979_nonce(private_scalar, msg_hash):
+    """Yield deterministic nonces per RFC 6979 (HMAC-SHA256, qlen = 256)."""
+    x_octets = private_scalar.to_bytes(32, "big")
+    h_octets = (int.from_bytes(msg_hash, "big")
+                % SECP256K1_ORDER).to_bytes(32, "big")
+    v = b"\x01" * 32
+    k = b"\x00" * 32
+    k = hmac.new(k, v + b"\x00" + x_octets + h_octets, hashlib.sha256).digest()
+    v = hmac.new(k, v, hashlib.sha256).digest()
+    k = hmac.new(k, v + b"\x01" + x_octets + h_octets, hashlib.sha256).digest()
+    v = hmac.new(k, v, hashlib.sha256).digest()
+    while True:
+        v = hmac.new(k, v, hashlib.sha256).digest()
+        nonce = int.from_bytes(v, "big")
+        if 1 <= nonce < SECP256K1_ORDER:
+            yield nonce
+        k = hmac.new(k, v + b"\x00", hashlib.sha256).digest()
+        v = hmac.new(k, v, hashlib.sha256).digest()
 
 
 # --- RIPEMD-160, needed only because hashlib no longer ships it ------------
@@ -154,12 +199,13 @@ def sha256d(data):
 
 def sign_compact_low_s(sk, digest32):
     """Deterministic ECDSA over the prehashed digest, low-s, r||s bytes."""
-    priv = ec.derive_private_key(int.from_bytes(sk, "big"), ec.SECP256K1())
-    der = priv.sign(
-        digest32,
-        ec.ECDSA(Prehashed(hashes.SHA256()), deterministic_signing=True),
-    )
-    r, s = decode_dss_signature(der)
+    secret = int.from_bytes(sk, "big")
+    z = int.from_bytes(digest32, "big")
+    for nonce in rfc6979_nonce(secret, digest32):
+        r = point_mul(nonce)[0] % SECP256K1_ORDER
+        s = pow(nonce, -1, SECP256K1_ORDER) * (z + r * secret) % SECP256K1_ORDER
+        if r and s:
+            break
     if s > SECP256K1_ORDER // 2:
         s = SECP256K1_ORDER - s
     return r.to_bytes(32, "big") + s.to_bytes(32, "big")

@@ -354,6 +354,38 @@ def test_manager_close_resets_a_blocked_invoke(fabric):
     assert_scrubbed(fabric, slot)
 
 
+def test_scrub_zeroizes_after_a_stalled_window_copy(fabric):
+    """A REE copy stalled inside the DMA charge while the slot is torn
+    down must not land in the window after the zeroize."""
+    slot, _sid = open_ta(fabric, TA_KIND_ECHO)
+    runtime = fabric.slot_runtime(slot)
+    entered, release = threading.Event(), threading.Event()
+    charge = fabric.delay.charge
+
+    def stalling_charge(nbytes):
+        if nbytes == 16:
+            entered.set()
+            release.wait(5.0)
+        charge(nbytes)
+
+    fabric.delay.charge = stalling_charge
+    writer = threading.Thread(
+        target=fabric.shm_write, args=(slot, 0, b"\x5a" * 16))
+    closer = threading.Thread(target=fabric.manager_close, args=(slot,))
+    writer.start()
+    assert entered.wait(5.0)
+    closer.start()
+    deadline = time.monotonic() + 5.0
+    while not runtime.snapshot()["rst"] and time.monotonic() < deadline:
+        time.sleep(0.001)
+    release.set()
+    writer.join(timeout=5.0)
+    closer.join(timeout=5.0)
+    assert not writer.is_alive() and not closer.is_alive()
+    assert_scrubbed(fabric, slot)
+    fabric.audit()
+
+
 def test_clients_survive_concurrent_resets(fabric):
     """Four clients open, increment and close over three TAs on two slots
     while a fifth thread tears slots down at random: every reply is right

@@ -5,17 +5,18 @@ import uuid as uuid_mod
 
 import pytest
 
+from oracle_hd import rfc6979_nonce, sign_compact_low_s
 from teefab.internal_api.crypto import (
     ORDER_HALF,
     ORDER_N,
     InvalidKey,
+    InvalidSignature,
     UnsupportedAlgorithm,
     derive_public_key,
     digest,
     ecdsa_sign,
     ecdsa_verify,
     hmac_digest,
-    rfc6979_nonce,
 )
 from teefab.internal_api.rng import Csprng
 from teefab.internal_api.storage import (
@@ -80,6 +81,13 @@ def test_rfc6979_nonce_known_value():
     msg_hash = digest("sha256", b"Satoshi Nakamoto")
     nonce = next(rfc6979_nonce(1, msg_hash))
     assert nonce == 0x8F8A276C19F4149656B280621E358CCE24F5F52542772691EE69063B74F15D15
+    assert ecdsa_sign(1, msg_hash).hex() == (
+        "934b1ea10a4b3c1757e2b0c017d0b6143ce3c9a7e6a4a49860d7a6ab210ee3d8"
+        "2442ce9d2b916064108014783e923ec36b49743e2ffa1c4496f01a512aafd9e5")
+    assert derive_public_key(1).hex() == (
+        "0279be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798")
+    top = (ORDER_N - 1).to_bytes(32, "big")
+    assert ecdsa_sign(top, msg_hash) == sign_compact_low_s(top, msg_hash)
 
 
 def test_ecdsa_sign_verify_and_determinism():
@@ -115,6 +123,28 @@ def test_invalid_keys_rejected():
         ecdsa_sign(bytes(32), bytes(32))
     with pytest.raises(InvalidKey):
         ecdsa_sign(ORDER_N.to_bytes(32, "big"), bytes(32))
+
+
+def test_ecdsa_verify_checks_its_inputs():
+    field_p = 2**256 - 2**32 - 977
+    sk = (0x1234).to_bytes(32, "big")
+    msg = digest("sha256", b"verify boundary")
+    sig = ecdsa_sign(sk, msg)
+    pub = derive_public_key(sk)
+    assert ecdsa_verify(pub, msg, sig)
+    # x = 5 has no curve point: 5^3 + 7 is not a square mod p.
+    assert pow(5 ** 3 + 7, (field_p - 1) // 2, field_p) == field_p - 1
+    for bad_key in (pub[1:], b"\x04" + pub[1:], b"\x04" + bytes(64),
+                    b"\x02" + field_p.to_bytes(32, "big"),
+                    b"\x02" + (5).to_bytes(32, "big")):
+        with pytest.raises(InvalidKey):
+            ecdsa_verify(bad_key, msg, sig)
+    assert not ecdsa_verify(pub, msg, bytes(32) + sig[32:])
+    assert not ecdsa_verify(pub, msg, sig[:32] + ORDER_N.to_bytes(32, "big"))
+    with pytest.raises(InvalidSignature):
+        ecdsa_verify(pub, msg[:31], sig)
+    with pytest.raises(InvalidSignature):
+        ecdsa_verify(pub, msg, sig[:63])
 
 
 def test_csprng_determinism_and_reseed():
