@@ -169,19 +169,26 @@ class Context:
         last_error = None
         for _ in range(_OPEN_RETRIES):
             slot, _fresh = self.fabric.manager_open(ta_uuid, cm_addr, size)
-            try:
-                reply = self.fabric.comm_dispatch(
-                    slot, MailboxFrame.build(OperationId.OPEN, 0))
-            except AccessDeniedError as exc:
-                # The slot was torn down between lookup and dispatch.
-                self.fabric.release_pending(slot)
-                last_error = exc
-                continue
+            with self.fabric.exchange(slot):
+                hosted, generation = self.fabric.slot_load(slot)
+                if hosted != ta_uuid:
+                    # Torn down (and maybe reloaded) since the lookup; the
+                    # teardown dropped this open's retain with the load.
+                    last_error = AccessDeniedError(
+                        f"slot {slot} no longer hosts TA {ta_uuid}")
+                    continue
+                try:
+                    reply = self.fabric.comm_dispatch(
+                        slot, MailboxFrame.build(OperationId.OPEN, 0))
+                except AccessDeniedError as exc:
+                    self.fabric.release_pending(slot)
+                    last_error = exc
+                    continue
             if reply.code is not ReturnCode.SUCCESS:
                 self.fabric.release_pending(slot)
                 raise error_for_code(reply.code,
                                      f"TA {ta_uuid} rejected the session")
-            return Session(self, ta_uuid, slot, reply.session_id)
+            return Session(self, ta_uuid, slot, reply.session_id, generation)
         raise last_error
 
     def close(self):
@@ -200,18 +207,27 @@ class Context:
 
 
 class Session:
-    """One open session; per-session window allocator for shared blocks."""
+    """One open session on one load of a slot; per-session window
+    allocator for shared blocks."""
 
-    def __init__(self, context, ta_uuid, slot_index, session_id):
+    def __init__(self, context, ta_uuid, slot_index, session_id, generation):
         self.context = context
         self.uuid = ta_uuid
         self.slot_index = slot_index
         self.session_id = session_id
+        self._generation = generation
         self._shm_cursor = 0
 
     @property
     def is_open(self):
         return self.session_id != 0
+
+    def _is_current(self):
+        """Whether the slot still hosts the load this session was opened
+        on; a reloaded core numbers its sessions from 1 again. Call under
+        `fabric.exchange(slot_index)`."""
+        return self.context.fabric.slot_load(self.slot_index) == \
+            (self.uuid, self._generation)
 
     def allocate_shared_memory(self, length, direction=Direction.INOUT):
         """Reserve the next disjoint window slice for this session."""
@@ -237,6 +253,10 @@ class Session:
                                    kinds, gp=words, cmd_id=cmd_id)
         fabric = self.context.fabric
         with fabric.exchange(self.slot_index):
+            if not self._is_current():
+                raise AccessDeniedError(
+                    f"slot {self.slot_index} no longer hosts the load "
+                    f"session {self.session_id} was opened on")
             for param in operation.params:
                 if not isinstance(param, SharedMemory) or param.length == 0:
                     continue
@@ -262,14 +282,18 @@ class Session:
         return InvokeResult(reply)
 
     def close(self):
-        """Dispatch CLOSE; double close is a no-op."""
+        """Dispatch CLOSE; double close and close after the slot's load
+        went away are no-ops."""
         if not self.is_open:
             return
         frame = MailboxFrame.build(OperationId.CLOSE, self.session_id)
-        try:
-            self.context.fabric.comm_dispatch(self.slot_index, frame)
-        except AccessDeniedError:
-            pass  # slot already torn down; the session is gone either way
+        fabric = self.context.fabric
+        with fabric.exchange(self.slot_index):
+            if self._is_current():
+                try:
+                    fabric.comm_dispatch(self.slot_index, frame)
+                except AccessDeniedError:
+                    pass  # quarantined or reset: the session is gone
         self.session_id = 0
 
     def __enter__(self):

@@ -27,7 +27,6 @@ class SimConfig:
     dma_ns_per_byte: int = 0
     dma_ns_per_op: int = 0
     quarantine_on_fault: bool = False
-    trace_io: bool = False
 
     tcm_size: int = field(default=TCM_SIZE, init=False)
     shm_size: int = field(default=SHM_WINDOW_SIZE, init=False)
@@ -108,21 +107,11 @@ def load_config(path):
                 f"be overridden")
         if key == "device":
             key = "device_profile"
-        if key == "dma_delay_model":
-            # legacy spelling: "none" or "per-byte:<ns>"
-            if value.lower() == "none":
-                config.dma_ns_per_byte = 0
-                config.dma_ns_per_op = 0
-            elif value.lower().startswith("per-byte:"):
-                config.dma_ns_per_byte = _parse_int(key, value.split(":", 1)[1])
-            else:
-                raise ValueError(f"{path}:{lineno}: bad dma_delay_model {value!r}")
-            continue
         if key not in valid:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in ("enclave_count", "rng_seed", "dma_ns_per_byte", "dma_ns_per_op"):
             setattr(config, key, _parse_int(key, value))
-        elif key in ("quarantine_on_fault", "trace_io"):
+        elif key == "quarantine_on_fault":
             setattr(config, key, _parse_bool(key, value))
         else:
             setattr(config, key, value)

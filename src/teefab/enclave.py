@@ -5,6 +5,7 @@ from __future__ import annotations
 import threading
 import time
 import traceback
+from collections import deque
 from enum import IntEnum
 
 from .protocol import (
@@ -32,6 +33,8 @@ TA_KIND_INCREMENT = 1
 TA_KIND_SHMEM16 = 2
 TA_KIND_ECHO = 3
 TA_KIND_PROBE = 4
+
+UART_CAPACITY = 1024
 
 
 class CoreState(IntEnum):
@@ -223,11 +226,12 @@ class TaParams:
 
 
 class UartLog:
-    """Append-only debug console for one enclave."""
+    """Debug console for one enclave: the last UART_CAPACITY lines in
+    memory, every line in the attached file."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._lines = []
+        self._lines = deque(maxlen=UART_CAPACITY)
         self._path = None
 
     def attach_file(self, path):

@@ -5,8 +5,10 @@ from __future__ import annotations
 import threading
 import time
 import uuid as uuid_mod
+from collections import deque
 from enum import IntEnum
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import SimConfig
 from .enclave import EnclaveRuntime, EnclaveResetError
@@ -32,6 +34,7 @@ from .protocol import (
 )
 
 _MAILBOX_BYTES = MAILBOX_WORDS * 4
+EVENT_CAPACITY = 4096
 
 
 class SlotState(IntEnum):
@@ -39,6 +42,16 @@ class SlotState(IntEnum):
     LOADING = 1
     TAKEN = 2
     CLEANING = 3
+
+
+class Event(NamedTuple):
+    """One fabric log record; `seq` numbers every event ever logged, so a
+    gap before the oldest kept record counts the events that fell off."""
+
+    seq: int
+    kind: str
+    slot: int | None
+    fields: dict
 
 
 class DelayModel:
@@ -113,6 +126,7 @@ class EnclaveSlot:
         self.tcm_base = f"tcm{index}"
         self.state = SlotState.FREE
         self.uuid = None
+        self.generation = 0  # completed loads; binds sessions to one load
         self.sessions = 0
         self.pending = 0
         self.lock = threading.RLock()
@@ -145,10 +159,10 @@ class Fabric:
         self._loading = set()
         self._manager = threading.Condition()
         self._load_count = 0
-        self._events = []
-        self._traces = []
+        self._events = deque(maxlen=EVENT_CAPACITY)
+        self._seq = 0
         self._log_lock = threading.Lock()
-        self._log("boot", slots=len(self._slots),
+        self._log("boot", None, slots=len(self._slots),
                   device=self.config.device_profile)
 
     # ---- staging (CM region) ----
@@ -158,12 +172,12 @@ class Fabric:
         data = bytes(image_bytes)
         offset = self.cm.alloc(len(data))
         self.cm.write(offset, data)
-        self._log("stage", offset=offset, size=len(data))
+        self._log("stage", None, offset=offset, size=len(data))
         return offset, len(data)
 
     def cm_release(self, offset):
         self.cm.free(offset)
-        self._log("release", offset=offset)
+        self._log("release", None, offset=offset)
 
     # ---- manager agent ----
 
@@ -175,7 +189,7 @@ class Fabric:
                 slot = self.loaded_tas.get(ta_uuid)
                 if slot is not None:
                     self._slots[slot].pending += 1
-                    self._log("open", slot=slot, uuid=ta_uuid, warm=1)
+                    self._log("open", slot, uuid=ta_uuid, warm=True)
                     return slot, False
                 if ta_uuid not in self._loading:
                     break
@@ -185,26 +199,23 @@ class Fabric:
             self.registers.addr = cm_addr
             self.registers.size = size
             if size > MAX_IMAGE_SIZE:
-                self.registers.set_status(LoadStatus.ERR_SIZE)
-                self.registers.set_status(LoadStatus.IDLE)
+                self._load_status(LoadStatus.ERR_SIZE)
                 raise ImageSizeError(
                     f"image of {size} bytes exceeds the {MAX_IMAGE_SIZE}-byte "
                     f"private memory")
             try:
                 image = decode_image(self.cm.read(cm_addr, size))
             except (ImageFormatError, ImageSizeError):
-                self.registers.set_status(LoadStatus.ERR_FORMAT)
-                self.registers.set_status(LoadStatus.IDLE)
+                self._load_status(LoadStatus.ERR_FORMAT)
                 raise
             if image.uuid != ta_uuid:
-                self.registers.set_status(LoadStatus.ERR_FORMAT)
-                self.registers.set_status(LoadStatus.IDLE)
+                self._load_status(LoadStatus.ERR_FORMAT)
                 raise ImageFormatError(
                     f"image uuid {image.uuid} does not match requested "
                     f"{ta_uuid}")
             slot = self._acquire_free_slot()
             self._loading.add(ta_uuid)
-            self.registers.set_status(LoadStatus.LOADING)
+            self.registers.status = LoadStatus.LOADING
         record = self._slots[slot]
         try:
             self._loader_copy(record, cm_addr, size)
@@ -218,21 +229,27 @@ class Fabric:
             with self._manager:
                 record.state = SlotState.FREE
                 self._loading.discard(ta_uuid)
-                self.registers.set_status(LoadStatus.ERR_FORMAT)
-                self.registers.set_status(LoadStatus.IDLE)
+                self._load_status(LoadStatus.ERR_FORMAT, slot)
                 self._manager.notify_all()
             raise
         with self._manager:
             record.state = SlotState.TAKEN
             record.uuid = ta_uuid
+            record.generation += 1
             record.pending = 1
             self.loaded_tas[ta_uuid] = slot
             self._loading.discard(ta_uuid)
-            self.registers.set_status(LoadStatus.LOADED)
-            self.registers.set_status(LoadStatus.IDLE)
+            self._load_status(LoadStatus.LOADED, slot)
             self._manager.notify_all()
-        self._log("open", slot=slot, uuid=ta_uuid, warm=0)
+        self._log("open", slot, uuid=ta_uuid, warm=False)
         return slot, True
+
+    def _load_status(self, status, slot=None):
+        """Log a load's outcome; the status register then reads IDLE again.
+        Caller holds the manager lock."""
+        self._log("load_status", slot, uuid=self.registers.uuid,
+                  status=status)
+        self.registers.status = LoadStatus.IDLE
 
     def _acquire_free_slot(self):
         """Lowest-index free slot; waits out in-flight cleanups before
@@ -254,7 +271,7 @@ class Fabric:
         record.runtime.load_image(data)
         with self._manager:
             self._load_count += 1
-        self._log("load", slot=record.index, size=size,
+        self._log("load", record.index, size=size,
                   dur_ns=time.perf_counter_ns() - start)
 
     def manager_close(self, slot_index):
@@ -303,7 +320,7 @@ class Fabric:
                 record.sessions = 0
                 record.pending = 0
                 self._manager.notify_all()
-        self._log("close", slot=record.index)
+        self._log("close", record.index)
 
     # ---- communication agent ----
 
@@ -327,11 +344,8 @@ class Fabric:
                     f"slot {slot_index} was reset mid-request") from None
             self.delay.charge(_MAILBOX_BYTES)
             reply = decode_reply(reply_words)
-            if self.config.trace_io:
-                self._trace("dispatch", slot_index,
-                            request=words, reply=reply_words)
-            self._log("dispatch", slot=slot_index, op=frame.operation.name,
-                      cmd=frame.cmd_id, code=reply.code.name,
+            self._log("dispatch", slot_index, op=frame.operation,
+                      cmd=frame.cmd_id, code=reply.code,
                       dur_ns=time.perf_counter_ns() - start)
             if (reply.code is ReturnCode.SUCCESS
                     and frame.operation is not OperationId.INVOKE):
@@ -353,6 +367,15 @@ class Fabric:
         """Context manager serializing a multi-step request on one slot."""
         return self._slots[slot_index].lock
 
+    def slot_load(self, slot_index):
+        """(uuid, generation) of the load the slot hosts; uuid is None unless
+        the slot is TAKEN. Read under `exchange`, it holds until released:
+        freeing the slot needs that lock."""
+        record = self._slots[slot_index]
+        with self._manager:
+            taken = record.state is SlotState.TAKEN
+            return (record.uuid if taken else None), record.generation
+
     def shm_write(self, slot_index, offset, data):
         """REE copy into the slot's shared window (costed transfer)."""
         record = self._slots[slot_index]
@@ -362,8 +385,6 @@ class Fabric:
             data = bytes(data)
             self.delay.charge(len(data))
             record.runtime.window.write(offset, data)
-            if self.config.trace_io:
-                self._trace("shm_write", slot_index, offset=offset, data=data)
 
     def shm_read(self, slot_index, offset, length):
         """REE copy out of the slot's shared window (costed transfer)."""
@@ -372,31 +393,24 @@ class Fabric:
             if record.state is not SlotState.TAKEN:
                 raise AccessDeniedError(f"slot {slot_index} is not taken")
             self.delay.charge(length)
-            data = record.runtime.window.read(offset, length)
-            if self.config.trace_io:
-                self._trace("shm_read", slot_index, offset=offset, data=data)
-            return data
+            return record.runtime.window.read(offset, length)
 
     # ---- observability ----
 
-    def _log(self, event, **fields):
-        parts = [f"event={event}"]
-        for key, value in fields.items():
-            parts.append(f"{key}={value}")
+    def _log(self, kind, slot, **fields):
+        # _log_lock is a leaf: callers may hold the manager or a slot lock.
         with self._log_lock:
-            self._events.append(" ".join(parts))
+            self._seq += 1
+            self._events.append(Event(self._seq, kind, slot, fields))
 
-    def _trace(self, kind, slot_index, **payload):
+    def events(self, kind=None):
+        """The last EVENT_CAPACITY records, oldest first; only those of
+        `kind` when given."""
         with self._log_lock:
-            self._traces.append((kind, slot_index, payload))
-
-    def events(self):
-        with self._log_lock:
-            return tuple(self._events)
-
-    def traces(self):
-        with self._log_lock:
-            return tuple(self._traces)
+            kept = tuple(self._events)
+        if kind is None:
+            return kept
+        return tuple(event for event in kept if event.kind == kind)
 
     @property
     def load_count(self):
@@ -451,4 +465,4 @@ class Fabric:
         a dispatch zeroizes its core when it leaves the ISR."""
         for record in self._slots:
             record.runtime.shutdown()
-        self._log("shutdown")
+        self._log("shutdown", None)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 import uuid as uuid_mod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 WORD_MASK = 0xFFFFFFFF
@@ -393,8 +393,3 @@ class ManagerRegisters:
     addr: int = 0
     size: int = 0
     status: LoadStatus = LoadStatus.IDLE
-    history: list = field(default_factory=list)
-
-    def set_status(self, status):
-        self.status = status
-        self.history.append(status)

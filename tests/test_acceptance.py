@@ -2,7 +2,7 @@
 
 Each test is self-contained and named so `pytest -v` prints one verdict line
 per guarantee. Expected values come from the synthesis table, published
-digest/HMAC vectors, and tests/oracle_hd.py (hashlib + OpenSSL chain);
+digest/HMAC vectors, and tests/oracle_hd.py (hashlib + pure-Python curve);
 the package must reproduce all of them through its own code paths.
 """
 
@@ -415,7 +415,7 @@ def test_09_digest_hmac_and_ecdsa_vectors():
         tampered[rng.randrange(64)] ^= 1 << rng.randrange(8)
         if bytes(tampered) != signature:
             assert not ecdsa_verify(public, msg_hash, bytes(tampered))
-        if i < 10:  # cross-check a sample against the OpenSSL oracle
+        if i < 10:  # cross-check a sample against the pure-Python oracle
             assert signature == oracle_hd.sign_compact_low_s(sk, msg_hash)
             assert public == oracle_hd.compressed_pubkey(sk)
 

@@ -20,7 +20,7 @@ def test_defaults_validate():
     assert config.device_profile == "zu3eg"
     assert config.tcm_size == TCM_SIZE
     assert config.shm_size == SHM_WINDOW_SIZE
-    assert not config.trace_io and not config.quarantine_on_fault
+    assert not config.quarantine_on_fault
 
 
 def test_load_config_full_file(tmp_path):
@@ -38,23 +38,13 @@ def test_load_config_full_file(tmp_path):
 
 def test_load_config_bools_and_delays(tmp_path):
     path = write_config(tmp_path, (
-        "trace_io = yes\n"
         "quarantine_on_fault = TRUE\n"
         "dma_ns_per_byte = 250\n"
         "dma_ns_per_op = 1000\n"))
     config = load_config(path)
-    assert config.trace_io and config.quarantine_on_fault
+    assert config.quarantine_on_fault
     assert config.dma_ns_per_byte == 250
     assert config.dma_ns_per_op == 1000
-
-
-def test_legacy_delay_spelling(tmp_path):
-    per_byte = load_config(write_config(tmp_path, "dma_delay_model = per-byte:70\n"))
-    assert per_byte.dma_ns_per_byte == 70
-    none = load_config(write_config(tmp_path, "dma_delay_model = none\n"))
-    assert none.dma_ns_per_byte == 0 and none.dma_ns_per_op == 0
-    with pytest.raises(ValueError, match="bad dma_delay_model"):
-        load_config(write_config(tmp_path, "dma_delay_model = quadratic\n"))
 
 
 def test_fixed_sizes_cannot_be_overridden(tmp_path):
@@ -78,7 +68,7 @@ def test_bad_value_types(tmp_path):
     with pytest.raises(ValueError, match="must be an integer"):
         load_config(write_config(tmp_path, "enclave_count = lots\n"))
     with pytest.raises(ValueError, match="must be a boolean"):
-        load_config(write_config(tmp_path, "trace_io = sometimes\n"))
+        load_config(write_config(tmp_path, "quarantine_on_fault = sometimes\n"))
 
 
 def test_validate_enclave_count_bounds():

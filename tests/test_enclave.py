@@ -10,11 +10,13 @@ from teefab.enclave import (
     TA_KIND_INCREMENT,
     TA_KIND_PROBE,
     TA_KIND_SHMEM16,
+    UART_CAPACITY,
     EnclaveResetError,
     EnclaveRuntime,
     MemoryContext,
     Space,
     TrustedApp,
+    UartLog,
     register_ta_kind,
     ta_factory,
 )
@@ -117,6 +119,17 @@ def test_boot_and_uart(core):
     snap = core.snapshot()
     assert not snap["rst"] and snap["ta_kind"] == TA_KIND_INCREMENT
     assert any("boot: ta" in line for line in core.uart.lines())
+
+
+def test_uart_keeps_the_newest_lines_and_files_all(tmp_path):
+    uart = UartLog()
+    path = tmp_path / "enclave0.log"
+    uart.attach_file(path)
+    lines = [f"line {n}" for n in range(UART_CAPACITY + 10)]
+    for line in lines:
+        uart.log(line)
+    assert uart.lines() == tuple(lines[10:])
+    assert path.read_text().splitlines() == lines
 
 
 def test_increment_round_trip(core):

@@ -15,7 +15,7 @@ from teefab.enclave import (
     TrustedApp,
     register_ta_kind,
 )
-from teefab.fabric import CmRegion, DelayModel
+from teefab.fabric import EVENT_CAPACITY, CmRegion, DelayModel
 from teefab.protocol import (
     MAX_IMAGE_SIZE,
     SHM_WINDOW_SIZE,
@@ -76,6 +76,10 @@ def open_ta(fabric, ta_kind, tag=0, payload=b""):
     return slot, reply.session_id
 
 
+def load_statuses(fabric):
+    return [event.fields["status"] for event in fabric.events("load_status")]
+
+
 def test_cold_then_warm_open(fabric):
     ta_uuid, image = make_image(TA_KIND_INCREMENT)
     offset, size = fabric.cm_stage(image)
@@ -84,7 +88,8 @@ def test_cold_then_warm_open(fabric):
     again, fresh = fabric.manager_open(ta_uuid, offset, size)
     assert again == slot and not fresh
     assert fabric.load_count == 1
-    assert fabric.registers.history[-2:] == [LoadStatus.LOADED, LoadStatus.IDLE]
+    assert load_statuses(fabric) == [LoadStatus.LOADED]
+    assert fabric.registers.status is LoadStatus.IDLE
     fabric.release_pending(slot)
     fabric.release_pending(slot)
     fabric.wait_idle()
@@ -95,7 +100,7 @@ def test_oversized_image_rejected(fabric):
     ta_uuid, _ = make_image(TA_KIND_INCREMENT)
     with pytest.raises(ImageSizeError):
         fabric.manager_open(ta_uuid, 0, MAX_IMAGE_SIZE + 1)
-    assert LoadStatus.ERR_SIZE in fabric.registers.history
+    assert load_statuses(fabric) == [LoadStatus.ERR_SIZE]
     assert fabric.registers.status is LoadStatus.IDLE
 
 
@@ -104,7 +109,7 @@ def test_malformed_image_rejected(fabric):
     offset, size = fabric.cm_stage(b"not an image at all" * 4)
     with pytest.raises(ImageFormatError):
         fabric.manager_open(ta_uuid, offset, size)
-    assert LoadStatus.ERR_FORMAT in fabric.registers.history
+    assert load_statuses(fabric) == [LoadStatus.ERR_FORMAT]
     assert fabric.slot_snapshot()[0]["state"] == "FREE"
 
 
@@ -216,30 +221,33 @@ def test_events_record_lifecycle(fabric):
     slot, sid = open_ta(fabric, TA_KIND_INCREMENT)
     fabric.comm_dispatch(slot, close_frame(sid))
     fabric.wait_idle()
-    text = "\n".join(fabric.events())
-    for expected in ("event=boot", "event=stage", "event=load",
-                     "event=open", "event=dispatch", "event=close"):
-        assert expected in text
+    events = fabric.events()
+    assert [event.kind for event in events] == [
+        "boot", "stage", "load", "load_status", "open", "dispatch",
+        "release", "dispatch", "close"]
+    assert [event.seq for event in events] == list(range(1, 10))
+    assert all(event.slot == slot for event in events
+               if event.kind in ("load", "open", "dispatch", "close"))
+    assert [(event.fields["op"], event.fields["code"])
+            for event in fabric.events("dispatch")] == [
+        (OperationId.OPEN, ReturnCode.SUCCESS),
+        (OperationId.CLOSE, ReturnCode.SUCCESS)]
 
 
-def test_traces_off_by_default(fabric):
-    slot, _sid = open_ta(fabric, TA_KIND_INCREMENT)
-    fabric.shm_write(slot, 0, b"quiet")
-    assert fabric.traces() == ()
-
-
-def test_traces_capture_io(fabric_factory):
-    fabric = fabric_factory(trace_io=True)
+def test_event_log_keeps_the_newest_records(fabric):
     slot, sid = open_ta(fabric, TA_KIND_INCREMENT)
-    fabric.shm_write(slot, 8, b"loud")
-    fabric.shm_read(slot, 8, 4)
-    fabric.comm_dispatch(slot, MailboxFrame.build(
-        OperationId.INVOKE, sid, [(ParamKind.VALUE_INOUT, 1, 0)], cmd_id=0))
-    kinds = [kind for kind, _, _ in fabric.traces()]
-    assert "shm_write" in kinds and "shm_read" in kinds
-    assert kinds.count("dispatch") >= 2
-    write = next(p for k, s, p in fabric.traces() if k == "shm_write")
-    assert write["offset"] == 8 and write["data"] == b"loud"
+    invoke = MailboxFrame.build(
+        OperationId.INVOKE, sid, [(ParamKind.VALUE_INOUT, 0, 0)], cmd_id=0)
+    for _ in range(EVENT_CAPACITY + 50):
+        assert fabric.comm_dispatch(slot, invoke).code is ReturnCode.SUCCESS
+    # boot, stage, load, load_status, open, the OPEN dispatch, release
+    total = 7 + EVENT_CAPACITY + 50
+    events = fabric.events()
+    assert len(events) == EVENT_CAPACITY
+    assert [event.seq for event in events] == list(
+        range(total - EVENT_CAPACITY + 1, total + 1))
+    assert all(event.kind == "dispatch" for event in events)
+    assert not fabric.events("boot") and not fabric.events("open")
 
 
 def test_uart_files_written(fabric_factory, tmp_path):
@@ -348,9 +356,9 @@ def test_manager_close_resets_a_blocked_invoke(fabric):
     assert outcome == ["denied"]
     assert_scrubbed(fabric, slot)
     fabric.audit()
-    closes = fabric.events().count(f"event=close slot={slot}")
+    closes = [event.slot for event in fabric.events("close")]
     fabric.manager_close(slot)
-    assert fabric.events().count(f"event=close slot={slot}") == closes == 1
+    assert [event.slot for event in fabric.events("close")] == closes == [slot]
     assert_scrubbed(fabric, slot)
 
 

@@ -39,7 +39,7 @@ from teefab.wallet.mnemonic import (
 REFERENCE_MNEMONIC = ("abandon abandon abandon abandon abandon abandon "
                       "abandon abandon abandon abandon abandon about")
 
-# Frozen from tests/oracle_hd.py (hashlib + OpenSSL reference chain).
+# Frozen from tests/oracle_hd.py (hashlib + pure-Python secp256k1 chain).
 VECTORS = {
     "seed": "5eb00bbddcf069084889a8ab9155568165f5c453ccb85e70811aaed6f6da5fc1"
             "9a5ac40b389cd370d086206dec8aa6c43daea6690f20ad3d8d48b2d2ce9e38e4",
