@@ -123,6 +123,29 @@ class ImageFormatError(TeeError):
 
 _VALID_NIBBLES = frozenset(int(k) for k in ParamKind)
 
+# Word -> member tables: one dict lookup where an Enum call costs a
+# microsecond on the per-request path.
+_OPERATIONS = {int(op): op for op in OperationId}
+_RETURN_CODES = {int(code): code for code in ReturnCode}
+
+
+def _param_type_tables():
+    """Each of the 5**4 valid param_type words -> its four kinds, the
+    reverse map, and each word -> the indices of its memory references.
+    Built one parameter slot at a time."""
+    all_kinds, memref = tuple(ParamKind), ParamKind.MEMREF
+    entries = [((), 0, ())]
+    for slot in range(PARAM_SLOTS):
+        entries = [(kinds + (kind,), word | kind << (4 * slot),
+                    memrefs + (slot,) if kind is memref else memrefs)
+                   for kinds, word, memrefs in entries for kind in all_kinds]
+    return ({word: kinds for kinds, word, _ in entries},
+            {kinds: word for kinds, word, _ in entries},
+            {word: memrefs for _, word, memrefs in entries})
+
+
+_KINDS_BY_WORD, _WORDS_BY_KINDS, _MEMREF_SLOTS = _param_type_tables()
+
 
 def pack_param_types(kinds):
     """Pack up to four ParamKind nibbles into the param_type word."""
@@ -130,6 +153,10 @@ def pack_param_types(kinds):
     if len(kinds) > PARAM_SLOTS:
         raise InvalidFrame(f"at most {PARAM_SLOTS} parameters, got {len(kinds)}")
     kinds += [ParamKind.NONE] * (PARAM_SLOTS - len(kinds))
+    packed = _WORDS_BY_KINDS.get(tuple(kinds))
+    if packed is not None:
+        return packed
+    # Not all members: go by each kind's int(), naming the first bad one.
     packed = 0
     for i, kind in enumerate(kinds):
         if int(kind) not in _VALID_NIBBLES:
@@ -140,20 +167,53 @@ def pack_param_types(kinds):
 
 def unpack_param_types(packed):
     """Unpack the param_type word into four ParamKind nibbles."""
-    if packed & ~0xFFFF:
-        raise InvalidFrame(f"param_type upper bits set: {packed:#010x}")
-    kinds = []
-    for i in range(PARAM_SLOTS):
-        nibble = (packed >> (4 * i)) & 0xF
-        if nibble not in _VALID_NIBBLES:
-            raise InvalidFrame(f"parameter {i} has invalid kind {nibble:#x}")
-        kinds.append(ParamKind(nibble))
-    return tuple(kinds)
+    if type(packed) is not int:
+        # The table is keyed on exact ints: 1.0 == 1 must not find it.
+        if not isinstance(packed, int):
+            raise InvalidFrame(f"param_type is not an integer: {packed!r}")
+        packed = int(packed)
+    kinds = _KINDS_BY_WORD.get(packed)
+    if kinds is None:
+        # Not a valid word: find what to name in the error.
+        if packed & ~0xFFFF:
+            raise InvalidFrame(f"param_type upper bits set: {packed:#010x}")
+        for i in range(PARAM_SLOTS):
+            nibble = (packed >> (4 * i)) & 0xF
+            if nibble not in _VALID_NIBBLES:
+                raise InvalidFrame(f"parameter {i} has invalid kind {nibble:#x}")
+    return kinds
 
 
-def _check_word(value, name):
-    if not isinstance(value, int) or not 0 <= value <= WORD_MASK:
-        raise InvalidFrame(f"{name} is not a 32-bit word: {value!r}")
+_EXACT_INT = frozenset((int,))
+
+
+def _word_checker(names):
+    """A check that len(names) words are each 0..2**32-1.
+
+    When every word is exactly an int, one precompiled struct pack does
+    the range check. Anything else (int subclasses, non-ints, a word out
+    of range) takes the per-word loop, which names the first bad word.
+    Callers check the word count first."""
+    pack = struct.Struct(f"<{len(names)}I").pack
+
+    def check(words):
+        if _EXACT_INT.issuperset(map(type, words)):
+            try:
+                pack(*words)
+                return
+            except struct.error:
+                pass
+        for name, word in zip(names, words):
+            if not isinstance(word, int) or not 0 <= word <= WORD_MASK:
+                raise InvalidFrame(f"{name} is not a 32-bit word: {word!r}")
+    return check
+
+
+_check_frame_words = _word_checker(
+    ("session_id", *(f"gp{i}" for i in range(GP_WORDS)), "cmd_id"))
+_check_mailbox_words = _word_checker(
+    tuple(f"word{i}" for i in range(MAILBOX_WORDS)))
+_check_ta_kind = _word_checker(("ta_kind",))
 
 
 @dataclass(frozen=True)
@@ -189,7 +249,8 @@ class MailboxFrame:
         if len(words) > GP_WORDS:
             raise InvalidFrame(f"at most {GP_WORDS} gp words, got {len(words)}")
         words += [0] * (GP_WORDS - len(words))
-        frame = cls(OperationId(operation), session_id,
+        # An unknown operation stays as given, for validate() to name.
+        frame = cls(_OPERATIONS.get(operation, operation), session_id,
                     pack_param_types(kinds), tuple(words), cmd_id)
         frame.validate()
         return frame
@@ -202,22 +263,19 @@ class MailboxFrame:
         return self.gp[2 * index], self.gp[2 * index + 1]
 
     def validate(self):
-        if int(self.operation) not in (1, 2, 3):
+        if self.operation not in _OPERATIONS:
             raise InvalidFrame(f"operation word {self.operation!r} not in 1..3")
-        _check_word(self.session_id, "session_id")
-        _check_word(self.cmd_id, "cmd_id")
         if len(self.gp) != GP_WORDS:
             raise InvalidFrame(f"expected {GP_WORDS} gp words, got {len(self.gp)}")
-        for i, word in enumerate(self.gp):
-            _check_word(word, f"gp{i}")
-        for i, kind in enumerate(self.kinds()):
-            if kind is ParamKind.MEMREF:
-                offset, length = self.param_words(i)
-                # Plain integer sum: a 32-bit wraparound cannot sneak past.
-                if offset + length > SHM_WINDOW_SIZE:
-                    raise InvalidFrame(
-                        f"memref {i} [{offset}, +{length}) outside the "
-                        f"{SHM_WINDOW_SIZE}-byte window")
+        _check_frame_words((self.session_id, *self.gp, self.cmd_id))
+        self.kinds()  # raises on upper bits or an unknown nibble
+        for i in _MEMREF_SLOTS[self.param_type]:
+            offset, length = self.param_words(i)
+            # Plain integer sum: a 32-bit wraparound cannot sneak past.
+            if offset + length > SHM_WINDOW_SIZE:
+                raise InvalidFrame(
+                    f"memref {i} [{offset}, +{length}) outside the "
+                    f"{SHM_WINDOW_SIZE}-byte window")
 
 
 @dataclass(frozen=True)
@@ -251,12 +309,11 @@ def decode_frame(words):
     words = tuple(words)
     if len(words) != MAILBOX_WORDS:
         raise InvalidFrame(f"expected {MAILBOX_WORDS} words, got {len(words)}")
-    for i, word in enumerate(words):
-        _check_word(word, f"word{i}")
-    if words[0] not in (1, 2, 3):
+    _check_mailbox_words(words)
+    operation = _OPERATIONS.get(words[0])
+    if operation is None:
         raise InvalidFrame(f"operation word {words[0]} not in 1..3")
-    frame = MailboxFrame(OperationId(words[0]), words[1], words[2],
-                         words[3:11], words[11])
+    frame = MailboxFrame(operation, words[1], words[2], words[3:11], words[11])
     frame.validate()
     return frame
 
@@ -272,12 +329,10 @@ def decode_reply(words):
     words = tuple(words)
     if len(words) != MAILBOX_WORDS:
         raise InvalidFrame(f"expected {MAILBOX_WORDS} words, got {len(words)}")
-    for i, word in enumerate(words):
-        _check_word(word, f"word{i}")
-    try:
-        code = ReturnCode(words[0])
-    except ValueError as exc:
-        raise InvalidFrame(f"unknown return code {words[0]}") from exc
+    _check_mailbox_words(words)
+    code = _RETURN_CODES.get(words[0])
+    if code is None:
+        raise InvalidFrame(f"unknown return code {words[0]}")
     return ReplyFrame(code, words[1], words[2], words[3:11], words[11])
 
 
@@ -314,7 +369,7 @@ class TAImage:
 
 def encode_image(image):
     """TAImage -> bytes, enforcing the size cap."""
-    _check_word(image.ta_kind, "ta_kind")
+    _check_ta_kind((image.ta_kind,))
     total = IMAGE_HEADER_SIZE + len(image.payload)
     if total > MAX_IMAGE_SIZE:
         raise ImageSizeError(

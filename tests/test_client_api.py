@@ -1,5 +1,7 @@
 """Untrusted-side API: contexts, sessions, operations, shared memory."""
 
+import sys
+
 import pytest
 
 from conftest import make_image
@@ -15,6 +17,7 @@ from teefab.protocol import (
     SHM_WINDOW_SIZE,
     AccessDeniedError,
     BadParametersError,
+    MailboxFrame,
     OutOfMemoryError,
     ReturnCode,
     ShortBufferError,
@@ -31,6 +34,23 @@ def context(fabric):
 def open_ta(context, ta_kind, tag=0):
     ta_uuid, image = make_image(ta_kind, tag=tag)
     return context.open_session(ta_uuid, image)
+
+
+def test_invoke_validates_once_per_trust_boundary(context, monkeypatch):
+    """One request is validated twice: on the REE side as it is built,
+    and in the ISR as it is decoded. No other layer validates it again."""
+    session = open_ta(context, TA_KIND_INCREMENT)
+    callers = []
+    validate = MailboxFrame.validate
+
+    def counting_validate(frame):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return validate(frame)
+
+    monkeypatch.setattr(MailboxFrame, "validate", counting_validate)
+    result = session.invoke_command(0, Operation(Value(Direction.INOUT, 41)))
+    assert result.value(0) == (42, 0)
+    assert callers == ["build", "decode_frame"]
 
 
 def test_open_invoke_close(context):

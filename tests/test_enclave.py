@@ -29,6 +29,7 @@ from teefab.internal_api.storage import (
 )
 from teefab.protocol import (
     MAILBOX_WORDS,
+    SHM_WINDOW_SIZE,
     TCM_SIZE,
     AccessDeniedError,
     MailboxFrame,
@@ -263,12 +264,43 @@ def test_unknown_kind_boot_is_inert(core):
     assert ta_factory(209) is None
 
 
-def test_malformed_frame_words(core):
+def test_malformed_frame_words(core, monkeypatch):
     boot(core, TA_KIND_INCREMENT)
     words = [9] + [0] * (MAILBOX_WORDS - 1)
     reply = decode_reply(core.deliver(words))
     assert reply.code is ReturnCode.ERROR_BAD_PARAMETERS
     assert any("bad frame" in line for line in core.uart.lines())
+
+    bodies = []
+    ta_class = ta_factory(TA_KIND_INCREMENT)
+    body = ta_class.invoke_command
+    monkeypatch.setattr(ta_class, "invoke_command",
+                        lambda ta, *args: bodies.append(args) or body(ta, *args))
+    sid = open_session(core)
+    good = encode_frame(MailboxFrame.build(
+        OperationId.INVOKE, sid, [(ParamKind.VALUE_INOUT, 41, 0)]))
+    memref_pair = (ParamKind.MEMREF << 4) | ParamKind.VALUE_INOUT
+    for name, changes in (
+            ("gp word of 2**32", {4: 2 ** 32}),
+            ("nibble 0x4", {2: (0x4 << 4) | ParamKind.VALUE_INOUT}),
+            ("memref past the window",
+             {2: memref_pair, 5: SHM_WINDOW_SIZE - 8, 6: 9})):
+        words = list(good)
+        for index, word in changes.items():
+            words[index] = word
+        bad_frames = _bad_frame_lines(core)
+        reply = decode_reply(core.deliver(words))
+        assert reply.code is ReturnCode.ERROR_BAD_PARAMETERS, name
+        assert _bad_frame_lines(core) == bad_frames + 1, name
+    assert bodies == []
+    # The same frame without the damage reaches the TA body.
+    reply = decode_reply(core.deliver(good))
+    assert reply.code is ReturnCode.SUCCESS and reply.param_words(0) == (42, 0)
+    assert len(bodies) == 1
+
+
+def _bad_frame_lines(core):
+    return sum("bad frame" in line for line in core.uart.lines())
 
 
 def test_shmem16_writes_window(core):

@@ -3,6 +3,7 @@
 import random
 import struct
 import uuid as uuid_mod
+from enum import IntEnum
 
 import pytest
 
@@ -12,6 +13,7 @@ from teefab.protocol import (
     IMAGE_HEADER_SIZE,
     MAILBOX_WORDS,
     MAX_IMAGE_SIZE,
+    PARAM_SLOTS,
     SHM_WINDOW_SIZE,
     BadParametersError,
     ImageFormatError,
@@ -210,3 +212,99 @@ def test_rejects_oversized_words():
 def test_gp_word_count_fixed():
     frame = MailboxFrame.build(OperationId.OPEN, 0)
     assert len(frame.gp) == GP_WORDS
+
+
+# Words that are not 32-bit: out of range, or not an int at all.
+BAD_WORDS = (-1, 2 ** 32, 1.0, 1.5, "7", None)
+
+
+def _request_words():
+    return encode_frame(MailboxFrame.build(
+        OperationId.INVOKE, 7,
+        [(ParamKind.VALUE_IN, 1, 2), (ParamKind.MEMREF, 16, 32)], cmd_id=4))
+
+
+def _reply_words():
+    return encode_reply(ReplyFrame(
+        ReturnCode.SUCCESS, 7,
+        pack_param_types([ParamKind.VALUE_INOUT, ParamKind.MEMREF]),
+        (3, 4, 16, 32, 0, 0, 0, 0), 4))
+
+
+@pytest.mark.parametrize("bad", BAD_WORDS, ids=repr)
+@pytest.mark.parametrize("position", range(MAILBOX_WORDS))
+@pytest.mark.parametrize("decode, words", [
+    (decode_frame, _request_words), (decode_reply, _reply_words)],
+    ids=["decode_frame", "decode_reply"])
+def test_decoders_reject_a_bad_word_anywhere(decode, words, position, bad):
+    words = list(words())
+    decode(words)
+    words[position] = bad
+    with pytest.raises(InvalidFrame):
+        decode(words)
+
+
+class _Index:
+    """Not an int, but struct packs it through __index__."""
+
+    def __index__(self):
+        return 1
+
+
+class _Small(IntEnum):
+    ONE = 1
+
+
+def test_word_checks_take_int_subclasses_but_not_index_objects():
+    for decode, words in ((decode_frame, _request_words()),
+                          (decode_reply, _reply_words())):
+        for position in (1, 3, 11):
+            accepted = list(words)
+            accepted[position] = _Small.ONE
+            decode(accepted)
+            accepted[position] = True
+            decode(accepted)
+            refused = list(words)
+            refused[position] = _Index()
+            with pytest.raises(InvalidFrame, match=f"word{position} "):
+                decode(refused)
+    with pytest.raises(InvalidFrame, match="gp2 "):
+        MailboxFrame.build(OperationId.INVOKE, 1, gp=[0, 0, _Index()])
+    with pytest.raises(InvalidFrame, match="cmd_id "):
+        MailboxFrame.build(OperationId.INVOKE, 1, cmd_id=_Index())
+
+
+def _reference_kinds(word):
+    """The nibble loop: four kinds, or None when the word is not valid."""
+    if word & ~0xFFFF:
+        return None
+    kinds = []
+    for i in range(PARAM_SLOTS):
+        nibble = (word >> (4 * i)) & 0xF
+        if nibble not in {int(kind) for kind in ParamKind}:
+            return None
+        kinds.append(ParamKind(nibble))
+    return tuple(kinds)
+
+
+def test_unpack_param_types_matches_the_nibble_loop_on_every_word():
+    valid = 0
+    for word in (*range(0x10000), 0x10000, 0xFFFFFFFF):
+        expected = _reference_kinds(word)
+        if expected is None:
+            try:
+                unpack_param_types(word)
+            except InvalidFrame:
+                continue
+            pytest.fail(f"param_type {word:#x} was accepted")
+        kinds = unpack_param_types(word)
+        assert len(kinds) == PARAM_SLOTS, hex(word)
+        assert all(got is want for got, want in zip(kinds, expected)), hex(word)
+        assert pack_param_types(expected) == word
+        valid += 1
+    assert valid == len(ParamKind) ** PARAM_SLOTS
+    assert unpack_param_types(True) == (ParamKind.VALUE_IN,) + (
+        ParamKind.NONE,) * 3
+    for bad in (1.0, 0.0, "1", None):
+        with pytest.raises(InvalidFrame):
+            unpack_param_types(bad)
