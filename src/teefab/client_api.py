@@ -31,18 +31,40 @@ class Direction(IntEnum):
     INOUT = 3
 
 
+# Members read on every request, bound once: on Python 3.11 each
+# `Enum.MEMBER` read costs several times a module global's.
+_IN, _OUT, _INOUT = Direction.IN, Direction.OUT, Direction.INOUT
+_NONE, _MEMREF = ParamKind.NONE, ParamKind.MEMREF
+_SUCCESS = ReturnCode.SUCCESS
+_OPEN, _INVOKE = OperationId.OPEN, OperationId.INVOKE
+_CLOSE = OperationId.CLOSE
+
 _VALUE_KINDS = {
-    Direction.IN: ParamKind.VALUE_IN,
-    Direction.OUT: ParamKind.VALUE_OUT,
-    Direction.INOUT: ParamKind.VALUE_INOUT,
+    _IN: ParamKind.VALUE_IN,
+    _OUT: ParamKind.VALUE_OUT,
+    _INOUT: ParamKind.VALUE_INOUT,
 }
+_OUTPUT_VALUES = frozenset((ParamKind.VALUE_OUT, ParamKind.VALUE_INOUT))
+_COPIED_IN = frozenset((_IN, _INOUT))
+_COPIED_OUT = frozenset((_OUT, _INOUT))
+_DIRECTIONS = {int(d): d for d in Direction}
+
+
+def _direction(direction):
+    """Direction(direction) as one dict lookup. What the table lacks,
+    unhashable values such as a list included, goes to the Enum call,
+    which raises its ValueError."""
+    try:
+        return _DIRECTIONS[direction]
+    except (KeyError, TypeError):
+        return Direction(direction)
 
 
 class Value:
     """One (a, b) word-pair parameter."""
 
     def __init__(self, direction, a=0, b=0):
-        self.direction = Direction(direction)
+        self.direction = _direction(direction)
         for word in (a, b):
             if not isinstance(word, int) or not 0 <= word <= WORD_MASK:
                 raise BadParametersError(f"value word {word!r} is not 32-bit")
@@ -56,7 +78,7 @@ class SharedMemory:
     def __init__(self, offset, length, direction):
         self.offset = offset
         self.length = length
-        self.direction = Direction(direction)
+        self.direction = _direction(direction)
         self.buffer = bytearray(length)
         self.returned_length = None
 
@@ -94,16 +116,16 @@ class Operation:
         kinds, words = [], []
         for param in self.params:
             if param is None:
-                kinds.append(ParamKind.NONE)
+                kinds.append(_NONE)
                 words += [0, 0]
             elif isinstance(param, Value):
                 kinds.append(_VALUE_KINDS[param.direction])
-                if param.direction is Direction.OUT:
+                if param.direction is _OUT:
                     words += [0, 0]
                 else:
                     words += [param.a, param.b]
             else:
-                kinds.append(ParamKind.MEMREF)
+                kinds.append(_MEMREF)
                 words += [param.offset, param.length]
         return kinds, words
 
@@ -118,12 +140,11 @@ class InvokeResult:
 
     @property
     def success(self):
-        return self.code is ReturnCode.SUCCESS
+        return self.code is _SUCCESS
 
     def value(self, index):
         """(a, b) words of an output-capable value parameter."""
-        if self._kinds[index] not in (ParamKind.VALUE_OUT,
-                                      ParamKind.VALUE_INOUT):
+        if self._kinds[index] not in _OUTPUT_VALUES:
             raise BadParametersError(
                 f"parameter {index} is {self._kinds[index].name}, not an "
                 f"output value")
@@ -131,7 +152,7 @@ class InvokeResult:
 
     def memref_length(self, index):
         """The length word the TA left on a memref (short-buffer reporting)."""
-        if self._kinds[index] is not ParamKind.MEMREF:
+        if self._kinds[index] is not _MEMREF:
             raise BadParametersError(
                 f"parameter {index} is {self._kinds[index].name}, not a memref")
         return self._words[2 * index + 1]
@@ -179,12 +200,12 @@ class Context:
                     continue
                 try:
                     reply = self.fabric.comm_dispatch(
-                        slot, MailboxFrame.build(OperationId.OPEN, 0))
+                        slot, MailboxFrame.build(_OPEN, 0))
                 except AccessDeniedError as exc:
                     self.fabric.release_pending(slot)
                     last_error = exc
                     continue
-            if reply.code is not ReturnCode.SUCCESS:
+            if reply.code is not _SUCCESS:
                 self.fabric.release_pending(slot)
                 raise error_for_code(reply.code,
                                      f"TA {ta_uuid} rejected the session")
@@ -249,7 +270,7 @@ class Session:
             raise BadParametersError("session is closed")
         operation = operation or Operation()
         kinds, words = operation._marshal()
-        frame = MailboxFrame.build(OperationId.INVOKE, self.session_id,
+        frame = MailboxFrame.build(_INVOKE, self.session_id,
                                    kinds, gp=words, cmd_id=cmd_id)
         fabric = self.context.fabric
         with fabric.exchange(self.slot_index):
@@ -260,7 +281,7 @@ class Session:
             for param in operation.params:
                 if not isinstance(param, SharedMemory) or param.length == 0:
                     continue
-                if param.direction in (Direction.IN, Direction.INOUT):
+                if param.direction in _COPIED_IN:
                     fabric.shm_write(self.slot_index, param.offset,
                                      param.buffer)
                 else:
@@ -273,8 +294,8 @@ class Session:
                     continue
                 returned = reply.param_words(index)[1]
                 param.returned_length = returned
-                if (reply.code is ReturnCode.SUCCESS
-                        and param.direction in (Direction.OUT, Direction.INOUT)
+                if (reply.code is _SUCCESS
+                        and param.direction in _COPIED_OUT
                         and param.length):
                     data = fabric.shm_read(self.slot_index, param.offset,
                                            min(returned, param.length))
@@ -286,7 +307,7 @@ class Session:
         went away are no-ops."""
         if not self.is_open:
             return
-        frame = MailboxFrame.build(OperationId.CLOSE, self.session_id)
+        frame = MailboxFrame.build(_CLOSE, self.session_id)
         fabric = self.context.fabric
         with fabric.exchange(self.slot_index):
             if self._is_current():

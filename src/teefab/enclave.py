@@ -36,6 +36,12 @@ TA_KIND_PROBE = 4
 
 UART_CAPACITY = 1024
 
+# Members read on every dispatch, bound once: on Python 3.11 each
+# `Enum.MEMBER` read costs several times a module global's.
+_MEMREF, _VALUE_INOUT = ParamKind.MEMREF, ParamKind.VALUE_INOUT
+_SUCCESS = ReturnCode.SUCCESS
+_OPEN, _INVOKE = OperationId.OPEN, OperationId.INVOKE
+
 
 class CoreState(IntEnum):
     RESET = 0
@@ -165,7 +171,8 @@ class MemRef:
         self._mem.window_write(self._offset + at, data)
 
 
-_WRITABLE = (ParamKind.VALUE_OUT, ParamKind.VALUE_INOUT)
+_VALUES = frozenset((ParamKind.VALUE_IN, ParamKind.VALUE_OUT, _VALUE_INOUT))
+_WRITABLE = frozenset((ParamKind.VALUE_OUT, _VALUE_INOUT))
 
 
 class TaParams:
@@ -182,8 +189,7 @@ class TaParams:
     def value(self, index):
         """The (a, b) word pair of a value parameter."""
         kind = self._kinds[index]
-        if kind not in (ParamKind.VALUE_IN, ParamKind.VALUE_OUT,
-                        ParamKind.VALUE_INOUT):
+        if kind not in _VALUES:
             raise BadParametersError(f"parameter {index} is {kind.name}, not a value")
         return self._words[2 * index], self._words[2 * index + 1]
 
@@ -206,7 +212,7 @@ class TaParams:
 
     def memref(self, index):
         """The granted window slice behind a memory reference parameter."""
-        if self._kinds[index] is not ParamKind.MEMREF:
+        if self._kinds[index] is not _MEMREF:
             raise BadParametersError(
                 f"parameter {index} is {self._kinds[index].name}, not a memref")
         offset, length = self._words[2 * index], self._words[2 * index + 1]
@@ -214,7 +220,7 @@ class TaParams:
 
     def set_memref_length(self, index, length):
         """Report the size a memref actually needs (short-buffer replies)."""
-        if self._kinds[index] is not ParamKind.MEMREF:
+        if self._kinds[index] is not _MEMREF:
             raise BadParametersError(
                 f"parameter {index} is {self._kinds[index].name}, not a memref")
         if not isinstance(length, int) or not 0 <= length <= WORD_MASK:
@@ -316,7 +322,7 @@ class IncrementTa(TrustedApp):
     def invoke_command(self, session, cmd_id, params):
         if cmd_id != 0:
             raise BadParametersError(f"unknown command {cmd_id}")
-        if params.kind(0) is not ParamKind.VALUE_INOUT:
+        if params.kind(0) is not _VALUE_INOUT:
             raise BadParametersError("parameter 0 must be an in/out value")
         a, _ = params.value(0)
         params.set_value(0, a=(a + 1) & WORD_MASK)
@@ -347,7 +353,7 @@ class EchoTa(TrustedApp):
             params.set_value(1, a=a, b=b)
         elif cmd_id == 1:
             ref = params.memref(0)
-            ref.write(bytes(reversed(ref.read())))
+            ref.write(ref.read()[::-1])
         else:
             raise BadParametersError(f"unknown command {cmd_id}")
 
@@ -572,19 +578,19 @@ class EnclaveRuntime:
                 frame.gp, frame.cmd_id))
         mem = MemoryContext(self.tcm, self.window, self._check_abort)
         for i, kind in enumerate(frame.kinds()):
-            if kind is ParamKind.MEMREF:
+            if kind is _MEMREF:
                 mem.grant(*frame.param_words(i))
         params = TaParams(frame, mem)
-        code = ReturnCode.SUCCESS
+        code = _SUCCESS
         session_out = frame.session_id
         try:
-            if frame.operation is OperationId.OPEN:
+            if frame.operation is _OPEN:
                 ta = self._ensure_ta()
                 context = ta.open_session(params)
                 sid = self._next_sid()
                 self._sessions[sid] = context
                 session_out = sid
-            elif frame.operation is OperationId.INVOKE:
+            elif frame.operation is _INVOKE:
                 if frame.session_id not in self._sessions:
                     raise BadParametersError(f"no session {frame.session_id}")
                 self._ensure_ta().invoke_command(
@@ -602,15 +608,15 @@ class EnclaveRuntime:
             raise
         except TeeError as exc:
             code = exc.code
-            if frame.operation is OperationId.OPEN:
+            if frame.operation is _OPEN:
                 session_out = 0
         except Exception:
             self.uart.log("isr: ta fault:\n" + traceback.format_exc().rstrip())
             self._faulted = True
             code = ReturnCode.ERROR_GENERIC
-            if frame.operation is OperationId.OPEN:
+            if frame.operation is _OPEN:
                 session_out = 0
-        if (frame.operation is OperationId.OPEN and code is not ReturnCode.SUCCESS
+        if (frame.operation is _OPEN and code is not _SUCCESS
                 and not self._sessions and self._ta is not None):
             # Balance the instance created for a rejected first open.
             try:

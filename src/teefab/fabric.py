@@ -44,6 +44,14 @@ class SlotState(IntEnum):
     CLEANING = 3
 
 
+# Members read on every dispatch, bound once: on Python 3.11 each
+# `Enum.MEMBER` read costs several times a module global's.
+_TAKEN = SlotState.TAKEN
+_SUCCESS = ReturnCode.SUCCESS
+_OPEN, _INVOKE = OperationId.OPEN, OperationId.INVOKE
+_CLOSE = OperationId.CLOSE
+
+
 class Event(NamedTuple):
     """One fabric log record; `seq` numbers every event ever logged, so a
     gap before the oldest kept record counts the events that fell off."""
@@ -295,7 +303,7 @@ class Fabric:
 
     def _maybe_cleanup(self, record):
         with self._manager:
-            if (record.state is not SlotState.TAKEN
+            if (record.state is not _TAKEN
                     or record.sessions or record.pending):
                 return
             self._begin_scrub(record)
@@ -328,7 +336,7 @@ class Fabric:
         """Copy a frame to the slot mailbox, ring INT, return the reply."""
         record = self._slots[slot_index]
         with record.lock:
-            if record.state is not SlotState.TAKEN:
+            if record.state is not _TAKEN:
                 raise AccessDeniedError(f"slot {slot_index} is not taken")
             if (self.config.quarantine_on_fault
                     and record.runtime.faulted):
@@ -347,19 +355,19 @@ class Fabric:
             self._log("dispatch", slot_index, op=frame.operation,
                       cmd=frame.cmd_id, code=reply.code,
                       dur_ns=time.perf_counter_ns() - start)
-            if (reply.code is ReturnCode.SUCCESS
-                    and frame.operation is not OperationId.INVOKE):
+            if (reply.code is _SUCCESS
+                    and frame.operation is not _INVOKE):
                 # Still under the slot lock, which a scrub needs to free the
                 # slot: the count lands on the load that answered, or on
                 # none once that load is CLEANING.
                 with self._manager:
-                    if record.state is SlotState.TAKEN:
-                        if frame.operation is OperationId.OPEN:
+                    if record.state is _TAKEN:
+                        if frame.operation is _OPEN:
                             record.pending = max(0, record.pending - 1)
                             record.sessions += 1
                         else:
                             record.sessions = max(0, record.sessions - 1)
-                if frame.operation is OperationId.CLOSE:
+                if frame.operation is _CLOSE:
                     self._maybe_cleanup(record)
         return reply
 
@@ -373,14 +381,14 @@ class Fabric:
         freeing the slot needs that lock."""
         record = self._slots[slot_index]
         with self._manager:
-            taken = record.state is SlotState.TAKEN
+            taken = record.state is _TAKEN
             return (record.uuid if taken else None), record.generation
 
     def shm_write(self, slot_index, offset, data):
         """REE copy into the slot's shared window (costed transfer)."""
         record = self._slots[slot_index]
         with record.lock:
-            if record.state is not SlotState.TAKEN:
+            if record.state is not _TAKEN:
                 raise AccessDeniedError(f"slot {slot_index} is not taken")
             data = bytes(data)
             self.delay.charge(len(data))
@@ -390,7 +398,7 @@ class Fabric:
         """REE copy out of the slot's shared window (costed transfer)."""
         record = self._slots[slot_index]
         with record.lock:
-            if record.state is not SlotState.TAKEN:
+            if record.state is not _TAKEN:
                 raise AccessDeniedError(f"slot {slot_index} is not taken")
             self.delay.charge(length)
             return record.runtime.window.read(offset, length)

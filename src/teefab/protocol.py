@@ -12,6 +12,7 @@ import struct
 import uuid as uuid_mod
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 WORD_MASK = 0xFFFFFFFF
 MAILBOX_WORDS = 12
@@ -122,6 +123,7 @@ class ImageFormatError(TeeError):
 
 
 _VALID_NIBBLES = frozenset(int(k) for k in ParamKind)
+_NONE = ParamKind.NONE
 
 # Word -> member tables: one dict lookup where an Enum call costs a
 # microsecond on the per-request path.
@@ -152,7 +154,7 @@ def pack_param_types(kinds):
     kinds = list(kinds)
     if len(kinds) > PARAM_SLOTS:
         raise InvalidFrame(f"at most {PARAM_SLOTS} parameters, got {len(kinds)}")
-    kinds += [ParamKind.NONE] * (PARAM_SLOTS - len(kinds))
+    kinds += [_NONE] * (PARAM_SLOTS - len(kinds))
     packed = _WORDS_BY_KINDS.get(tuple(kinds))
     if packed is not None:
         return packed
@@ -216,9 +218,9 @@ _check_mailbox_words = _word_checker(
 _check_ta_kind = _word_checker(("ta_kind",))
 
 
-@dataclass(frozen=True)
-class MailboxFrame:
-    """One 12-word request as placed in an enclave mailbox.
+class MailboxFrame(NamedTuple):
+    """One 12-word request as placed in an enclave mailbox; an immutable
+    named tuple of five fields, not the words themselves.
 
     Word layout: [operation, session_id, param_type, gp0..gp7, cmd_id].
     Logical parameter i owns gp words 2i and 2i+1: (a, b) for values,
@@ -278,9 +280,9 @@ class MailboxFrame:
                     f"{SHM_WINDOW_SIZE}-byte window")
 
 
-@dataclass(frozen=True)
-class ReplyFrame:
-    """The 12 words an enclave leaves in the mailbox when INT clears.
+class ReplyFrame(NamedTuple):
+    """The 12 words an enclave leaves in the mailbox when INT clears, as
+    an immutable named tuple of five fields like MailboxFrame.
 
     Identical layout to the request except word 0 carries the return code.
     """

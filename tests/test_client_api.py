@@ -154,6 +154,21 @@ def test_value_word_range_checked():
         Value(Direction.IN, 1 << 32)
 
 
+@pytest.mark.parametrize("make", [
+    lambda direction: Value(direction),
+    lambda direction: SharedMemory(0, 4, direction)],
+    ids=["Value", "SharedMemory"])
+def test_direction_is_taken_as_the_enum_call_takes_it(make):
+    accepted = [(1, Direction.IN), (2, Direction.OUT), (3, Direction.INOUT),
+                (True, Direction.IN), (1.0, Direction.IN)]
+    accepted += [(member, member) for member in Direction]
+    for given, member in accepted:
+        assert make(given).direction is member, given
+    for given in (0, 4, "1", None, [1]):
+        with pytest.raises(ValueError):
+            make(given)
+
+
 def test_closed_session_refuses_work(context):
     session = open_ta(context, TA_KIND_INCREMENT)
     session.close()

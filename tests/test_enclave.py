@@ -333,6 +333,25 @@ def test_echo_reverses_memref(core):
     assert core.window.read(0, 6) == b"fedcba"
 
 
+@pytest.mark.parametrize("offset, length", [
+    (100, 4096), (0, 4095), (0, SHM_WINDOW_SIZE)],
+    ids=["4k-at-100", "odd-length", "whole-window"])
+def test_echo_reverses_large_and_offset_blocks(core, offset, length):
+    boot(core, TA_KIND_ECHO)
+    sid = open_session(core)
+    window = bytes((i * 37 + i // 251) % 256 for i in range(SHM_WINDOW_SIZE))
+    block = window[offset:offset + length]
+    assert block != block[::-1]
+    core.window.write(0, window)
+    reply = exchange(core, OperationId.INVOKE, sid,
+                     [(ParamKind.MEMREF, offset, length)], cmd_id=1)
+    assert reply.code is ReturnCode.SUCCESS
+    assert core.window.read(offset, length) == block[::-1]
+    assert core.window.read(0, offset) == window[:offset]
+    end = offset + length
+    assert core.window.read(end, SHM_WINDOW_SIZE - end) == window[end:]
+
+
 def test_memory_context_grants():
     mem = MemoryContext(Space(256), Space(256))
     mem.grant(16, 32)

@@ -7,6 +7,7 @@ from enum import IntEnum
 
 import pytest
 
+from teefab.enclave import EnclaveRuntime
 from teefab.protocol import (
     ReplyFrame,
     GP_WORDS,
@@ -308,3 +309,41 @@ def test_unpack_param_types_matches_the_nibble_loop_on_every_word():
     for bad in (1.0, 0.0, "1", None):
         with pytest.raises(InvalidFrame):
             unpack_param_types(bad)
+
+
+def _frames():
+    request = MailboxFrame.build(
+        OperationId.INVOKE, 7, [(ParamKind.MEMREF, 16, 32)], cmd_id=4)
+    return request, decode_reply(_reply_words())
+
+
+FIELDS = ("session_id", "param_type", "gp", "cmd_id")
+
+
+def test_frames_are_immutable():
+    request, reply = _frames()
+    for frame, first in ((request, "operation"), (reply, "code")):
+        for field in (first, *FIELDS):
+            before = getattr(frame, field)
+            with pytest.raises(AttributeError):
+                setattr(frame, field, 0)
+            assert getattr(frame, field) == before
+
+
+def test_frames_compare_by_value_across_the_codec():
+    request, reply = _frames()
+    assert decode_frame(encode_frame(request)) == request
+    assert decode_reply(encode_reply(reply)) == reply
+
+
+@pytest.mark.parametrize("accept", [
+    decode_frame, decode_reply,
+    lambda words: EnclaveRuntime(0, services=None).deliver(words)],
+    ids=["decode_frame", "decode_reply", "deliver"])
+def test_a_frame_object_is_not_mailbox_words(accept):
+    # A frame holds five fields; the mailbox takes the twelve words that
+    # encode_frame / encode_reply make of it. The core is never booted,
+    # so deliver refuses the word count before it looks at anything else.
+    for frame in _frames():
+        with pytest.raises(InvalidFrame):
+            accept(frame)
