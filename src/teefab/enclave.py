@@ -261,12 +261,11 @@ class UartLog:
 class TaEnvironment:
     """Trusted-side services handed to a TA instance."""
 
-    def __init__(self, ta_uuid, rng, storage, counter, uart, abort_event,
+    def __init__(self, ta_uuid, rng, storage, uart, abort_event,
                  image_size=0):
         self.uuid = ta_uuid
         self.rng = rng
         self.storage = storage
-        self.counter = counter
         self.uart = uart
         self.image_size = image_size
         self._abort_event = abort_event
@@ -386,9 +385,13 @@ class EnclaveRuntime:
     The fabric loads an image over DMA while RST is asserted, deasserts RST
     to boot, then exchanges 12-word frames: deliver() places a request and
     raises INT, and the core serves it in its ISR on the delivering thread,
-    clearing INT once the reply is in the mailbox. The core zeroizes on
-    entering reset; a reset that lands mid-dispatch aborts the handler and
-    the ISR's exit zeroizes.
+    clearing INT once the reply is in the mailbox.
+
+    `lock` is the slot lock: the fabric holds it across a whole request and
+    every REE window copy, and the core holds it across the ISR. The RST
+    line is one event that TAs also check or wait on as their abort flag,
+    so assert_reset() aborts a handler in flight at once; the core then
+    zeroizes once, under the lock, after that request has let go of it.
     """
 
     def __init__(self, index, services):
@@ -397,14 +400,12 @@ class EnclaveRuntime:
         self.tcm = Space(TCM_SIZE)
         self.window = Space(SHM_WINDOW_SIZE)
         self.uart = UartLog()
+        self.lock = threading.RLock()
         self._mailbox = [0] * MAILBOX_WORDS
-        self._cond = threading.Condition()
-        self._rst = True
+        self._rst = threading.Event()
+        self._rst.set()
         self._int = False
-        self._isr_thread = None
         self._reply_serial = 0
-        self._abort = threading.Event()
-        self._abort.set()
         self._faulted = False
         self._image = None
         self._image_size = 0
@@ -416,29 +417,29 @@ class EnclaveRuntime:
 
     def load_image(self, data):
         """Loader DMA into TCM; only legal while RST is asserted."""
-        with self._cond:
-            if not self._rst:
+        with self.lock:
+            if not self._rst.is_set():
                 raise RuntimeError("DMA into a running enclave")
             self.tcm.write(0, data)
 
     def assert_reset(self):
-        """Pull RST: abort any in-flight handler, wait for another thread's
-        dispatch to leave the ISR, then zeroize."""
-        with self._cond:
-            self._rst = True
-            self._abort.set()
-            while self._isr_thread not in (None, threading.get_ident()):
-                self._cond.wait()
-            if self._isr_thread is None:
-                self._zeroize()
+        """Pull RST, then zeroize once the slot lock is free.
+
+        RST goes up before the lock is taken, so a handler in flight aborts
+        at once instead of holding the lock to its end; a handler that
+        ignores it is waited out. Raised again under the lock, it holds
+        across the zeroize."""
+        self._rst.set()
+        with self.lock:
+            self._rst.set()
+            self._zeroize()
 
     def deassert_reset(self):
         """Release RST; the core boots from whatever TCM now holds."""
-        with self._cond:
-            if not self._rst:
+        with self.lock:
+            if not self._rst.is_set():
                 return
-            self._abort.clear()
-            self._rst = False
+            self._rst.clear()
             self._boot()
 
     def deliver(self, words):
@@ -446,30 +447,27 @@ class EnclaveRuntime:
         words = tuple(words)
         if len(words) != MAILBOX_WORDS:
             raise InvalidFrame(f"mailbox holds {MAILBOX_WORDS} words")
-        with self._cond:
-            if self._rst:
+        reply = None
+        with self.lock:
+            if self._rst.is_set():
                 raise EnclaveResetError(f"enclave {self.index} is in reset")
             if self._int:
                 raise RuntimeError(f"enclave {self.index} mailbox is busy")
             self._mailbox[:] = words
             self._int = True
-            self._isr_thread = threading.get_ident()
-        reply = None
-        try:
-            reply = self._dispatch(words)
-        except AbortedError:
-            pass
-        finally:
-            with self._cond:
-                self._isr_thread = None
+            try:
+                reply = self._dispatch(words)
+            except AbortedError:
+                pass
+            finally:
+                # An aborted request leaves the zeroize to the resetter,
+                # which takes this lock next.
                 self._int = False
-                if self._rst:
-                    self._zeroize()
+                if self._rst.is_set():
                     reply = None
                 elif reply is not None:
                     self._mailbox[:] = reply
                     self._reply_serial += 1
-                self._cond.notify_all()
         if reply is None:
             raise EnclaveResetError(
                 f"enclave {self.index} reset while a request was in flight")
@@ -480,39 +478,37 @@ class EnclaveRuntime:
         return reply
 
     def snapshot(self):
-        """Register scan: control lines plus bookkeeping, for tests and CLI."""
-        with self._cond:
-            if self._isr_thread is not None:
-                state = CoreState.ISR
-            else:
-                state = CoreState.RESET if self._rst else CoreState.WFI
-            return {
-                "index": self.index,
-                "state": state,
-                "rst": self._rst,
-                "int": self._int,
-                "sessions": len(self._sessions),
-                "last_sid": self._last_sid,
-                "ta_kind": None if self._image is None else self._image.ta_kind,
-                "reply_serial": self._reply_serial,
-            }
+        """Register scan: control lines plus bookkeeping, for tests and CLI.
+        It takes no lock, so it reads the lines while a request holds the
+        slot."""
+        rst = self._rst.is_set()
+        if self._int:
+            state = CoreState.ISR
+        else:
+            state = CoreState.RESET if rst else CoreState.WFI
+        image = self._image
+        return {
+            "index": self.index,
+            "state": state,
+            "rst": rst,
+            "int": self._int,
+            "sessions": len(self._sessions),
+            "last_sid": self._last_sid,
+            "ta_kind": None if image is None else image.ta_kind,
+            "reply_serial": self._reply_serial,
+        }
 
     def mailbox_words(self):
-        with self._cond:
-            return tuple(self._mailbox)
+        return tuple(self._mailbox)
 
     @property
     def faulted(self):
         return self._faulted
 
-    def shutdown(self):
-        """Hold the core in reset without waiting on a dispatch in flight;
-        that dispatch zeroizes the core when it leaves the ISR."""
-        with self._cond:
-            self._rst = True
-            self._abort.set()
-            if self._isr_thread is None:
-                self._zeroize()
+    @property
+    def session_count(self):
+        """Sessions open on the loaded TA; the fabric frees the slot at 0."""
+        return len(self._sessions)
 
     # ---- the core itself ----
 
@@ -550,7 +546,7 @@ class EnclaveRuntime:
         if self._ta is None:
             env = TaEnvironment(self._image.uuid,
                                 *self._services.for_ta(self._image.uuid),
-                                self.uart, self._abort,
+                                self.uart, self._rst,
                                 image_size=self._image_size)
             self._ta = ta_factory(self._image.ta_kind)(env)
         return self._ta
@@ -560,7 +556,7 @@ class EnclaveRuntime:
         return self._last_sid
 
     def _check_abort(self):
-        if self._abort.is_set():
+        if self._rst.is_set():
             raise AbortedError("reset asserted")
 
     def _dispatch(self, words):

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .config import SimConfig
 from .enclave import EnclaveRuntime, EnclaveResetError
-from .internal_api import Csprng, MonotonicCounter, SealedStorage, TeeServices
+from .internal_api import Csprng, SealedStorage, TeeServices
 from .protocol import (
     CM_ALIGNMENT,
     CM_REGION_SIZE,
@@ -48,8 +48,7 @@ class SlotState(IntEnum):
 # `Enum.MEMBER` read costs several times a module global's.
 _TAKEN = SlotState.TAKEN
 _SUCCESS = ReturnCode.SUCCESS
-_OPEN, _INVOKE = OperationId.OPEN, OperationId.INVOKE
-_CLOSE = OperationId.CLOSE
+_OPEN, _CLOSE = OperationId.OPEN, OperationId.CLOSE
 
 
 class Event(NamedTuple):
@@ -126,7 +125,9 @@ def _align(offset):
 
 
 class EnclaveSlot:
-    """Bookkeeping for one enclave: state, occupancy, dispatch queueing."""
+    """Manager bookkeeping for one enclave: lifecycle state, the hosted load
+    and its open-retains. The core owns the slot lock, the reset and the
+    session count."""
 
     def __init__(self, index, runtime):
         self.index = index
@@ -135,9 +136,7 @@ class EnclaveSlot:
         self.state = SlotState.FREE
         self.uuid = None
         self.generation = 0  # completed loads; binds sessions to one load
-        self.sessions = 0
         self.pending = 0
-        self.lock = threading.RLock()
 
 
 class Fabric:
@@ -148,8 +147,7 @@ class Fabric:
         storage_root = Path(self.config.storage_dir)
         self.services = TeeServices(
             rng=Csprng(seed=self.config.rng_seed),
-            storage=SealedStorage(storage_root, self.config.device_key()),
-            counter=MonotonicCounter())
+            storage=SealedStorage(storage_root, self.config.device_key()))
         self.delay = DelayModel(self.config.dma_ns_per_byte,
                                 self.config.dma_ns_per_op)
         self.registers = ManagerRegisters()
@@ -303,8 +301,8 @@ class Fabric:
 
     def _maybe_cleanup(self, record):
         with self._manager:
-            if (record.state is not _TAKEN
-                    or record.sessions or record.pending):
+            if (record.state is not _TAKEN or record.pending
+                    or record.runtime.session_count):
                 return
             self._begin_scrub(record)
         self._scrub(record)
@@ -316,18 +314,17 @@ class Fabric:
         record.state = SlotState.CLEANING
 
     def _scrub(self, record):
-        """CLEANING -> FREE on the calling thread: raise RST so a dispatch
-        in flight aborts and lets go of the slot, then zeroize and free the
-        slot under its lock, so no REE window copy lands in between."""
-        record.runtime.shutdown()
-        with record.lock:
-            record.runtime.assert_reset()
-            with self._manager:
-                record.state = SlotState.FREE
-                record.uuid = None
-                record.sessions = 0
-                record.pending = 0
-                self._manager.notify_all()
+        """CLEANING -> FREE on the calling thread. The reset aborts a
+        dispatch in flight and zeroizes after any REE window copy already
+        under way; CLEANING refuses new ones. The slot is freed under its
+        lock, which `slot_load` relies on."""
+        runtime = record.runtime
+        runtime.assert_reset()
+        with runtime.lock, self._manager:
+            record.state = SlotState.FREE
+            record.uuid = None
+            record.pending = 0
+            self._manager.notify_all()
         self._log("close", record.index)
 
     # ---- communication agent ----
@@ -335,18 +332,18 @@ class Fabric:
     def comm_dispatch(self, slot_index, frame):
         """Copy a frame to the slot mailbox, ring INT, return the reply."""
         record = self._slots[slot_index]
-        with record.lock:
+        runtime = record.runtime
+        with runtime.lock:
             if record.state is not _TAKEN:
                 raise AccessDeniedError(f"slot {slot_index} is not taken")
-            if (self.config.quarantine_on_fault
-                    and record.runtime.faulted):
+            if self.config.quarantine_on_fault and runtime.faulted:
                 raise AccessDeniedError(
                     f"slot {slot_index} is quarantined after a fault")
             words = encode_frame(frame)
             start = time.perf_counter_ns()
             self.delay.charge(_MAILBOX_BYTES)
             try:
-                reply_words = record.runtime.deliver(words)
+                reply_words = runtime.deliver(words)
             except EnclaveResetError:
                 raise AccessDeniedError(
                     f"slot {slot_index} was reset mid-request") from None
@@ -355,25 +352,22 @@ class Fabric:
             self._log("dispatch", slot_index, op=frame.operation,
                       cmd=frame.cmd_id, code=reply.code,
                       dur_ns=time.perf_counter_ns() - start)
-            if (reply.code is _SUCCESS
-                    and frame.operation is not _INVOKE):
-                # Still under the slot lock, which a scrub needs to free the
-                # slot: the count lands on the load that answered, or on
-                # none once that load is CLEANING.
-                with self._manager:
-                    if record.state is _TAKEN:
-                        if frame.operation is _OPEN:
-                            record.pending = max(0, record.pending - 1)
-                            record.sessions += 1
-                        else:
-                            record.sessions = max(0, record.sessions - 1)
-                if frame.operation is _CLOSE:
-                    self._maybe_cleanup(record)
+            if frame.operation is _OPEN:
+                if reply.code is _SUCCESS:
+                    # The core counts the session; this open's retain ends.
+                    # Freeing the slot needs the lock held here, so the
+                    # retain still belongs to the load that answered.
+                    with self._manager:
+                        record.pending = max(0, record.pending - 1)
+            elif frame.operation is _CLOSE:
+                # Whatever the reply code: a TA that faults while closing
+                # still loses the session in the core.
+                self._maybe_cleanup(record)
         return reply
 
     def exchange(self, slot_index):
         """Context manager serializing a multi-step request on one slot."""
-        return self._slots[slot_index].lock
+        return self._slots[slot_index].runtime.lock
 
     def slot_load(self, slot_index):
         """(uuid, generation) of the load the slot hosts; uuid is None unless
@@ -387,7 +381,7 @@ class Fabric:
     def shm_write(self, slot_index, offset, data):
         """REE copy into the slot's shared window (costed transfer)."""
         record = self._slots[slot_index]
-        with record.lock:
+        with record.runtime.lock:
             if record.state is not _TAKEN:
                 raise AccessDeniedError(f"slot {slot_index} is not taken")
             data = bytes(data)
@@ -397,7 +391,7 @@ class Fabric:
     def shm_read(self, slot_index, offset, length):
         """REE copy out of the slot's shared window (costed transfer)."""
         record = self._slots[slot_index]
-        with record.lock:
+        with record.runtime.lock:
             if record.state is not _TAKEN:
                 raise AccessDeniedError(f"slot {slot_index} is not taken")
             self.delay.charge(length)
@@ -432,7 +426,7 @@ class Fabric:
                 "tcm_base": r.tcm_base,
                 "state": r.state.name,
                 "uuid": None if r.uuid is None else str(r.uuid),
-                "sessions": r.sessions,
+                "sessions": r.runtime.session_count,
                 "pending": r.pending,
             } for r in self._slots]
 
@@ -469,8 +463,10 @@ class Fabric:
                 self._manager.wait(remaining)
 
     def shutdown(self):
-        """Hold every core in reset without waiting on a TA in flight; such
-        a dispatch zeroizes its core when it leaves the ISR."""
+        """Hold every core in reset, zeroized. A TA in flight is aborted,
+        and each core zeroizes once its request lets go of the slot lock;
+        a TA that ignores the abort blocks this, as it blocks
+        manager_close."""
         for record in self._slots:
-            record.runtime.shutdown()
+            record.runtime.assert_reset()
         self._log("shutdown", None)

@@ -15,7 +15,6 @@ from .crypto import (
 from .rng import Csprng
 from .storage import (
     DeviceKey,
-    MonotonicCounter,
     SealedStorage,
     TaStorage,
     TamperedObjectError,
@@ -28,7 +27,6 @@ __all__ = [
     "DeviceKey",
     "InvalidKey",
     "InvalidSignature",
-    "MonotonicCounter",
     "ORDER_N",
     "SealedStorage",
     "TaStorage",

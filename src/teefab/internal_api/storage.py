@@ -17,7 +17,6 @@ header tampering breaks the tag check.
 """
 
 import hashlib
-import hmac as hmac_mod
 import os
 import struct
 import tempfile
@@ -28,6 +27,8 @@ from pathlib import Path
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.hashes import SHA256
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from ..protocol import (
     AccessDeniedError,
@@ -63,9 +64,10 @@ class DeviceKey:
         return cls(hashlib.sha256(bytes(seed)).digest())
 
     def sealing_key(self, ta_uuid):
-        """Extract-and-expand the per-TA sealing key."""
-        prk = hmac_mod.new(KDF_LABEL, self._key, hashlib.sha256).digest()
-        return hmac_mod.new(prk, ta_uuid.bytes + b"\x01", hashlib.sha256).digest()
+        """The per-TA sealing key: HKDF-SHA256 (RFC 5869) of the device key,
+        salted with KDF_LABEL, with the TA's uuid as info."""
+        return HKDF(SHA256(), 32, salt=KDF_LABEL,
+                    info=ta_uuid.bytes).derive(self._key)
 
     def __repr__(self):
         return "DeviceKey(<hidden>)"
@@ -183,28 +185,14 @@ class TaStorage:
         return self._storage.exists(self._uuid, object_id)
 
 
-class MonotonicCounter:
-    """Strictly increasing tick source for TAs (timestamps, ordering)."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._value = 0
-
-    def next(self):
-        with self._lock:
-            self._value += 1
-            return self._value
-
-
 @dataclass
 class TeeServices:
     """Trusted-side service bundle a fabric wires into its enclaves."""
 
     rng: object
     storage: SealedStorage
-    counter: MonotonicCounter
 
     def for_ta(self, ta_uuid):
         if not isinstance(ta_uuid, uuid_mod.UUID):
             raise TypeError(f"ta_uuid must be a UUID, got {type(ta_uuid)}")
-        return self.rng, TaStorage(self.storage, ta_uuid), self.counter
+        return self.rng, TaStorage(self.storage, ta_uuid)

@@ -23,7 +23,6 @@ from teefab.enclave import (
 from teefab.internal_api.rng import Csprng
 from teefab.internal_api.storage import (
     DeviceKey,
-    MonotonicCounter,
     SealedStorage,
     TeeServices,
 )
@@ -82,15 +81,14 @@ register_ta_kind(TA_KIND_FAREWELL, FarewellTa)
 @pytest.fixture
 def services(tmp_path):
     return TeeServices(Csprng(seed=5),
-                       SealedStorage(tmp_path, DeviceKey.from_seed("enclave")),
-                       MonotonicCounter())
+                       SealedStorage(tmp_path, DeviceKey.from_seed("enclave")))
 
 
 @pytest.fixture
 def core(services):
     runtime = EnclaveRuntime(0, services)
     yield runtime
-    runtime.shutdown()
+    runtime.assert_reset()
 
 
 def image_for(kind, tag=0, payload=b""):

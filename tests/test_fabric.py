@@ -34,6 +34,8 @@ from teefab.protocol import (
 
 TA_KIND_TRIPWIRE = 245
 TA_KIND_STALL = 246
+TA_KIND_BAD_CLOSE = 247
+TA_KIND_BAD_DESTROY = 248
 
 
 class TripwireTa(TrustedApp):
@@ -53,8 +55,24 @@ class StallTa(TrustedApp):
         self.env.sleep(30.0)
 
 
+class BadCloseTa(TrustedApp):
+    """Faults while closing a session."""
+
+    def close_session(self, session):
+        raise RuntimeError("close fault")
+
+
+class BadDestroyTa(TrustedApp):
+    """Faults while tearing its instance down after the last close."""
+
+    def destroy(self):
+        raise RuntimeError("destroy fault")
+
+
 register_ta_kind(TA_KIND_TRIPWIRE, TripwireTa)
 register_ta_kind(TA_KIND_STALL, StallTa)
+register_ta_kind(TA_KIND_BAD_CLOSE, BadCloseTa)
+register_ta_kind(TA_KIND_BAD_DESTROY, BadDestroyTa)
 
 
 def open_frame():
@@ -331,6 +349,50 @@ def test_session_close_scrubs_before_returning(fabric):
         session.close()
         assert_scrubbed(fabric, session.slot_index)
         assert not fabric.loaded_tas
+
+
+@pytest.mark.parametrize("kind", [TA_KIND_BAD_CLOSE, TA_KIND_BAD_DESTROY])
+def test_close_that_faults_still_frees_the_slot(fabric, kind):
+    """The core drops the session even when the TA faults closing it, and
+    the reply is then ERROR_GENERIC: the slot must still be scrubbed."""
+    ta_uuid, image = make_image(kind, payload=b"\xa5" * 600)
+    with Context(fabric) as ctx:
+        session = ctx.open_session(ta_uuid, image)
+        fabric.shm_write(session.slot_index, 0, b"\x5a" * 64)
+        session.close()
+        fabric.wait_idle()
+        assert_scrubbed(fabric, session.slot_index)
+        assert not fabric.loaded_tas
+        fabric.audit()
+
+
+def test_shutdown_aborts_a_dispatch_in_flight(fabric):
+    slot, sid = open_ta(fabric, TA_KIND_STALL, payload=b"\xa5" * 600)
+    fabric.shm_write(slot, 0, b"\x5a" * 64)
+    StallTa.started.clear()
+    outcome = []
+
+    def invoker():
+        try:
+            fabric.comm_dispatch(slot, MailboxFrame.build(
+                OperationId.INVOKE, sid, [], cmd_id=0))
+            outcome.append("returned")
+        except AccessDeniedError:
+            outcome.append("denied")
+
+    thread = threading.Thread(target=invoker)
+    thread.start()
+    assert StallTa.started.wait(5.0)
+    start = time.monotonic()
+    fabric.shutdown()
+    assert time.monotonic() - start < 1.0
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert outcome == ["denied"]
+    runtime = fabric.slot_runtime(slot)
+    assert runtime.snapshot()["rst"]
+    assert runtime.tcm.read(0, TCM_SIZE) == bytes(TCM_SIZE)
+    assert runtime.window.read(0, SHM_WINDOW_SIZE) == bytes(SHM_WINDOW_SIZE)
 
 
 def test_manager_close_resets_a_blocked_invoke(fabric):

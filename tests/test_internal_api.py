@@ -1,5 +1,7 @@
 """Trusted-side services: digests, signatures, randomness, sealed storage."""
 
+import hashlib
+import hmac
 import random
 import uuid as uuid_mod
 
@@ -20,6 +22,7 @@ from teefab.internal_api.crypto import (
 )
 from teefab.internal_api.rng import Csprng
 from teefab.internal_api.storage import (
+    KDF_LABEL,
     DeviceKey,
     SealedStorage,
     TamperedObjectError,
@@ -213,16 +216,30 @@ def test_different_device_keys_cannot_read(tmp_path):
         other.get(UUID_A, b"x")
 
 
+def test_sealing_key_is_frozen_hkdf():
+    """The per-TA key must not move, or sealed blobs already on disk become
+    unreadable: a frozen vector plus RFC 5869 extract-and-expand written
+    out with two HMACs."""
+    for seed, ta_uuid in (("sealing-vector", UUID_A), ("unit", UUID_B),
+                          (b"", uuid_mod.UUID(int=(1 << 128) - 1))):
+        device = DeviceKey.from_seed(seed)
+        key = hashlib.sha256(
+            seed.encode() if isinstance(seed, str) else seed).digest()
+        prk = hmac.new(KDF_LABEL, key, hashlib.sha256).digest()
+        okm = hmac.new(prk, ta_uuid.bytes + b"\x01", hashlib.sha256).digest()
+        assert device.sealing_key(ta_uuid) == okm
+    assert KDF_LABEL == b"tee-sealed-storage-v1"
+    assert DeviceKey.from_seed("sealing-vector").sealing_key(UUID_A).hex() \
+        == "bedbd0fb9086fdc41b1839a0cbc5490a440f75a431cfa1217beba1008485c1ca"
+
+
 def test_tee_services_binding(tmp_path):
-    from teefab.internal_api.storage import MonotonicCounter
     services = TeeServices(Csprng(seed=1),
-                           SealedStorage(tmp_path, DeviceKey.from_seed("s")),
-                           MonotonicCounter())
-    rng, storage, counter = services.for_ta(UUID_A)
+                           SealedStorage(tmp_path, DeviceKey.from_seed("s")))
+    rng, storage = services.for_ta(UUID_A)
     storage.put(b"k", b"v")
     assert storage.get(b"k") == b"v"
     assert len(rng.random_bytes(8)) == 8
-    assert counter.next() < counter.next()
     with pytest.raises(TypeError):
         services.for_ta("not-a-uuid")
 
