@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import threading
-import time
 import traceback
 from collections import deque
+from contextlib import nullcontext
 from enum import IntEnum
 
 from .protocol import (
@@ -262,21 +262,27 @@ class TaEnvironment:
     """Trusted-side services handed to a TA instance."""
 
     def __init__(self, ta_uuid, rng, storage, uart, abort_event,
-                 image_size=0):
+                 image_size=0, turnstile=None):
         self.uuid = ta_uuid
         self.rng = rng
         self.storage = storage
         self.uart = uart
         self.image_size = image_size
         self._abort_event = abort_event
+        self._step_out = nullcontext if turnstile is None \
+            else turnstile.stepped_out
 
     def check_abort(self):
         if self._abort_event.is_set():
             raise AbortedError("reset asserted")
 
     def sleep(self, seconds):
-        """Abort-aware wait; a reset cuts it short."""
-        if self._abort_event.wait(seconds):
+        """Abort-aware wait; a reset cuts it short. The waiting thread
+        steps out of the fabric's turnstile, so other clients do not hand
+        it turns it cannot take."""
+        with self._step_out():
+            aborted = self._abort_event.wait(seconds)
+        if aborted:
             raise AbortedError("reset asserted")
 
 
@@ -385,7 +391,11 @@ class EnclaveRuntime:
     The fabric loads an image over DMA while RST is asserted, deasserts RST
     to boot, then exchanges 12-word frames: deliver() places a request and
     raises INT, and the core serves it in its ISR on the delivering thread,
-    clearing INT once the reply is in the mailbox.
+    clearing INT once the reply is in the mailbox. The core never yields
+    the interpreter itself: the fabric's turnstile hands it between
+    client threads as their requests leave `Fabric.exchange`. The core
+    passes that turnstile to its TA's environment, so that a TA waiting
+    in `env.sleep` steps out of it.
 
     `lock` is the slot lock: the fabric holds it across a whole request and
     every REE window copy, and the core holds it across the ISR. The RST
@@ -394,9 +404,10 @@ class EnclaveRuntime:
     zeroizes once, under the lock, after that request has let go of it.
     """
 
-    def __init__(self, index, services):
+    def __init__(self, index, services, turnstile=None):
         self.index = index
         self._services = services
+        self._turnstile = turnstile
         self.tcm = Space(TCM_SIZE)
         self.window = Space(SHM_WINDOW_SIZE)
         self.uart = UartLog()
@@ -471,10 +482,6 @@ class EnclaveRuntime:
         if reply is None:
             raise EnclaveResetError(
                 f"enclave {self.index} reset while a request was in flight")
-        # The host core would now sleep until INT; yield the interpreter
-        # here too, or no request ever blocks and the 5 ms switch interval
-        # alone decides which client thread runs next.
-        time.sleep(0)
         return reply
 
     def snapshot(self):
@@ -547,7 +554,8 @@ class EnclaveRuntime:
             env = TaEnvironment(self._image.uuid,
                                 *self._services.for_ta(self._image.uuid),
                                 self.uart, self._rst,
-                                image_size=self._image_size)
+                                image_size=self._image_size,
+                                turnstile=self._turnstile)
             self._ta = ta_factory(self._image.ta_kind)(env)
         return self._ta
 

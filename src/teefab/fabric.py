@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 import uuid as uuid_mod
 from collections import deque
+from contextlib import contextmanager
 from enum import IntEnum
 from pathlib import Path
 from typing import NamedTuple
@@ -124,14 +126,124 @@ def _align(offset):
     return (offset + CM_ALIGNMENT - 1) & ~(CM_ALIGNMENT - 1)
 
 
+class Turnstile:
+    """FIFO hand-off of the interpreter between the threads that have
+    requests in flight on one fabric.
+
+    A thread is a contender while it is inside `Fabric.exchange`, counted
+    once however deep its exchanges nest, and while it is parked. When it
+    leaves its outermost exchange with another contender about, it parks,
+    so that the others take their turn; the last running contender wakes
+    the oldest parked one. Clients thus take turns request by request,
+    oldest first, and a lone client finds nobody and goes on without a
+    syscall. Every park is bounded by `sys.getswitchinterval()`, the bound
+    CPython puts on a thread waiting for the interpreter lock, so a
+    contender that never lets go (a TA spinning without `check_abort`)
+    delays each request of the others by about that much.
+    """
+
+    def __init__(self):
+        self._mutex = threading.Lock()
+        self._local = threading.local()
+        self._running = 0           # contenders in an exchange, or woken
+        self._parked = deque()      # each parked thread's lock, oldest first
+
+    def enter(self):
+        """Enter an exchange; the outermost one makes this thread a
+        contender."""
+        local = self._local
+        depth = getattr(local, "depth", 0)
+        local.depth = depth + 1
+        if not depth:
+            with self._mutex:
+                self._running += 1
+
+    def leave(self):
+        """Leave an exchange; at the outermost one, park while another
+        contender takes its turn. Call with no lock held."""
+        local = self._local
+        local.depth -= 1
+        if local.depth:
+            return
+        with self._mutex:
+            self._running -= 1
+            if not (self._running or self._parked):
+                return
+            self._handover()
+            waiter = threading.Lock()
+            waiter.acquire()
+            self._parked.append(waiter)
+        self._park(waiter)
+
+    def _park(self, waiter):
+        """Wait for a turn, or for the switch interval to run out."""
+        waiter.acquire(True, sys.getswitchinterval())
+        with self._mutex:
+            try:
+                self._parked.remove(waiter)     # the bound ran out
+            except ValueError:
+                self._running -= 1              # woken: our turn is here
+            self._handover()
+
+    @contextmanager
+    def stepped_out(self):
+        """Not a contender for the body: a thread that waits there does
+        not hold up the others."""
+        if not getattr(self._local, "depth", 0):
+            yield
+            return
+        with self._mutex:
+            self._running -= 1
+            self._handover()
+        try:
+            yield
+        finally:
+            with self._mutex:
+                self._running += 1
+
+    def _handover(self):
+        """The last running contender wakes the oldest parked one, or it
+        would wait out its bound. Caller holds the mutex."""
+        if not self._running and self._parked:
+            self._running += 1
+            self._parked.popleft().release()
+
+
+class _Exchange:
+    """`with fabric.exchange(slot)`: the slot lock for one request, and a
+    turn at the fabric's turnstile. A thread that cannot get the slot lock
+    within a switch interval waits on for it outside the contention, as
+    one behind a TA in `env.sleep` would hold up every other client."""
+
+    __slots__ = ("_lock", "_turnstile")
+
+    def __init__(self, lock, turnstile):
+        self._lock = lock
+        self._turnstile = turnstile
+
+    def __enter__(self):
+        self._turnstile.enter()
+        if not self._lock.acquire(True, sys.getswitchinterval()):
+            with self._turnstile.stepped_out():
+                self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc_info):
+        # Parks, if at all, only after the slot lock is let go.
+        self._lock.release()
+        self._turnstile.leave()
+        return False
+
+
 class EnclaveSlot:
     """Manager bookkeeping for one enclave: lifecycle state, the hosted load
     and its open-retains. The core owns the slot lock, the reset and the
     session count."""
 
-    def __init__(self, index, runtime):
+    def __init__(self, index, runtime, turnstile):
         self.index = index
         self.runtime = runtime
+        self.exchange = _Exchange(runtime.lock, turnstile)
         self.tcm_base = f"tcm{index}"
         self.state = SlotState.FREE
         self.uuid = None
@@ -155,12 +267,13 @@ class Fabric:
         uart_dir = self.config.uart_dir
         if uart_dir is not None:
             Path(uart_dir).mkdir(parents=True, exist_ok=True)
+        self.turnstile = Turnstile()
         self._slots = []
         for index in range(self.config.enclave_count):
-            runtime = EnclaveRuntime(index, self.services)
+            runtime = EnclaveRuntime(index, self.services, self.turnstile)
             if uart_dir is not None:
                 runtime.uart.attach_file(Path(uart_dir) / f"enclave{index}.log")
-            self._slots.append(EnclaveSlot(index, runtime))
+            self._slots.append(EnclaveSlot(index, runtime, self.turnstile))
         self.loaded_tas = {}
         self._loading = set()
         self._manager = threading.Condition()
@@ -266,6 +379,7 @@ class Fabric:
                     record.state = SlotState.LOADING
                     return record.index
             if not any(r.state is SlotState.CLEANING for r in self._slots):
+                self._load_status(LoadStatus.ERR_FULL)
                 raise OutOfEnclavesError("no free enclave slot")
             self._manager.wait()
 
@@ -294,13 +408,16 @@ class Fabric:
 
     def release_pending(self, slot_index):
         """Drop one open-retain; may scrub a slot nobody uses any more."""
-        record = self._slots[slot_index]
-        with self._manager:
-            record.pending = max(0, record.pending - 1)
-        self._maybe_cleanup(record)
+        self._maybe_cleanup(self._slots[slot_index], release=True)
 
-    def _maybe_cleanup(self, record):
+    def _maybe_cleanup(self, record, release=False):
+        """Scrub a TAKEN slot with no session and no pending open, after
+        dropping one open-retain when `release` is set; both in one hold
+        of the manager lock, so no reader sees the slot unheld yet
+        TAKEN."""
         with self._manager:
+            if release:
+                record.pending = max(0, record.pending - 1)
             if (record.state is not _TAKEN or record.pending
                     or record.runtime.session_count):
                 return
@@ -366,8 +483,9 @@ class Fabric:
         return reply
 
     def exchange(self, slot_index):
-        """Context manager serializing a multi-step request on one slot."""
-        return self._slots[slot_index].runtime.lock
+        """Context manager serializing a multi-step request on one slot;
+        leaving it hands the interpreter to another client in flight."""
+        return self._slots[slot_index].exchange
 
     def slot_load(self, slot_index):
         """(uuid, generation) of the load the slot hosts; uuid is None unless
@@ -434,14 +552,19 @@ class Fabric:
         return self._slots[slot_index].runtime
 
     def audit(self):
-        """Check slot-allocation soundness; raises AssertionError on drift."""
+        """Check slot-allocation soundness; raises AssertionError on drift.
+
+        Each slot is checked under its slot lock, which a CLOSE holds from
+        the core dropping the session until the fabric frees the slot. A
+        TA that ignores the abort and holds its slot blocks the audit."""
         with self._manager:
             mapped = {}
             for ta_uuid, slot in self.loaded_tas.items():
                 if slot in mapped.values():
                     raise AssertionError(f"slot {slot} mapped twice")
                 mapped[ta_uuid] = slot
-            for record in self._slots:
+        for record in self._slots:
+            with record.runtime.lock, self._manager:
                 taken = record.state is SlotState.TAKEN
                 in_map = record.uuid is not None and \
                     self.loaded_tas.get(record.uuid) == record.index
@@ -449,7 +572,12 @@ class Fabric:
                     raise AssertionError(
                         f"slot {record.index}: taken={taken} but mapping "
                         f"says {in_map}")
-            return self.slot_snapshot()
+                if taken and not (record.pending
+                                  or record.runtime.session_count):
+                    raise AssertionError(
+                        f"slot {record.index} is TAKEN with no session "
+                        f"and no pending open")
+        return self.slot_snapshot()
 
     def wait_idle(self, timeout=30):
         """Block until no slot is CLEANING: scrubs run on the thread that

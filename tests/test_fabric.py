@@ -15,7 +15,7 @@ from teefab.enclave import (
     TrustedApp,
     register_ta_kind,
 )
-from teefab.fabric import EVENT_CAPACITY, CmRegion, DelayModel
+from teefab.fabric import EVENT_CAPACITY, CmRegion, DelayModel, Turnstile
 from teefab.protocol import (
     MAX_IMAGE_SIZE,
     SHM_WINDOW_SIZE,
@@ -31,11 +31,15 @@ from teefab.protocol import (
     ParamKind,
     ReturnCode,
 )
+from teefab.wallet.client import WalletClient, WalletError
+from test_acceptance import PIN, REFERENCE_MNEMONIC, WALLET_VECTORS
 
 TA_KIND_TRIPWIRE = 245
 TA_KIND_STALL = 246
 TA_KIND_BAD_CLOSE = 247
 TA_KIND_BAD_DESTROY = 248
+TA_KIND_NAP = 249
+TA_KIND_SPIN = 250
 
 
 class TripwireTa(TrustedApp):
@@ -69,10 +73,34 @@ class BadDestroyTa(TrustedApp):
         raise RuntimeError("destroy fault")
 
 
+class NapTa(TrustedApp):
+    """Waits in env.sleep for a second inside invoke."""
+
+    started = threading.Event()
+
+    def invoke_command(self, session, cmd_id, params):
+        NapTa.started.set()
+        self.env.sleep(1.0)
+
+
+class SpinTa(TrustedApp):
+    """Spins for 0.6 s inside invoke and never checks for an abort."""
+
+    started = threading.Event()
+
+    def invoke_command(self, session, cmd_id, params):
+        SpinTa.started.set()
+        deadline = time.monotonic() + 0.6
+        while time.monotonic() < deadline:
+            pass
+
+
 register_ta_kind(TA_KIND_TRIPWIRE, TripwireTa)
 register_ta_kind(TA_KIND_STALL, StallTa)
 register_ta_kind(TA_KIND_BAD_CLOSE, BadCloseTa)
 register_ta_kind(TA_KIND_BAD_DESTROY, BadDestroyTa)
+register_ta_kind(TA_KIND_NAP, NapTa)
+register_ta_kind(TA_KIND_SPIN, SpinTa)
 
 
 def open_frame():
@@ -154,6 +182,9 @@ def test_fabric_full(fabric):
     offset, size = fabric.cm_stage(image)
     with pytest.raises(OutOfEnclavesError):
         fabric.manager_open(ta_uuid, offset, size)
+    assert load_statuses(fabric) == [
+        LoadStatus.LOADED, LoadStatus.LOADED, LoadStatus.ERR_FULL]
+    assert fabric.registers.status is LoadStatus.IDLE
 
 
 def test_close_frees_slot_async(fabric):
@@ -505,6 +536,272 @@ def test_clients_survive_concurrent_resets(fabric):
     assert not any(t.is_alive() for t in clients + [chaos])
     assert not failures
     fabric.wait_idle(timeout=5)
+    fabric.audit()
+    for slot in range(2):
+        assert_scrubbed(fabric, slot)
+
+
+def test_audit_catches_a_slot_nothing_holds(fabric):
+    """A close whose cleanup never ran leaves a TAKEN slot with no session
+    and no pending open; the audit must not pass it."""
+    ta_uuid, image = make_image(TA_KIND_INCREMENT)
+    with Context(fabric) as ctx:
+        session = ctx.open_session(ta_uuid, image)
+        fabric.audit()
+        fabric._maybe_cleanup = lambda record: None
+        session.close()
+        del fabric._maybe_cleanup
+        with pytest.raises(AssertionError, match="no session"):
+            fabric.audit()
+        fabric.manager_close(session.slot_index)
+    fabric.audit()
+    assert_scrubbed(fabric, session.slot_index)
+
+
+# ---- the turnstile: turns between clients with requests in flight ----
+
+def increment(session, value):
+    result = session.invoke_command(0, Operation(Value(Direction.INOUT,
+                                                       value)))
+    return result.value(0)[0]
+
+
+def invoke_until_reset(session):
+    try:
+        session.invoke_command(0)
+    except AccessDeniedError:
+        pass
+
+
+def wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+
+
+def test_lone_client_never_parks_or_sleeps(fabric, monkeypatch):
+    parks, sleeps = [], []
+    monkeypatch.setattr(fabric.turnstile, "_park", parks.append)
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    ta_uuid, image = make_image(TA_KIND_INCREMENT)
+    with Context(fabric) as ctx:
+        session = ctx.open_session(ta_uuid, image)
+        for value in range(100):
+            assert increment(session, value) == value + 1
+        session.close()
+    assert parks == [] and sleeps == []
+
+
+def test_turnstile_hands_turns_to_parked_threads_in_fifo_order():
+    turnstile = Turnstile()
+    order = []
+
+    def contender(name):
+        turnstile.enter()
+        turnstile.leave()       # parks: the main thread is a contender
+        order.append(name)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(5.0)  # no park runs out during the test
+    try:
+        turnstile.enter()
+        threads = []
+        for name in ("first", "second", "third"):
+            threads.append(threading.Thread(target=contender, args=(name,)))
+            threads[-1].start()
+            wait_until(lambda: len(turnstile._parked) == len(threads))
+        assert order == []
+        turnstile.leave()       # hands the turn on, then parks itself
+        for thread in threads:
+            thread.join(timeout=5.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert order == ["first", "second", "third"]
+    assert not turnstile._parked
+
+
+def test_a_client_nesting_requests_counts_once():
+    turnstile = Turnstile()
+    turnstile.enter()
+    turnstile.enter()
+    turnstile.leave()
+    turnstile.leave()           # alone: returns without parking
+    assert turnstile._running == 0 and not turnstile._parked
+
+
+def test_a_napping_ta_does_not_hold_up_other_clients(fabric):
+    """env.sleep steps out of the turnstile: increments beside a TA that
+    sleeps for a second need no park."""
+    nap_uuid, nap_image = make_image(TA_KIND_NAP)
+    ta_uuid, image = make_image(TA_KIND_INCREMENT)
+    with Context(fabric) as ctx:
+        napper = ctx.open_session(nap_uuid, nap_image)
+        session = ctx.open_session(ta_uuid, image)
+        NapTa.started.clear()
+        thread = threading.Thread(target=invoke_until_reset, args=(napper,))
+        thread.start()
+        assert NapTa.started.wait(5.0)
+        start = time.perf_counter()
+        for value in range(20):
+            assert increment(session, value) == value + 1
+        elapsed = time.perf_counter() - start
+        fabric.manager_close(napper.slot_index)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        session.close()
+    assert elapsed < 0.05
+    # The napper's request raised AccessDeniedError and still left.
+    assert fabric.turnstile._running == 0 and not fabric.turnstile._parked
+
+
+def test_a_client_queued_behind_a_napping_ta_does_not_hold_up_others(
+        fabric):
+    """A thread waiting for a slot lock stops being a contender once the
+    wait outlasts a switch interval."""
+    nap_uuid, nap_image = make_image(TA_KIND_NAP)
+    ta_uuid, image = make_image(TA_KIND_INCREMENT)
+    with Context(fabric) as ctx:
+        napper = ctx.open_session(nap_uuid, nap_image)
+        session = ctx.open_session(ta_uuid, image)
+        NapTa.started.clear()
+        threads = [threading.Thread(target=invoke_until_reset,
+                                    args=(napper,)) for _ in range(2)]
+        threads[0].start()
+        assert NapTa.started.wait(5.0)
+        threads[1].start()
+        time.sleep(2 * sys.getswitchinterval())
+        start = time.perf_counter()
+        for value in range(20):
+            assert increment(session, value) == value + 1
+        elapsed = time.perf_counter() - start
+        fabric.manager_close(napper.slot_index)
+        for thread in threads:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        session.close()
+    assert elapsed < 0.05
+    assert fabric.turnstile._running == 0 and not fabric.turnstile._parked
+
+
+def test_a_spinning_ta_delays_other_clients_by_bounded_parks(fabric):
+    """A TA that spins without check_abort stays a contender; each park
+    beside it ends at the switch interval."""
+    spin_uuid, spin_image = make_image(TA_KIND_SPIN)
+    ta_uuid, image = make_image(TA_KIND_INCREMENT)
+    with Context(fabric) as ctx:
+        spinner = ctx.open_session(spin_uuid, spin_image)
+        session = ctx.open_session(ta_uuid, image)
+        SpinTa.started.clear()
+        thread = threading.Thread(target=spinner.invoke_command, args=(0,))
+        thread.start()
+        assert SpinTa.started.wait(5.0)
+        start = time.perf_counter()
+        for value in range(10):
+            assert increment(session, value) == value + 1
+        elapsed = time.perf_counter() - start
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        session.close()
+        spinner.close()
+    assert elapsed < 0.3
+
+
+def test_two_clients_take_turns(fabric):
+    """In the middle half of two clients' completions, most consecutive
+    completions switch client."""
+    for _trial in range(3):
+        order = []
+        ready = threading.Barrier(2)
+
+        def client(tag):
+            ta_uuid, image = make_image(TA_KIND_INCREMENT, tag=tag)
+            with Context(fabric) as ctx:
+                session = ctx.open_session(ta_uuid, image)
+                ready.wait(timeout=5.0)
+                for value in range(2000):
+                    assert increment(session, value) == value + 1
+                    order.append(tag)
+                session.close()
+
+        threads = [threading.Thread(target=client, args=(tag,))
+                   for tag in (1, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        assert len(order) == 4000
+        middle = order[1000:3000]
+        switches = sum(a != b for a, b in zip(middle, middle[1:]))
+        assert switches / (len(middle) - 1) >= 0.6
+        fabric.wait_idle()
+        fabric.audit()
+
+
+def test_two_wallet_clients_share_the_wallet_slot(fabric):
+    """Two WalletClients on their own threads meet on one wallet slot:
+    every call answers gate 8's address or says the wallet is busy."""
+    restorer = WalletClient(fabric)
+    restorer.restore(PIN, REFERENCE_MNEMONIC)
+    restorer.close()
+    answers = []
+
+    def client():
+        wallet = WalletClient(fabric)
+        try:
+            for _ in range(5):
+                try:
+                    answers.append(wallet.get_address(PIN, 0))
+                except WalletError as exc:
+                    answers.append(str(exc))
+        finally:
+            wallet.close()
+
+    threads = [threading.Thread(target=client) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+    assert len(answers) == 10
+    assert set(answers) <= {WALLET_VECTORS["address0"], "wallet is busy"}
+    fabric.wait_idle()
+    fabric.audit()
+    for slot in range(2):
+        assert_scrubbed(fabric, slot)
+
+
+def test_turnstile_counts_hold_under_many_clients(fabric):
+    """Four clients over two shared slots, with a switch interval short
+    enough that parks and slot-lock waits run out: every reply is right,
+    and the turnstile ends with nobody counted and nobody parked."""
+    images = [make_image(TA_KIND_INCREMENT, tag=tag) for tag in (1, 2)]
+    failures = []
+
+    def client(index):
+        with Context(fabric) as ctx:
+            session = ctx.open_session(*images[index % 2])
+            for value in range(300):
+                if increment(session, value) != value + 1:
+                    failures.append((index, value))
+            session.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client, args=(index,))
+                   for index in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
+    assert fabric.turnstile._running == 0 and not fabric.turnstile._parked
+    fabric.wait_idle()
     fabric.audit()
     for slot in range(2):
         assert_scrubbed(fabric, slot)
