@@ -172,17 +172,23 @@ class Context:
         self._lock = threading.Lock()
 
     def _stage(self, ta_uuid, image):
+        """(offset, size) of ta_uuid's staged copy; the first staging
+        decodes the image in full, the same bytes again are not decoded."""
         if isinstance(image, (str, Path)):
             image = Path(image).read_bytes()
         image = bytes(image)
+        with self._lock:
+            staged = self._staged.get(ta_uuid)
+        if staged is not None and (staged[2] is image or staged[2] == image):
+            return staged[:2]
         decoded = decode_image(image)
         if decoded.uuid != ta_uuid:
             raise BadParametersError(
                 f"image uuid {decoded.uuid} does not match requested {ta_uuid}")
         with self._lock:
             if ta_uuid not in self._staged:
-                self._staged[ta_uuid] = self.fabric.cm_stage(image)
-            return self._staged[ta_uuid]
+                self._staged[ta_uuid] = (*self.fabric.cm_stage(image), image)
+            return self._staged[ta_uuid][:2]
 
     def open_session(self, ta_uuid, image):
         """Stage (once), find-or-load the slot, dispatch OPEN."""
@@ -215,7 +221,7 @@ class Context:
     def close(self):
         """Release every staged image."""
         with self._lock:
-            for offset, _size in self._staged.values():
+            for offset, _size, _image in self._staged.values():
                 self.fabric.cm_release(offset)
             self._staged.clear()
 

@@ -26,7 +26,7 @@ from .protocol import (
     ReplyFrame,
     decode_frame,
     encode_reply,
-    decode_image_prefix,
+    decode_image_header,
 )
 
 TA_KIND_INCREMENT = 1
@@ -35,6 +35,9 @@ TA_KIND_ECHO = 3
 TA_KIND_PROBE = 4
 
 UART_CAPACITY = 1024
+
+# Every scrub copies from this one block; TCM is the largest region.
+_ZEROS = memoryview(bytes(TCM_SIZE))
 
 # Members read on every dispatch, bound once: on Python 3.11 each
 # `Enum.MEMBER` read costs several times a module global's.
@@ -61,6 +64,8 @@ class Space:
     """Bounds-checked byte region; out-of-range access is a bus fault."""
 
     def __init__(self, size):
+        if size > len(_ZEROS):
+            raise ValueError(f"a region holds at most {len(_ZEROS)} bytes")
         self._buf = bytearray(size)
 
     def __len__(self):
@@ -82,8 +87,12 @@ class Space:
         self._check(offset, len(data))
         self._buf[offset:offset + len(data)] = data
 
+    def view(self):
+        """A read-only view of the whole region, without a copy."""
+        return memoryview(self._buf).toreadonly()
+
     def zeroize(self):
-        self._buf[:] = bytes(len(self._buf))
+        self._buf[:] = _ZEROS[:len(self._buf)]
 
 
 class MemoryContext:
@@ -418,7 +427,8 @@ class EnclaveRuntime:
         self._int = False
         self._reply_serial = 0
         self._faulted = False
-        self._image = None
+        self._ta_uuid = None
+        self._ta_kind = None
         self._image_size = 0
         self._ta = None
         self._sessions = {}
@@ -493,7 +503,6 @@ class EnclaveRuntime:
             state = CoreState.ISR
         else:
             state = CoreState.RESET if rst else CoreState.WFI
-        image = self._image
         return {
             "index": self.index,
             "state": state,
@@ -501,7 +510,7 @@ class EnclaveRuntime:
             "int": self._int,
             "sessions": len(self._sessions),
             "last_sid": self._last_sid,
-            "ta_kind": None if image is None else image.ta_kind,
+            "ta_kind": self._ta_kind,
             "reply_serial": self._reply_serial,
         }
 
@@ -511,6 +520,12 @@ class EnclaveRuntime:
     @property
     def faulted(self):
         return self._faulted
+
+    @property
+    def ta_kind(self):
+        """The booted image's ta_kind; None in reset or after a rejected
+        boot."""
+        return self._ta_kind
 
     @property
     def session_count(self):
@@ -526,7 +541,8 @@ class EnclaveRuntime:
         self._mailbox[:] = [0] * MAILBOX_WORDS
         self._int = False
         self._faulted = False
-        self._image = None
+        self._ta_uuid = None
+        self._ta_kind = None
         self._image_size = 0
         self._ta = None
         self._sessions.clear()
@@ -534,29 +550,31 @@ class EnclaveRuntime:
         self._reply_serial = 0
 
     def _boot(self):
-        """Parse the loaded image; a bad image leaves the core answering
-        every request with a generic error and a note on the UART."""
-        raw = self.tcm.read(0, len(self.tcm))
-        try:
-            image, consumed = decode_image_prefix(raw)
-        except (ImageFormatError, ImageSizeError) as exc:
-            self.uart.log(f"boot: image rejected: {exc}")
+        """Parse the loaded image's header in place in TCM; a bad image
+        leaves the core answering every request with a generic error and
+        a note on the UART."""
+        with self.tcm.view() as tcm:
+            try:
+                ta_uuid, ta_kind, consumed = decode_image_header(tcm)
+            except (ImageFormatError, ImageSizeError) as exc:
+                self.uart.log(f"boot: image rejected: {exc}")
+                return
+        if ta_factory(ta_kind) is None:
+            self.uart.log(f"boot: no handler for ta_kind {ta_kind}")
             return
-        if ta_factory(image.ta_kind) is None:
-            self.uart.log(f"boot: no handler for ta_kind {image.ta_kind}")
-            return
-        self._image = image
+        self._ta_uuid = ta_uuid
+        self._ta_kind = ta_kind
         self._image_size = consumed
-        self.uart.log(f"boot: ta {image.uuid} kind {image.ta_kind}")
+        self.uart.log(f"boot: ta {ta_uuid} kind {ta_kind}")
 
     def _ensure_ta(self):
         if self._ta is None:
-            env = TaEnvironment(self._image.uuid,
-                                *self._services.for_ta(self._image.uuid),
+            env = TaEnvironment(self._ta_uuid,
+                                *self._services.for_ta(self._ta_uuid),
                                 self.uart, self._rst,
                                 image_size=self._image_size,
                                 turnstile=self._turnstile)
-            self._ta = ta_factory(self._image.ta_kind)(env)
+            self._ta = ta_factory(self._ta_kind)(env)
         return self._ta
 
     def _next_sid(self):
@@ -575,7 +593,7 @@ class EnclaveRuntime:
             self.uart.log(f"isr: bad frame: {exc}")
             return encode_reply(ReplyFrame(
                 ReturnCode.ERROR_BAD_PARAMETERS, 0, 0, (0,) * 8, 0))
-        if self._image is None:
+        if self._ta_kind is None:
             self.uart.log("isr: no valid image loaded")
             return encode_reply(ReplyFrame(
                 ReturnCode.ERROR_GENERIC, frame.session_id, frame.param_type,

@@ -18,6 +18,7 @@ from .internal_api import Csprng, SealedStorage, TeeServices
 from .protocol import (
     CM_ALIGNMENT,
     CM_REGION_SIZE,
+    IMAGE_HEADER_SIZE,
     MAILBOX_WORDS,
     MAX_IMAGE_SIZE,
     AccessDeniedError,
@@ -30,7 +31,7 @@ from .protocol import (
     OutOfMemoryError,
     ReturnCode,
     decode_frame,
-    decode_image,
+    decode_image_header,
     decode_reply,
     encode_frame,
 )
@@ -114,7 +115,8 @@ class CmRegion:
 
     def read(self, offset, length):
         self._check(offset, length)
-        return bytes(self._buf[offset:offset + length])
+        with memoryview(self._buf) as view:
+            return bytes(view[offset:offset + length])
 
     def _check(self, offset, length):
         if offset < 0 or length < 0 or offset + length > len(self._buf):
@@ -322,24 +324,30 @@ class Fabric:
                 raise ImageSizeError(
                     f"image of {size} bytes exceeds the {MAX_IMAGE_SIZE}-byte "
                     f"private memory")
+            # The one CM read of this load: checked here, copied to TCM
+            # by the loader.
+            data = self.cm.read(cm_addr, size)
             try:
-                image = decode_image(self.cm.read(cm_addr, size))
+                image_uuid, _ta_kind, total = decode_image_header(data)
+                if total != size:
+                    raise ImageFormatError(
+                        f"payload_len {total - IMAGE_HEADER_SIZE} "
+                        f"inconsistent with the {size}-byte staged image")
+                if image_uuid != ta_uuid:
+                    raise ImageFormatError(
+                        f"image uuid {image_uuid} does not match requested "
+                        f"{ta_uuid}")
             except (ImageFormatError, ImageSizeError):
                 self._load_status(LoadStatus.ERR_FORMAT)
                 raise
-            if image.uuid != ta_uuid:
-                self._load_status(LoadStatus.ERR_FORMAT)
-                raise ImageFormatError(
-                    f"image uuid {image.uuid} does not match requested "
-                    f"{ta_uuid}")
             slot = self._acquire_free_slot()
             self._loading.add(ta_uuid)
             self.registers.status = LoadStatus.LOADING
         record = self._slots[slot]
         try:
-            self._loader_copy(record, cm_addr, size)
+            self._loader_copy(record, data)
             record.runtime.deassert_reset()
-            if record.runtime.snapshot()["ta_kind"] is None:
+            if record.runtime.ta_kind is None:
                 raise ImageFormatError(
                     f"no trusted application registered for the image in "
                     f"slot {slot}")
@@ -383,15 +391,14 @@ class Fabric:
                 raise OutOfEnclavesError("no free enclave slot")
             self._manager.wait()
 
-    def _loader_copy(self, record, cm_addr, size):
-        """Loader agent DMA: CM bytes land at TCM offset 0."""
-        data = self.cm.read(cm_addr, size)
+    def _loader_copy(self, record, data):
+        """Loader agent DMA: the staged bytes land at TCM offset 0."""
         start = time.perf_counter_ns()
         self.delay.charge(len(data))
         record.runtime.load_image(data)
         with self._manager:
             self._load_count += 1
-        self._log("load", record.index, size=size,
+        self._log("load", record.index, size=len(data),
                   dur_ns=time.perf_counter_ns() - start)
 
     def manager_close(self, slot_index):
@@ -591,10 +598,11 @@ class Fabric:
                 self._manager.wait(remaining)
 
     def shutdown(self):
-        """Hold every core in reset, zeroized. A TA in flight is aborted,
-        and each core zeroizes once its request lets go of the slot lock;
+        """Tear every slot down through `manager_close`, so each ends FREE,
+        its core held in reset and zeroized. A TA in flight is aborted,
+        and its core zeroizes once the request lets go of the slot lock;
         a TA that ignores the abort blocks this, as it blocks
         manager_close."""
         for record in self._slots:
-            record.runtime.assert_reset()
+            self.manager_close(record.index)
         self._log("shutdown", None)

@@ -355,9 +355,9 @@ class TAImage:
 
     Header (32 bytes): magic "TEOD", version, uuid, ta_kind, payload_len,
     all words little-endian.  ta_kind selects the TA behaviour from the
-    registry the enclave runtime consults; payload is free-form data the
-    TA receives at instantiation.  Total size never exceeds the private
-    memory (64 KiB).
+    registry the enclave runtime consults; payload is free-form data that
+    the loader places in TCM right after the header, where the TA can
+    read it.  Total size never exceeds the private memory (64 KiB).
     """
 
     uuid: uuid_mod.UUID
@@ -386,28 +386,41 @@ def encode_image(image):
     ))
 
 
-def decode_image_prefix(buf):
-    """Parse a TAImage from the front of a larger buffer.
+_IMAGE_HEADER = struct.Struct("<4sI16sII")
 
-    Returns (image, consumed_bytes).  Used by the enclave runtime, whose
-    private memory holds the image followed by zero fill.
+
+def decode_image_header(buf):
+    """(uuid, ta_kind, total_bytes) of the image at the front of a buffer.
+
+    Checks the magic, the version, the size cap and that payload_len fits
+    the buffer, in one unpack; copies no payload, so a memoryview of a
+    larger region parses in place.
     """
     if len(buf) < IMAGE_HEADER_SIZE:
         raise ImageFormatError(
             f"truncated header: {len(buf)} < {IMAGE_HEADER_SIZE} bytes")
-    if bytes(buf[:4]) != IMAGE_MAGIC:
-        raise ImageFormatError(f"bad magic {bytes(buf[:4])!r}")
-    version, = struct.unpack_from("<I", buf, 4)
+    magic, version, uuid_bytes, ta_kind, payload_len = \
+        _IMAGE_HEADER.unpack_from(buf)
+    if magic != IMAGE_MAGIC:
+        raise ImageFormatError(f"bad magic {magic!r}")
     if version != IMAGE_VERSION:
         raise ImageFormatError(f"unsupported version {version}")
-    ta_uuid = uuid_mod.UUID(bytes=bytes(buf[8:24]))
-    ta_kind, payload_len = struct.unpack_from("<II", buf, 24)
     total = IMAGE_HEADER_SIZE + payload_len
     if total > MAX_IMAGE_SIZE:
         raise ImageSizeError(f"image is {total} bytes, cap is {MAX_IMAGE_SIZE}")
     if total > len(buf):
         raise ImageFormatError(
             f"payload_len {payload_len} runs past the {len(buf)}-byte buffer")
+    return uuid_mod.UUID(bytes=uuid_bytes), ta_kind, total
+
+
+def decode_image_prefix(buf):
+    """Parse a TAImage from the front of a larger buffer.
+
+    Returns (image, consumed_bytes): the image followed by zero fill, as
+    an enclave's private memory holds it, parses to the image alone.
+    """
+    ta_uuid, ta_kind, total = decode_image_header(buf)
     return TAImage(ta_uuid, ta_kind, bytes(buf[IMAGE_HEADER_SIZE:total])), total
 
 
@@ -416,12 +429,12 @@ def decode_image(buf):
     buf = bytes(buf)
     if len(buf) > MAX_IMAGE_SIZE:
         raise ImageSizeError(f"image is {len(buf)} bytes, cap is {MAX_IMAGE_SIZE}")
-    image, consumed = decode_image_prefix(buf)
-    if consumed != len(buf):
+    ta_uuid, ta_kind, total = decode_image_header(buf)
+    if total != len(buf):
         raise ImageFormatError(
-            f"payload_len {len(image.payload)} inconsistent with "
+            f"payload_len {total - IMAGE_HEADER_SIZE} inconsistent with "
             f"{len(buf) - IMAGE_HEADER_SIZE} payload bytes")
-    return image
+    return TAImage(ta_uuid, ta_kind, buf[IMAGE_HEADER_SIZE:])
 
 
 _CODE_ERRORS = {

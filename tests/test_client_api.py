@@ -17,6 +17,7 @@ from teefab.protocol import (
     SHM_WINDOW_SIZE,
     AccessDeniedError,
     BadParametersError,
+    ImageFormatError,
     MailboxFrame,
     OutOfMemoryError,
     ReturnCode,
@@ -251,6 +252,26 @@ def test_staging_cache_reuses_cm_offset(fabric):
         assert len(fabric.events("stage")) == 1
         first.close()
         second.close()
+
+
+def test_restaging_other_bytes_is_checked_in_full(fabric):
+    """Bytes other than the staged ones for a uuid are decoded again:
+    another uuid or a corrupt image raises, and a valid image of the
+    same uuid keeps the staged copy."""
+    ta_uuid, image = make_image(TA_KIND_INCREMENT, tag=10, payload=b"v1")
+    _, other_uuid_image = make_image(TA_KIND_INCREMENT, tag=11)
+    _, same_uuid_image = make_image(TA_KIND_INCREMENT, tag=10, payload=b"v2")
+    corrupt = bytearray(image)
+    corrupt[0] ^= 0xFF
+    with Context(fabric) as ctx:
+        ctx.open_session(ta_uuid, image).close()
+        with pytest.raises(BadParametersError):
+            ctx.open_session(ta_uuid, other_uuid_image)
+        for bad in (bytes(corrupt), image[:-1], image + b"\x00"):
+            with pytest.raises(ImageFormatError):
+                ctx.open_session(ta_uuid, bad)
+        ctx.open_session(ta_uuid, same_uuid_image).close()
+        assert len(fabric.events("stage")) == 1
 
 
 def test_sessions_share_one_warm_slot(fabric):

@@ -44,6 +44,7 @@ from teefab.protocol import (
 TA_KIND_SLEEPY = 240
 TA_KIND_CRASHY = 241
 TA_KIND_FAREWELL = 242
+TA_KIND_IMAGE_SIZE = 243
 
 
 class SleepyTa(TrustedApp):
@@ -73,9 +74,17 @@ class FarewellTa(TrustedApp):
         self.env.uart.log("farewell: destroy")
 
 
+class ImageSizeTa(TrustedApp):
+    """cmd 0: value parameter 0 gets the image size the core booted."""
+
+    def invoke_command(self, session, cmd_id, params):
+        params.set_value(0, a=self.env.image_size)
+
+
 register_ta_kind(TA_KIND_SLEEPY, SleepyTa)
 register_ta_kind(TA_KIND_CRASHY, CrashyTa)
 register_ta_kind(TA_KIND_FAREWELL, FarewellTa)
+register_ta_kind(TA_KIND_IMAGE_SIZE, ImageSizeTa)
 
 
 @pytest.fixture
@@ -213,6 +222,31 @@ def test_probe_sees_no_predecessor_bytes(core):
                      [(ParamKind.VALUE_OUT, 0, 0)])
     nonzero_beyond_image, sentinel_count = reply.param_words(0)
     assert (nonzero_beyond_image, sentinel_count) == (0, 0)
+
+
+@pytest.mark.parametrize("payload_len", [0, 700, TCM_SIZE - 32])
+def test_boot_reports_the_image_size_to_the_ta(core, payload_len):
+    image = image_for(TA_KIND_IMAGE_SIZE, payload=b"\x11" * payload_len)
+    core.load_image(image)
+    core.deassert_reset()
+    sid = open_session(core)
+    reply = exchange(core, OperationId.INVOKE, sid,
+                     [(ParamKind.VALUE_OUT, 0, 0)])
+    assert reply.param_words(0)[0] == len(image)
+
+
+def test_probe_scans_past_its_own_payload(core):
+    """The residue scan starts where the booted image ends, so the
+    probe's own non-zero payload is not counted as residue."""
+    boot(core, TA_KIND_PROBE, payload=b"\x11" * 700)
+    sid = open_session(core)
+    reply = exchange(core, OperationId.INVOKE, sid,
+                     [(ParamKind.VALUE_OUT, 0, 0)])
+    assert reply.param_words(0) == (0, 0)
+    core.tcm.write(TCM_SIZE - 1, b"\x01")
+    reply = exchange(core, OperationId.INVOKE, sid,
+                     [(ParamKind.VALUE_OUT, 0, 0)])
+    assert reply.param_words(0) == (1, 0)
 
 
 def test_fault_containment(core):
@@ -386,3 +420,13 @@ def test_space_bounds():
     assert space.read(12, 4) == b"1234"
     space.zeroize()
     assert space.read(12, 4) == bytes(4)
+    assert len(space) == 16
+
+
+def test_space_is_at_most_tcm_sized():
+    space = Space(TCM_SIZE)
+    space.write(0, b"\xff" * TCM_SIZE)
+    space.zeroize()
+    assert space.read(0, TCM_SIZE) == bytes(TCM_SIZE)
+    with pytest.raises(ValueError):
+        Space(TCM_SIZE + 1)

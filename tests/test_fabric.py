@@ -8,10 +8,12 @@ import time
 import pytest
 
 from conftest import make_image
+from teefab import client_api
 from teefab.client_api import Context, Direction, Operation, Value
 from teefab.enclave import (
     TA_KIND_ECHO,
     TA_KIND_INCREMENT,
+    Space,
     TrustedApp,
     register_ta_kind,
 )
@@ -165,6 +167,34 @@ def test_image_uuid_must_match_request(fabric):
     offset, size = fabric.cm_stage(image)
     with pytest.raises(ImageFormatError):
         fabric.manager_open(wrong_uuid, offset, size)
+    assert load_statuses(fabric) == [LoadStatus.ERR_FORMAT]
+
+
+def _set_word(image, at, word):
+    raw = bytearray(image)
+    raw[at:at + 4] = word.to_bytes(4, "little")
+    return bytes(raw)
+
+
+@pytest.mark.parametrize("staged, error", [
+    (lambda image: image + bytes(64), ImageFormatError),
+    (lambda image: image[:-1], ImageFormatError),
+    (lambda image: b"TEOX" + image[4:], ImageFormatError),
+    (lambda image: _set_word(image, 4, 2), ImageFormatError),
+    (lambda image: _set_word(image, 28, MAX_IMAGE_SIZE), ImageSizeError),
+], ids=["payload_len_short", "payload_len_long", "magic", "version", "cap"])
+def test_staged_image_rejected_before_any_slot(fabric, staged, error):
+    """The manager's header check of the staged bytes: a payload_len
+    that disagrees with the staged size, a bad magic or version, or an
+    image over the cap is ERR_FORMAT, and no slot is touched."""
+    ta_uuid, image = make_image(TA_KIND_INCREMENT, payload=b"\x11" * 100)
+    offset, size = fabric.cm_stage(staged(image))
+    with pytest.raises(error):
+        fabric.manager_open(ta_uuid, offset, size)
+    assert load_statuses(fabric) == [LoadStatus.ERR_FORMAT]
+    assert fabric.registers.status is LoadStatus.IDLE
+    assert fabric.load_count == 0
+    assert all(row["state"] == "FREE" for row in fabric.slot_snapshot())
 
 
 def test_unregistered_kind_frees_slot(fabric):
@@ -424,6 +454,71 @@ def test_shutdown_aborts_a_dispatch_in_flight(fabric):
     assert runtime.snapshot()["rst"]
     assert runtime.tcm.read(0, TCM_SIZE) == bytes(TCM_SIZE)
     assert runtime.window.read(0, SHM_WINDOW_SIZE) == bytes(SHM_WINDOW_SIZE)
+
+
+def test_shutdown_frees_every_slot(fabric):
+    """Shutdown scrubs each slot through the one teardown path: every
+    slot ends FREE and unmapped, and a later open loads cold at once."""
+    ta_uuid, image = make_image(TA_KIND_INCREMENT)
+    with Context(fabric) as ctx:
+        stale = ctx.open_session(ta_uuid, image)
+        fabric.shm_write(stale.slot_index, 0, b"\x5a" * 64)
+        fabric.shutdown()
+        fabric.audit()
+        assert not fabric.loaded_tas
+        for slot, row in enumerate(fabric.slot_snapshot()):
+            assert row["pending"] == 0 and row["sessions"] == 0
+            assert_scrubbed(fabric, slot)
+        loads, mark = fabric.load_count, fabric.events()[-1].seq
+        session = ctx.open_session(ta_uuid, image)
+        opens = [event.fields["warm"] for event in fabric.events("open")
+                 if event.seq > mark]
+        assert opens == [False]
+        assert fabric.load_count == loads + 1
+        assert session.invoke_command(
+            0, Operation(Value(Direction.INOUT, 1))).value(0) == (2, 0)
+        stale.close()
+        session.close()
+    fabric.audit()
+    assert_scrubbed(fabric, session.slot_index)
+
+
+def test_cold_open_does_each_piece_of_image_work_once(fabric, monkeypatch):
+    """The client decodes an image only when first staging it, a load
+    reads the staged bytes from CM once, and the core boots without
+    copying its whole TCM."""
+    calls = {"decode": 0, "cm_read": 0}
+    tcm_reads = []
+    decode_image, cm_read, space_read = \
+        client_api.decode_image, fabric.cm.read, Space.read
+    tcms = {id(fabric.slot_runtime(i).tcm)
+            for i in range(fabric.config.enclave_count)}
+
+    def counting_decode(image):
+        calls["decode"] += 1
+        return decode_image(image)
+
+    def counting_cm_read(offset, length):
+        calls["cm_read"] += 1
+        return cm_read(offset, length)
+
+    def recording_space_read(space, offset, length):
+        if id(space) in tcms:
+            tcm_reads.append(length)
+        return space_read(space, offset, length)
+
+    monkeypatch.setattr(client_api, "decode_image", counting_decode)
+    monkeypatch.setattr(fabric.cm, "read", counting_cm_read)
+    monkeypatch.setattr(Space, "read", recording_space_read)
+    ta_uuid, image = make_image(TA_KIND_INCREMENT, payload=b"\x11" * 4000)
+    with Context(fabric) as ctx:
+        for same_bytes in (image, image, bytes(bytearray(image))):
+            with ctx.open_session(ta_uuid, same_bytes) as session:
+                assert session.invoke_command(
+                    0, Operation(Value(Direction.INOUT, 7))).value(0) == (8, 0)
+    assert fabric.load_count == 3
+    assert calls == {"decode": 1, "cm_read": 3}
+    assert TCM_SIZE not in tcm_reads
 
 
 def test_manager_close_resets_a_blocked_invoke(fabric):
