@@ -5,12 +5,15 @@ from .crypto import (
     InvalidKey,
     InvalidSignature,
     ORDER_N,
+    PKCS8_BYTES,
     UnsupportedAlgorithm,
     derive_public_key,
     digest,
     ecdsa_sign,
     ecdsa_verify,
+    export_private_key,
     hmac_digest,
+    load_private_key,
 )
 from .rng import Csprng
 from .storage import (
@@ -28,6 +31,7 @@ __all__ = [
     "InvalidKey",
     "InvalidSignature",
     "ORDER_N",
+    "PKCS8_BYTES",
     "SealedStorage",
     "TaStorage",
     "TamperedObjectError",
@@ -37,5 +41,7 @@ __all__ = [
     "digest",
     "ecdsa_sign",
     "ecdsa_verify",
+    "export_private_key",
     "hmac_digest",
+    "load_private_key",
 ]

@@ -4,8 +4,12 @@ Digests and HMAC wrap hashlib behind a closed algorithm whitelist.  secp256k1
 key derivation, signing and verification run in the OpenSSL-backed
 `cryptography` package: its scalar multiplication does not branch on key
 bits, and `deterministic_signing` draws RFC 6979 nonces.  This module keeps
-the trust-boundary checks (key range, digest, signature and point lengths),
-the low-s normalisation and the compact 64-byte r||s format.
+the trust-boundary checks (key range, curve, digest, signature and point
+lengths), the low-s normalisation and the compact 64-byte r||s format.
+
+A key that is used again can be exported once as PKCS8 DER, which carries
+its public point, and loaded later: loading skips the scalar multiplication
+that deriving the key from its scalar costs on every call.
 """
 
 import hashlib
@@ -25,6 +29,10 @@ ORDER_N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 ORDER_HALF = ORDER_N // 2
 
 _CURVE = ec.SECP256K1()
+
+# PKCS8 DER of a secp256k1 key with its public point: the version, the
+# algorithm and curve ids, a 32-byte scalar and a 65-byte uncompressed point.
+PKCS8_BYTES = 135
 
 _ALGORITHMS = {"sha256": hashlib.sha256, "sha512": hashlib.sha512}
 
@@ -81,17 +89,69 @@ def _check_digest(msg_hash):
     return bytes(msg_hash)
 
 
-def derive_public_key(private_key):
-    """Compressed 33-byte public point for a private scalar."""
-    secret = ec.derive_private_key(_scalar_from_key(private_key), _CURVE)
+def _compressed_point(secret):
     point = secret.public_key().public_numbers()
     return bytes([2 + (point.y & 1)]) + point.x.to_bytes(32, "big")
 
 
-def ecdsa_sign(private_key, msg_hash):
-    """Sign a 32-byte digest; compact r||s, s forced to the low half."""
-    msg_hash = _check_digest(msg_hash)
+def derive_public_key(private_key):
+    """Compressed 33-byte public point for a private scalar."""
+    return _compressed_point(
+        ec.derive_private_key(_scalar_from_key(private_key), _CURVE))
+
+
+def export_private_key(private_key):
+    """(compressed point, PKCS8 DER) for a private scalar: one curve
+    multiplication, after which load_private_key needs none."""
+    # Imported on first use, here and in load_private_key: the package
+    # also loads the RSA, DSA, Ed25519 and SSH key modules, which a fabric
+    # that never runs the wallet has no use for.
+    from cryptography.hazmat.primitives.serialization import (
+        Encoding,
+        NoEncryption,
+        PrivateFormat,
+    )
+
     secret = ec.derive_private_key(_scalar_from_key(private_key), _CURVE)
+    pkcs8 = secret.private_bytes(Encoding.DER, PrivateFormat.PKCS8,
+                                 NoEncryption())
+    if len(pkcs8) != PKCS8_BYTES:
+        raise CryptoError(
+            f"PKCS8 key is {len(pkcs8)} bytes, expected {PKCS8_BYTES}")
+    return _compressed_point(secret), pkcs8
+
+
+def _check_loaded(secret):
+    if not (isinstance(secret, ec.EllipticCurvePrivateKey)
+            and secret.curve.name == _CURVE.name):
+        raise InvalidKey("not a secp256k1 private key")
+    return secret
+
+
+def load_private_key(pkcs8):
+    """A secp256k1 private key from the PKCS8 DER that export_private_key
+    made; OpenSSL checks the stored point against the scalar."""
+    from cryptography.hazmat.primitives.serialization import (
+        load_der_private_key,
+    )
+
+    try:
+        secret = load_der_private_key(bytes(pkcs8), password=None)
+    except (ValueError, TypeError, cryptography.exceptions.UnsupportedAlgorithm):
+        raise InvalidKey("not a PKCS8 private key") from None
+    return _check_loaded(secret)
+
+
+def ecdsa_sign(private_key, msg_hash):
+    """Sign a 32-byte digest; compact r||s, s forced to the low half.
+
+    private_key is a scalar (32 bytes or an int) or a key that
+    load_private_key returned."""
+    msg_hash = _check_digest(msg_hash)
+    if isinstance(private_key, (bytes, bytearray, memoryview, int)):
+        secret = ec.derive_private_key(_scalar_from_key(private_key), _CURVE)
+    else:
+        secret = _check_loaded(private_key)
     # Built per call, not at import: a deterministic ECDSA loads OpenSSL's
     # backend module and its cipher and RSA modules on first use.
     der = secret.sign(

@@ -17,105 +17,22 @@ class DerivationError(ValueError):
     """Seed or index produced an unusable key."""
 
 
-# --- RIPEMD-160 (no longer in hashlib) --------------------------------------
-# Round-wise formulation: five 16-step rounds per line, each round with its
-# own boolean function, added constant, message permutation, and rotations.
+# --- digest helpers ----------------------------------------------------------
 
-def _f1(x, y, z):
-    return x ^ y ^ z
-
-
-def _f2(x, y, z):
-    return (x & y) | (~x & z)
-
-
-def _f3(x, y, z):
-    return (x | ~y) ^ z
-
-
-def _f4(x, y, z):
-    return (x & z) | (y & ~z)
-
-
-def _f5(x, y, z):
-    return x ^ (y | ~z)
-
-
-_LEFT_ROUNDS = (
-    (_f1, 0x00000000,
-     (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
-     (11, 14, 15, 12, 5, 8, 7, 9, 11, 13, 14, 15, 6, 7, 9, 8)),
-    (_f2, 0x5A827999,
-     (7, 4, 13, 1, 10, 6, 15, 3, 12, 0, 9, 5, 2, 14, 11, 8),
-     (7, 6, 8, 13, 11, 9, 7, 15, 7, 12, 15, 9, 11, 7, 13, 12)),
-    (_f3, 0x6ED9EBA1,
-     (3, 10, 14, 4, 9, 15, 8, 1, 2, 7, 0, 6, 13, 11, 5, 12),
-     (11, 13, 6, 7, 14, 9, 13, 15, 14, 8, 13, 6, 5, 12, 7, 5)),
-    (_f4, 0x8F1BBCDC,
-     (1, 9, 11, 10, 0, 8, 12, 4, 13, 3, 7, 15, 14, 5, 6, 2),
-     (11, 12, 14, 15, 14, 15, 9, 8, 9, 14, 5, 6, 8, 6, 5, 12)),
-    (_f5, 0xA953FD4E,
-     (4, 0, 5, 9, 7, 12, 2, 10, 14, 1, 3, 8, 11, 6, 15, 13),
-     (9, 15, 5, 11, 6, 8, 13, 12, 5, 12, 13, 14, 11, 8, 5, 6)),
-)
-
-_RIGHT_ROUNDS = (
-    (_f5, 0x50A28BE6,
-     (5, 14, 7, 0, 9, 2, 11, 4, 13, 6, 15, 8, 1, 10, 3, 12),
-     (8, 9, 9, 11, 13, 15, 15, 5, 7, 7, 8, 11, 14, 14, 12, 6)),
-    (_f4, 0x5C4DD124,
-     (6, 11, 3, 7, 0, 13, 5, 10, 14, 15, 8, 12, 4, 9, 1, 2),
-     (9, 13, 15, 7, 12, 8, 9, 11, 7, 7, 12, 7, 6, 15, 13, 11)),
-    (_f3, 0x6D703EF3,
-     (15, 5, 1, 3, 7, 14, 6, 9, 11, 8, 12, 2, 10, 0, 4, 13),
-     (9, 7, 15, 11, 8, 6, 6, 14, 12, 13, 5, 14, 13, 13, 7, 5)),
-    (_f2, 0x7A6D76E9,
-     (8, 6, 4, 1, 3, 11, 15, 0, 5, 12, 2, 13, 9, 7, 10, 14),
-     (15, 5, 8, 11, 14, 14, 6, 14, 6, 9, 12, 9, 12, 5, 15, 8)),
-    (_f1, 0x00000000,
-     (12, 15, 10, 4, 1, 5, 8, 7, 6, 2, 13, 14, 0, 3, 9, 11),
-     (8, 5, 12, 9, 12, 5, 14, 6, 8, 13, 6, 5, 15, 13, 11, 11)),
-)
-
-_RMD_INIT = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
-
-
-def _rotl32(value, amount):
-    value &= 0xFFFFFFFF
-    return ((value << amount) | (value >> (32 - amount))) & 0xFFFFFFFF
-
-
-def _rmd_line(state, block_words, rounds):
-    a, b, c, d, e = state
-    for func, constant, order, shifts in rounds:
-        for step in range(16):
-            t = _rotl32(a + func(b, c, d) + block_words[order[step]]
-                        + constant, shifts[step]) + e
-            a, e, d, c, b = e, d, _rotl32(c, 10), b, t & 0xFFFFFFFF
-    return a, b, c, d, e
+try:
+    hashlib.new("ripemd160")
+except ValueError:
+    raise ImportError(
+        "teefab needs RIPEMD-160 from hashlib for wallet addresses, and this "
+        "Python's OpenSSL does not offer it (OpenSSL 3.0.0 to 3.0.6 keep it "
+        "in the legacy provider only; 3.0.7 and later have it by default)"
+    ) from None
 
 
 def ripemd160(message):
     """RIPEMD-160 digest of message bytes."""
-    message = bytes(message)
-    padded = message + b"\x80"
-    padded += b"\x00" * (-(len(padded) + 8) % 64)
-    padded += struct.pack("<Q", len(message) * 8)
-    state = _RMD_INIT
-    for start in range(0, len(padded), 64):
-        words = struct.unpack("<16I", padded[start:start + 64])
-        la, lb, lc, ld, le = _rmd_line(state, words, _LEFT_ROUNDS)
-        ra, rb, rc, rd, re = _rmd_line(state, words, _RIGHT_ROUNDS)
-        h0, h1, h2, h3, h4 = state
-        state = ((h1 + lc + rd) & 0xFFFFFFFF,
-                 (h2 + ld + re) & 0xFFFFFFFF,
-                 (h3 + le + ra) & 0xFFFFFFFF,
-                 (h4 + la + rb) & 0xFFFFFFFF,
-                 (h0 + lb + rc) & 0xFFFFFFFF)
-    return struct.pack("<5I", *state)
+    return hashlib.new("ripemd160", bytes(message)).digest()
 
-
-# --- digest helpers ----------------------------------------------------------
 
 def sha256d(data):
     """Double SHA-256."""

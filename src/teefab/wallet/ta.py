@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 import hashlib
+import struct
 from hmac import compare_digest
 
 from ..enclave import TrustedApp, register_ta_kind
-from ..internal_api.crypto import derive_public_key, ecdsa_sign
+# derive_public_key is not called here; perfbench wraps it by name with
+# ecdsa_sign, derive_hardened, master_from_seed and mnemonic_to_seed.
+from ..internal_api.crypto import (  # noqa: F401
+    PKCS8_BYTES,
+    derive_public_key,
+    ecdsa_sign,
+    export_private_key,
+    load_private_key,
+)
+from ..internal_api.storage import TamperedObjectError
 from ..protocol import (
     AccessDeniedError,
     BadParametersError,
@@ -14,7 +24,13 @@ from ..protocol import (
     ParamKind,
     ShortBufferError,
 )
-from .hd import derive_hardened, master_from_seed, p2pkh_address, sha256d
+from .hd import (
+    HARDENED_BIT,
+    derive_hardened,
+    master_from_seed,
+    p2pkh_address,
+    sha256d,
+)
 from .mnemonic import (
     MnemonicError,
     entropy_to_mnemonic,
@@ -39,13 +55,45 @@ _RECORD_BYTES = 32 + 32 + _SALT_BYTES + 32
 _SIGHASH_ALL = b"\x01"
 PIN_MAX = 9999
 
+# The child table: one sealed object holding the hardened children already
+# derived from the current master, each as (index, compressed point, PKCS8).
+CHILDREN_ID = b"children"
+CHILD_TABLE_CAP = 64
+_CHILDREN_LABEL = b"teefab-wallet-children-v1"
+_FINGERPRINT_BYTES = 32
+_CHILD_ENTRY = struct.Struct(f">I33s{PKCS8_BYTES}s")
+
 
 def _pin_digest(pin, salt):
     return hashlib.sha256(b"%04d" % pin + salt).digest()
 
 
+def _master_fingerprint(master_sk, chain_code):
+    return hashlib.sha256(_CHILDREN_LABEL + master_sk + chain_code).digest()
+
+
+def _derive_child(record, index):
+    child_sk, _child_cc = derive_hardened(record[0], record[1], index)
+    return export_private_key(child_sk)
+
+
+def _parse_children(blob, fingerprint):
+    """{index: (point, pkcs8)}; ValueError when the table cannot be used."""
+    body = blob[_FINGERPRINT_BYTES:]
+    if not compare_digest(blob[:_FINGERPRINT_BYTES], fingerprint):
+        raise ValueError("made from another master")
+    if len(body) % _CHILD_ENTRY.size \
+            or len(body) > CHILD_TABLE_CAP * _CHILD_ENTRY.size:
+        raise ValueError("malformed")
+    table = {index: (point, pkcs8)
+             for index, point, pkcs8 in _CHILD_ENTRY.iter_unpack(body)}
+    if any(index >= CHILD_TABLE_CAP for index in table):
+        raise ValueError("malformed")
+    return table
+
+
 class WalletTa(TrustedApp):
-    """Single-session wallet: master key sealed, children derived per call."""
+    """Single-session wallet: master key sealed, each child sealed once."""
 
     def __init__(self, env):
         super().__init__(env)
@@ -69,14 +117,20 @@ class WalletTa(TrustedApp):
 
     def _load_record(self):
         """(master_sk, chain_code, salt, pin_digest) or None when absent."""
-        if not self.env.storage.exists(RECORD_ID):
+        try:
+            record = self.env.storage.get(RECORD_ID)
+        except ItemNotFoundError:
             return None
-        record = self.env.storage.get(RECORD_ID)
         if len(record) != _RECORD_BYTES:
             raise AccessDeniedError("wallet record is malformed")
         return record[:32], record[32:64], record[64:80], record[80:112]
 
-    def _store_record(self, master_sk, chain_code, pin):
+    def _store_record(self, record, master_sk, chain_code, pin):
+        """Seal a new master; the child table goes unless the master is the
+        one `record` already holds."""
+        if record is None or not compare_digest(record[0] + record[1],
+                                                master_sk + chain_code):
+            self._drop_children()
         salt = self.env.rng.random_bytes(_SALT_BYTES)
         self.env.storage.put(
             RECORD_ID, master_sk + chain_code + salt + _pin_digest(pin, salt))
@@ -96,6 +150,9 @@ class WalletTa(TrustedApp):
         pin, index = params.value(0)
         if pin > PIN_MAX:
             raise BadParametersError(f"pin must be 0..{PIN_MAX}")
+        if index >= HARDENED_BIT:
+            raise BadParametersError(
+                f"child index must be below {HARDENED_BIT:#x}")
         return pin, index
 
     @staticmethod
@@ -116,11 +173,45 @@ class WalletTa(TrustedApp):
                 f"need {len(data)} bytes, caller granted {block.length}")
         block.write(data)
 
-    def _child_key(self, record, pin, index):
+    # --- child table ---------------------------------------------------------
+
+    def _load_children(self, fingerprint):
+        """The sealed child table of this master, or an empty one when it is
+        missing, fails to unseal or belongs to another master; the next
+        store then replaces what is on disk."""
+        try:
+            return _parse_children(self.env.storage.get(CHILDREN_ID),
+                                   fingerprint)
+        except ItemNotFoundError:
+            return {}
+        except (TamperedObjectError, ValueError) as exc:
+            self.env.uart.log(f"wallet: child table rebuilt: {exc}")
+            return {}
+
+    def _store_children(self, fingerprint, table):
+        self.env.storage.put(CHILDREN_ID, fingerprint + b"".join(
+            _CHILD_ENTRY.pack(index, *table[index]) for index in sorted(table)))
+
+    def _drop_children(self):
+        try:
+            self.env.storage.delete(CHILDREN_ID)
+        except ItemNotFoundError:
+            pass
+
+    def _child(self, record, pin, index):
+        """(compressed point, PKCS8 key) of hardened child `index`.
+
+        Below CHILD_TABLE_CAP a child is derived once per master and then
+        read from the sealed table; at or above it, derived on every call."""
         self._require_pin(record, pin)
-        master_sk, chain_code = record[0], record[1]
-        child_sk, _child_cc = derive_hardened(master_sk, chain_code, index)
-        return child_sk
+        if index >= CHILD_TABLE_CAP:
+            return _derive_child(record, index)
+        fingerprint = _master_fingerprint(record[0], record[1])
+        table = self._load_children(fingerprint)
+        if index not in table:
+            table[index] = _derive_child(record, index)
+            self._store_children(fingerprint, table)
+        return table[index]
 
     # --- commands ------------------------------------------------------------
 
@@ -150,7 +241,7 @@ class WalletTa(TrustedApp):
         entropy = self.env.rng.random_bytes(_ENTROPY_BYTES)
         phrase = entropy_to_mnemonic(entropy)
         master_sk, chain_code = master_from_seed(mnemonic_to_seed(phrase))
-        self._store_record(master_sk, chain_code, pin)
+        self._store_record(None, master_sk, chain_code, pin)
         self._memref_out(params, 1, phrase.encode())
         self.env.uart.log("wallet: generated new master record")
 
@@ -165,7 +256,7 @@ class WalletTa(TrustedApp):
         except MnemonicError as exc:
             raise BadParametersError(f"invalid mnemonic: {exc}") from exc
         master_sk, chain_code = master_from_seed(mnemonic_to_seed(phrase))
-        self._store_record(master_sk, chain_code, pin)
+        self._store_record(record, master_sk, chain_code, pin)
         self.env.uart.log("wallet: restored master record from phrase")
 
     def _cmd_delete(self, params):
@@ -174,6 +265,7 @@ class WalletTa(TrustedApp):
         if record is None:
             raise ItemNotFoundError("no wallet to delete")
         self._require_pin(record, pin)
+        self._drop_children()
         self.env.storage.delete(RECORD_ID)
         self.env.uart.log("wallet: deleted master record")
 
@@ -185,8 +277,8 @@ class WalletTa(TrustedApp):
         raw_tx = self._memref_in(params, 1)
         if not raw_tx:
             raise BadParametersError("empty transaction")
-        child_sk = self._child_key(record, pin, index)
-        signature = ecdsa_sign(child_sk, sha256d(raw_tx))
+        _point, pkcs8 = self._child(record, pin, index)
+        signature = ecdsa_sign(load_private_key(pkcs8), sha256d(raw_tx))
         self._memref_out(params, 2, (signature + _SIGHASH_ALL).hex().encode())
 
     def _cmd_get_address(self, params):
@@ -194,8 +286,8 @@ class WalletTa(TrustedApp):
         record = self._load_record()
         if record is None:
             raise ItemNotFoundError("no wallet key to address")
-        child_sk = self._child_key(record, pin, index)
-        address = p2pkh_address(derive_public_key(child_sk))
+        point, _pkcs8 = self._child(record, pin, index)
+        address = p2pkh_address(point)
         self._memref_out(params, 1, address.encode())
 
 

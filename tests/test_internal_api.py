@@ -11,6 +11,7 @@ from oracle_hd import rfc6979_nonce, sign_compact_low_s
 from teefab.internal_api.crypto import (
     ORDER_HALF,
     ORDER_N,
+    PKCS8_BYTES,
     InvalidKey,
     InvalidSignature,
     UnsupportedAlgorithm,
@@ -18,7 +19,9 @@ from teefab.internal_api.crypto import (
     digest,
     ecdsa_sign,
     ecdsa_verify,
+    export_private_key,
     hmac_digest,
+    load_private_key,
 )
 from teefab.internal_api.rng import Csprng
 from teefab.internal_api.storage import (
@@ -126,6 +129,38 @@ def test_invalid_keys_rejected():
         ecdsa_sign(bytes(32), bytes(32))
     with pytest.raises(InvalidKey):
         ecdsa_sign(ORDER_N.to_bytes(32, "big"), bytes(32))
+
+
+def test_exported_key_loads_and_signs_like_its_scalar():
+    rng = random.Random(0x8C58)
+    for _ in range(5):
+        sk = rng.randrange(1, ORDER_N).to_bytes(32, "big")
+        msg = bytes(rng.getrandbits(8) for _ in range(32))
+        point, pkcs8 = export_private_key(sk)
+        assert point == derive_public_key(sk)
+        assert len(pkcs8) == PKCS8_BYTES
+        assert ecdsa_sign(load_private_key(pkcs8), msg) == ecdsa_sign(sk, msg)
+    with pytest.raises(InvalidKey):
+        export_private_key(bytes(32))
+
+
+def test_load_private_key_rejects_other_keys():
+    from cryptography.hazmat.primitives import serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+
+    _point, pkcs8 = export_private_key((0x1234).to_bytes(32, "big"))
+    # Byte 40 lies in the scalar, which then no longer matches the point.
+    for blob in (b"", pkcs8[:-1], pkcs8[:40] + bytes([pkcs8[40] ^ 1])
+                 + pkcs8[41:]):
+        with pytest.raises(InvalidKey):
+            load_private_key(blob)
+    p256 = ec.generate_private_key(ec.SECP256R1())
+    with pytest.raises(InvalidKey):
+        load_private_key(p256.private_bytes(
+            serialization.Encoding.DER, serialization.PrivateFormat.PKCS8,
+            serialization.NoEncryption()))
+    with pytest.raises(InvalidKey):
+        ecdsa_sign(p256, bytes(32))
 
 
 def test_ecdsa_verify_checks_its_inputs():

@@ -1,11 +1,14 @@
 """Wallet stack: mnemonic codec, HD derivation, the TA, client and CLI."""
 
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
 import oracle_hd
 from teefab.client_api import Context
+from teefab.internal_api import crypto
 from teefab.protocol import AccessDeniedError, ReturnCode
 from teefab.wallet import (
     WALLET_UUID,
@@ -35,9 +38,11 @@ from teefab.wallet.mnemonic import (
     normalize_mnemonic,
     validate_mnemonic,
 )
+from teefab.wallet.ta import CHILD_TABLE_CAP, CHILDREN_ID
 
 REFERENCE_MNEMONIC = ("abandon abandon abandon abandon abandon abandon "
                       "abandon abandon abandon abandon abandon about")
+OTHER_MNEMONIC = "zoo zoo zoo zoo zoo zoo zoo zoo zoo zoo zoo wrong"
 
 # Frozen from tests/oracle_hd.py (hashlib + pure-Python secp256k1 chain).
 VECTORS = {
@@ -317,6 +322,126 @@ def test_uart_never_leaks_key_material(fabric, wallet):
     for i in range(fabric.config.enclave_count):
         for line in fabric.slot_runtime(i).uart.lines():
             assert not any(secret in line for secret in secrets)
+
+
+def test_out_of_range_index_is_bad_parameters(wallet):
+    wallet.restore(PIN, REFERENCE_MNEMONIC)
+    for call in (lambda: wallet.get_address(PIN, 2**31),
+                 lambda: wallet.sign(PIN, 2**32 - 1, DEMO_RAW_TX)):
+        with pytest.raises(WalletError) as info:
+            call()
+        assert info.value.code is ReturnCode.ERROR_BAD_PARAMETERS
+
+
+# --- the sealed child table --------------------------------------------------
+
+def _oracle_child(phrase, index):
+    seed = oracle_hd.mnemonic_to_seed(phrase)
+    sk, cc = oracle_hd.master_from_seed(seed)
+    return oracle_hd.derive_hardened(sk, cc, index)[0]
+
+
+def _oracle_address(phrase, index):
+    return oracle_hd.p2pkh_address(
+        oracle_hd.compressed_pubkey(_oracle_child(phrase, index)))
+
+
+def _oracle_signature(phrase, index, raw_tx):
+    signature = oracle_hd.sign_compact_low_s(
+        _oracle_child(phrase, index), oracle_hd.sha256d(raw_tx))
+    return (signature + b"\x01").hex()
+
+
+def _assert_children_match(wallet, phrase, indices):
+    for index in indices:
+        assert wallet.get_address(PIN, index) == _oracle_address(phrase, index)
+        assert wallet.sign(PIN, index, DEMO_RAW_TX) \
+            == _oracle_signature(phrase, index, DEMO_RAW_TX)
+
+
+def _table_path(fabric):
+    return (Path(fabric.config.storage_dir) / WALLET_UUID.hex
+            / hashlib.sha256(CHILDREN_ID).hexdigest())
+
+
+def _uart_lines(fabric):
+    return [line for i in range(fabric.config.enclave_count)
+            for line in fabric.slot_runtime(i).uart.lines()]
+
+
+def test_child_table_from_another_master_is_replaced(fabric, wallet):
+    wallet.restore(PIN, REFERENCE_MNEMONIC)
+    _assert_children_match(wallet, REFERENCE_MNEMONIC, (0, 1))
+    stolen = _table_path(fabric).read_bytes()
+    wallet.restore(PIN, OTHER_MNEMONIC)
+    _table_path(fabric).write_bytes(stolen)
+    _assert_children_match(wallet, OTHER_MNEMONIC, (0, 1))
+    assert any("child table rebuilt: made from another master" in line
+               for line in _uart_lines(fabric))
+    assert _table_path(fabric).read_bytes() != stolen
+
+
+def test_tampered_child_table_is_rebuilt(fabric, wallet):
+    wallet.restore(PIN, REFERENCE_MNEMONIC)
+    wallet.get_address(PIN, 2)
+    blob = bytearray(_table_path(fabric).read_bytes())
+    blob[len(blob) // 2] ^= 0x10
+    _table_path(fabric).write_bytes(bytes(blob))
+    _assert_children_match(wallet, REFERENCE_MNEMONIC, (2,))
+    assert any("child table rebuilt: sealed blob failed authentication"
+               in line for line in _uart_lines(fabric))
+
+
+def test_child_table_follows_the_master(fabric, wallet):
+    path = _table_path(fabric)
+    wallet.restore(PIN, REFERENCE_MNEMONIC)
+    wallet.get_address(PIN, 0)
+    table = path.read_bytes()
+    wallet.restore(PIN, REFERENCE_MNEMONIC)
+    assert path.read_bytes() == table
+    wallet.restore(PIN, OTHER_MNEMONIC)
+    assert not path.exists()
+    wallet.get_address(PIN, 0)
+    assert path.exists()
+    wallet.delete(PIN)
+    assert not path.exists()
+    assert list(path.parent.iterdir()) == []
+
+
+def test_child_table_stops_at_its_cap(fabric, wallet):
+    path = _table_path(fabric)
+    wallet.restore(PIN, REFERENCE_MNEMONIC)
+    wallet.get_address(PIN, 0)
+    one = len(path.read_bytes())
+    wallet.get_address(PIN, 1)
+    entry = len(path.read_bytes()) - one
+    for index in range(2, CHILD_TABLE_CAP):
+        wallet.get_address(PIN, index)
+    full = path.read_bytes()
+    assert len(full) == one + (CHILD_TABLE_CAP - 1) * entry
+    _assert_children_match(wallet, REFERENCE_MNEMONIC,
+                           (CHILD_TABLE_CAP, 2**31 - 1))
+    assert path.read_bytes() == full
+
+
+def test_a_stored_child_needs_no_derivation(wallet, monkeypatch):
+    calls = []
+    derive = crypto.ec.derive_private_key
+
+    def spy(*args):
+        calls.append(args)
+        return derive(*args)
+
+    monkeypatch.setattr(crypto.ec, "derive_private_key", spy)
+    wallet.restore(PIN, REFERENCE_MNEMONIC)
+    first = wallet.get_address(PIN, 5), wallet.sign(PIN, 5, DEMO_RAW_TX)
+    assert calls
+    calls.clear()
+    second = wallet.get_address(PIN, 5), wallet.sign(PIN, 5, DEMO_RAW_TX)
+    assert calls == []
+    assert first == second == (
+        _oracle_address(REFERENCE_MNEMONIC, 5),
+        _oracle_signature(REFERENCE_MNEMONIC, 5, DEMO_RAW_TX))
 
 
 # --- command line ------------------------------------------------------------
