@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import mmap
 import sys
 import threading
 import time
@@ -80,11 +81,25 @@ class DelayModel:
             pass
 
 
+# A private map, so that a forked process gets its own copy of the region
+# on write, as it would of a bytearray, instead of sharing it.
+_PRIVATE_MAP = ({"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE")
+                else {})
+
+
 class CmRegion:
-    """Flat staging region with a 64-byte-aligned first-fit allocator."""
+    """Flat staging region with a 64-byte-aligned first-fit allocator.
+
+    The region is reserved address space: anonymous memory reads as zeros
+    and the host commits a page only when something is first written
+    there, so a fabric's resident cost follows what is staged, not the
+    capacity."""
 
     def __init__(self, capacity=CM_REGION_SIZE):
-        self._buf = bytearray(capacity)
+        if capacity <= 0:
+            raise ValueError(
+                f"staging capacity must be positive, got {capacity}")
+        self._buf = mmap.mmap(-1, capacity, **_PRIVATE_MAP)
         self._allocs = {}
         self._lock = threading.Lock()
 
@@ -128,6 +143,16 @@ def _align(offset):
     return (offset + CM_ALIGNMENT - 1) & ~(CM_ALIGNMENT - 1)
 
 
+class _TurnstileLocal(threading.local):
+    """A thread's exchange depth at one turnstile, and the lock it parks
+    on there: held while it rests, released by `Turnstile._handover`."""
+
+    def __init__(self):
+        self.depth = 0
+        self.waiter = threading.Lock()
+        self.waiter.acquire()
+
+
 class Turnstile:
     """FIFO hand-off of the interpreter between the threads that have
     requests in flight on one fabric.
@@ -146,15 +171,15 @@ class Turnstile:
 
     def __init__(self):
         self._mutex = threading.Lock()
-        self._local = threading.local()
+        self._local = _TurnstileLocal()
         self._running = 0           # contenders in an exchange, or woken
-        self._parked = deque()      # each parked thread's lock, oldest first
+        self._parked = deque()      # each parked thread's waiter, oldest first
 
     def enter(self):
         """Enter an exchange; the outermost one makes this thread a
         contender."""
         local = self._local
-        depth = getattr(local, "depth", 0)
+        depth = local.depth
         local.depth = depth + 1
         if not depth:
             with self._mutex:
@@ -172,26 +197,28 @@ class Turnstile:
             if not (self._running or self._parked):
                 return
             self._handover()
-            waiter = threading.Lock()
-            waiter.acquire()
+            waiter = local.waiter
             self._parked.append(waiter)
         self._park(waiter)
 
     def _park(self, waiter):
-        """Wait for a turn, or for the switch interval to run out."""
-        waiter.acquire(True, sys.getswitchinterval())
+        """Wait for a turn, or for the switch interval to run out. Every
+        path leaves the waiter locked, as it rests between parks."""
+        woken = waiter.acquire(True, sys.getswitchinterval())
         with self._mutex:
-            try:
+            # A waiter that `_handover` popped and released just as the
+            # bound ran out was handed a turn all the same.
+            if woken or waiter.acquire(False):
+                self._running -= 1              # our turn is here
+            else:
                 self._parked.remove(waiter)     # the bound ran out
-            except ValueError:
-                self._running -= 1              # woken: our turn is here
             self._handover()
 
     @contextmanager
     def stepped_out(self):
         """Not a contender for the body: a thread that waits there does
         not hold up the others."""
-        if not getattr(self._local, "depth", 0):
+        if not self._local.depth:
             yield
             return
         with self._mutex:

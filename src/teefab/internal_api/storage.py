@@ -40,6 +40,9 @@ SEALED_MAGIC = b"SEL1"
 NONCE_LEN = 12
 TAG_LEN = 16
 MAX_OBJECT_ID = 64
+# Object locks are striped by object digest: a fixed set, so ids a TA
+# makes up, present or not, cannot grow the store's memory.
+LOCK_STRIPES = 16
 KDF_LABEL = b"tee-sealed-storage-v1"
 _HEADER = struct.Struct("<4s16sB32s12sI")
 
@@ -94,15 +97,14 @@ class SealedStorage:
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
         self._device_key = device_key
-        self._guard = threading.Lock()
-        self._locks = {}
+        self._locks = tuple(threading.Lock() for _ in range(LOCK_STRIPES))
 
     def _path(self, ta_uuid, object_id):
         return self._root / ta_uuid.hex / _object_digest(object_id).hex()
 
-    def _lock_for(self, path):
-        with self._guard:
-            return self._locks.setdefault(str(path), threading.Lock())
+    def _lock_for(self, object_id):
+        """The lock that makes put, get and delete of one object atomic."""
+        return self._locks[_object_digest(object_id)[0] % LOCK_STRIPES]
 
     def put(self, ta_uuid, object_id, payload):
         """Seal payload under (device key, ta_uuid); atomic replace."""
@@ -114,7 +116,7 @@ class SealedStorage:
                               _object_digest(object_id), nonce, len(payload))
         cipher = AESGCM(self._device_key.sealing_key(ta_uuid))
         sealed = cipher.encrypt(nonce, payload, header)
-        with self._lock_for(path):
+        with self._lock_for(object_id):
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".seal-")
             try:
@@ -129,7 +131,7 @@ class SealedStorage:
         """Unseal and return the payload; authentication must pass."""
         object_id = _canon_id(object_id)
         path = self._path(ta_uuid, object_id)
-        with self._lock_for(path):
+        with self._lock_for(object_id):
             try:
                 blob = path.read_bytes()
             except FileNotFoundError:
@@ -154,7 +156,7 @@ class SealedStorage:
         """Remove one sealed object; missing objects are an error."""
         object_id = _canon_id(object_id)
         path = self._path(ta_uuid, object_id)
-        with self._lock_for(path):
+        with self._lock_for(object_id):
             try:
                 path.unlink()
             except FileNotFoundError:

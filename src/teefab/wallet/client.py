@@ -11,6 +11,7 @@ from ..client_api import Context, Direction, Operation, Value
 from ..config import SimConfig
 from ..fabric import Fabric
 from ..protocol import ReturnCode, TAImage, TeeError, encode_image
+from .hd import HARDENED_BIT
 from .ta import (
     CMD_CHECK_EXISTS,
     CMD_DELETE,
@@ -84,8 +85,10 @@ class WalletClient:
         """Invoke with the standard credential word; map failures."""
         if not isinstance(pin, int) or not 0 <= pin <= PIN_MAX:
             raise WalletError(f"pin must be 0..{PIN_MAX}")
-        if not isinstance(index, int) or index < 0:
-            raise WalletError(f"child index {index!r} out of range")
+        if not isinstance(index, int) or not 0 <= index < HARDENED_BIT:
+            raise WalletError(f"child index {index!r} out of range: it "
+                              f"must be 0..{HARDENED_BIT - 1}",
+                              ReturnCode.ERROR_BAD_PARAMETERS)
         operation = Operation(Value(Direction.IN, pin, index), *extra)
         result = session.invoke_command(cmd_id, operation)
         if not result.success:

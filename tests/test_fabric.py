@@ -1,13 +1,17 @@
 """Fabric agents: staging, loads, slot lifecycle, dispatch, observability."""
 
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import make_image
+import teefab
 from teefab import client_api
 from teefab.client_api import Context, Direction, Operation, Value
 from teefab.enclave import (
@@ -25,6 +29,7 @@ from teefab.protocol import (
     AccessDeniedError,
     ImageFormatError,
     ImageSizeError,
+    ItemNotFoundError,
     LoadStatus,
     MailboxFrame,
     OperationId,
@@ -42,6 +47,7 @@ TA_KIND_BAD_CLOSE = 247
 TA_KIND_BAD_DESTROY = 248
 TA_KIND_NAP = 249
 TA_KIND_SPIN = 250
+TA_KIND_STORAGE_PROBE = 251
 
 
 class TripwireTa(TrustedApp):
@@ -97,12 +103,25 @@ class SpinTa(TrustedApp):
             pass
 
 
+class StorageProbeTa(TrustedApp):
+    """cmd 0: `get` value a distinct made-up object ids, none stored."""
+
+    def invoke_command(self, session, cmd_id, params):
+        count, _ = params.value(0)
+        for index in range(count):
+            try:
+                self.env.storage.get(b"probe-%d" % index)
+            except ItemNotFoundError:
+                pass
+
+
 register_ta_kind(TA_KIND_TRIPWIRE, TripwireTa)
 register_ta_kind(TA_KIND_STALL, StallTa)
 register_ta_kind(TA_KIND_BAD_CLOSE, BadCloseTa)
 register_ta_kind(TA_KIND_BAD_DESTROY, BadDestroyTa)
 register_ta_kind(TA_KIND_NAP, NapTa)
 register_ta_kind(TA_KIND_SPIN, SpinTa)
+register_ta_kind(TA_KIND_STORAGE_PROBE, StorageProbeTa)
 
 
 def open_frame():
@@ -361,6 +380,59 @@ def test_cm_free_unknown_offset():
     cm = CmRegion(capacity=1024)
     with pytest.raises(OutOfMemoryError):
         cm.free(512)
+
+
+def test_cm_region_is_zeroed_and_byte_exact_across_pages():
+    capacity = 3 * 4096
+    cm = CmRegion(capacity=capacity)
+    for offset in (0, capacity // 2, capacity - 1):
+        assert cm.read(offset, 1) == b"\x00"
+    data = bytes(range(256)) * 2
+    cm.write(4096 - 200, data)
+    assert cm.read(4096 - 200, len(data)) == data
+    assert cm.read(4096 - 201, 1) == b"\x00"
+    assert cm.read(4096 - 200 + len(data), 1) == b"\x00"
+    cm.write(capacity - 1, b"\xff")
+    assert cm.read(capacity - 1, 1) == b"\xff"
+    with pytest.raises(OutOfMemoryError):
+        cm.write(capacity, b"\xff")
+    with pytest.raises(OutOfMemoryError):
+        cm.read(capacity, 1)
+    with pytest.raises(ValueError):
+        CmRegion(capacity=0)
+
+
+# Run in a fresh interpreter: in this one, the allocator may hand a
+# bytearray pages that an earlier test's fabric left resident.
+_BOOT_RESIDENT_SCRIPT = """
+import os, sys
+from teefab.fabric import Fabric
+from teefab.config import SimConfig
+
+def resident():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+before = resident()
+fabric = Fabric(SimConfig(storage_dir=sys.argv[1]))
+print(resident() - before)
+fabric.shutdown()
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="needs /proc/self/statm")
+def test_booting_a_fabric_commits_no_staging_pages(tmp_path):
+    """The 16 MiB CM region is reserved address space, not touched at
+    boot, so a default fabric's resident cost is about its slots."""
+    src = str(Path(teefab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else os.pathsep.join((src, path)))
+    run = subprocess.run(
+        [sys.executable, "-c", _BOOT_RESIDENT_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert int(run.stdout) < 4 << 20
 
 
 def test_delay_model_busy_wait():
@@ -716,6 +788,56 @@ def test_turnstile_hands_turns_to_parked_threads_in_fifo_order():
     assert not turnstile._parked
 
 
+class _RacingWaiter:
+    """A parked thread's waiter whose timed wait runs out just as
+    `_handover` pops and releases it: it waits for the release, then
+    reports the bound as spent."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.lock.acquire()
+        self.timed_out = 0
+
+    def acquire(self, blocking=True, timeout=-1):
+        if timeout < 0:
+            return self.lock.acquire(blocking)
+        wait_until(lambda: not self.lock.locked())
+        self.timed_out += 1
+        return False
+
+    def release(self):
+        self.lock.release()
+
+
+def test_a_park_that_runs_out_as_it_is_woken_counts_as_a_turn():
+    turnstile = Turnstile()
+    waiter = _RacingWaiter()
+    done = threading.Event()
+
+    def contender():
+        turnstile._local.waiter = waiter
+        turnstile.enter()
+        turnstile.leave()       # parks: the main thread is a contender
+        done.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(5.0)  # only the stubbed wait runs out
+    try:
+        turnstile.enter()
+        thread = threading.Thread(target=contender)
+        thread.start()
+        wait_until(lambda: len(turnstile._parked) == 1)
+        turnstile.leave()       # pops and releases the waiter, then parks
+        thread.join(timeout=5.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive() and done.is_set()
+    assert waiter.timed_out == 1
+    assert turnstile._running == 0 and not turnstile._parked
+    # The waiter rests locked again, so its thread's next park waits.
+    assert waiter.lock.locked()
+
+
 def test_a_client_nesting_requests_counts_once():
     turnstile = Turnstile()
     turnstile.enter()
@@ -865,6 +987,18 @@ def test_two_wallet_clients_share_the_wallet_slot(fabric):
     fabric.audit()
     for slot in range(2):
         assert_scrubbed(fabric, slot)
+
+
+def test_a_ta_probing_missing_ids_leaves_the_lock_map_bounded(fabric):
+    size = len(fabric.services.storage._locks)
+    ta_uuid, image = make_image(TA_KIND_STORAGE_PROBE)
+    with Context(fabric) as ctx:
+        session = ctx.open_session(ta_uuid, image)
+        for _ in range(4):
+            assert session.invoke_command(
+                0, Operation(Value(Direction.IN, 500))).success
+        session.close()
+    assert len(fabric.services.storage._locks) == size
 
 
 def test_turnstile_counts_hold_under_many_clients(fabric):

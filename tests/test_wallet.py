@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import oracle_hd
-from teefab.client_api import Context
+from teefab.client_api import Context, Direction, Operation, Value
 from teefab.internal_api import crypto
 from teefab.protocol import AccessDeniedError, ReturnCode
 from teefab.wallet import (
@@ -38,7 +38,7 @@ from teefab.wallet.mnemonic import (
     normalize_mnemonic,
     validate_mnemonic,
 )
-from teefab.wallet.ta import CHILD_TABLE_CAP, CHILDREN_ID
+from teefab.wallet.ta import CHILD_TABLE_CAP, CHILDREN_ID, CMD_GET_ADDRESS
 
 REFERENCE_MNEMONIC = ("abandon abandon abandon abandon abandon abandon "
                       "abandon abandon abandon abandon abandon about")
@@ -333,6 +333,29 @@ def test_out_of_range_index_is_bad_parameters(wallet):
         assert info.value.code is ReturnCode.ERROR_BAD_PARAMETERS
 
 
+def test_client_names_the_child_index_range(wallet):
+    wallet.restore(PIN, REFERENCE_MNEMONIC)
+    for call in (lambda: wallet.get_address(PIN, 2**31),
+                 lambda: wallet.get_address(PIN, 5_000_000_000),
+                 lambda: wallet.sign(PIN, 2**31, DEMO_RAW_TX),
+                 lambda: wallet.sign(PIN, -1, DEMO_RAW_TX)):
+        with pytest.raises(WalletError,
+                           match=r"out of range: it must be 0\.\.2147483647"):
+            call()
+    assert wallet.get_address(PIN, 2**31 - 1).startswith("1")
+
+
+def test_wallet_ta_refuses_a_hardened_index_itself(fabric, wallet):
+    """The TA's own check, which the client's local one hides."""
+    wallet.restore(PIN, REFERENCE_MNEMONIC)
+    with Context(fabric) as ctx:
+        with ctx.open_session(WALLET_UUID, build_wallet_image()) as session:
+            block = session.allocate_shared_memory(40, Direction.OUT)
+            result = session.invoke_command(CMD_GET_ADDRESS, Operation(
+                Value(Direction.IN, PIN, 2**31), block))
+    assert result.code is ReturnCode.ERROR_BAD_PARAMETERS
+
+
 # --- the sealed child table --------------------------------------------------
 
 def _oracle_child(phrase, index):
@@ -484,6 +507,13 @@ def test_cli_failure_exit_codes(tmp_path, capsys):
     assert "wrong pin" in capsys.readouterr().err
     assert run_cli(tmp_path, "2", "1234") == 1
     assert "already exists" in capsys.readouterr().err
+
+
+def test_cli_reports_an_out_of_range_child_index(tmp_path, capsys):
+    for command in ("5", "6"):
+        assert run_cli(tmp_path, command, "1234", "-a", "5000000000") == 1
+        assert "error: child index 5000000000 out of range" \
+            in capsys.readouterr().err
 
 
 def test_cli_usage_errors(tmp_path, capsys):
