@@ -24,6 +24,7 @@ from .protocol import (
     ImageFormatError,
     ImageSizeError,
     ReplyFrame,
+    _MEMREF_SLOTS,
     decode_frame,
     encode_reply,
     decode_image_header,
@@ -187,9 +188,9 @@ _WRITABLE = frozenset((ParamKind.VALUE_OUT, _VALUE_INOUT))
 class TaParams:
     """Handler view of the four frame parameters."""
 
-    def __init__(self, frame, mem):
-        self._kinds = frame.kinds()
-        self._words = list(frame.gp)
+    def __init__(self, kinds, gp, mem):
+        self._kinds = kinds
+        self._words = list(gp)
         self._mem = mem
 
     def kind(self, index):
@@ -599,10 +600,9 @@ class EnclaveRuntime:
                 ReturnCode.ERROR_GENERIC, frame.session_id, frame.param_type,
                 frame.gp, frame.cmd_id))
         mem = MemoryContext(self.tcm, self.window, self._check_abort)
-        for i, kind in enumerate(frame.kinds()):
-            if kind is _MEMREF:
-                mem.grant(*frame.param_words(i))
-        params = TaParams(frame, mem)
+        for i in _MEMREF_SLOTS[frame.param_type]:
+            mem.grant(*frame.param_words(i))
+        params = TaParams(frame.kinds(), frame.gp, mem)
         code = _SUCCESS
         session_out = frame.session_id
         try:

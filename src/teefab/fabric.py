@@ -252,9 +252,11 @@ class _Exchange:
 
     def __enter__(self):
         self._turnstile.enter()
-        if not self._lock.acquire(True, sys.getswitchinterval()):
+        lock = self._lock
+        if not (lock.acquire(False)
+                or lock.acquire(True, sys.getswitchinterval())):
             with self._turnstile.stepped_out():
-                self._lock.acquire()
+                lock.acquire()
         return self
 
     def __exit__(self, *exc_info):
@@ -386,7 +388,8 @@ class Fabric:
                 self._load_status(LoadStatus.ERR_FORMAT, slot)
                 self._manager.notify_all()
             raise
-        with self._manager:
+        # Committed under the slot lock too, which `slot_load` reads under.
+        with record.runtime.lock, self._manager:
             record.state = SlotState.TAKEN
             record.uuid = ta_uuid
             record.generation += 1
@@ -523,10 +526,11 @@ class Fabric:
 
     def slot_load(self, slot_index):
         """(uuid, generation) of the load the slot hosts; uuid is None unless
-        the slot is TAKEN. Read under `exchange`, it holds until released:
-        freeing the slot needs that lock."""
+        the slot is TAKEN. Read under the slot lock, under which a load
+        commits and a scrub frees the slot, not the fabric-wide manager
+        lock. Read under `exchange`, it holds until released."""
         record = self._slots[slot_index]
-        with self._manager:
+        with record.runtime.lock:
             taken = record.state is _TAKEN
             return (record.uuid if taken else None), record.generation
 

@@ -23,6 +23,7 @@ import tempfile
 import threading
 import uuid as uuid_mod
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from cryptography.exceptions import InvalidTag
@@ -76,10 +77,6 @@ class DeviceKey:
         return "DeviceKey(<hidden>)"
 
 
-def _object_digest(object_id):
-    return hashlib.sha256(object_id).digest()
-
-
 def _canon_id(object_id):
     if isinstance(object_id, str):
         object_id = object_id.encode()
@@ -94,31 +91,46 @@ class SealedStorage:
     """Device-wide sealed object store, namespaced by TA uuid."""
 
     def __init__(self, root, device_key):
-        self._root = Path(root)
-        self._root.mkdir(parents=True, exist_ok=True)
+        self._root = os.fspath(root)
+        os.makedirs(self._root, exist_ok=True)
         self._device_key = device_key
         self._locks = tuple(threading.Lock() for _ in range(LOCK_STRIPES))
 
-    def _path(self, ta_uuid, object_id):
-        return self._root / ta_uuid.hex / _object_digest(object_id).hex()
+    def sealer(self, ta_uuid):
+        """The AES-GCM cipher that seals ta_uuid's objects; the one place a
+        sealing key is derived."""
+        return AESGCM(self._device_key.sealing_key(ta_uuid))
 
-    def _lock_for(self, object_id):
-        """The lock that makes put, get and delete of one object atomic."""
-        return self._locks[_object_digest(object_id)[0] % LOCK_STRIPES]
-
-    def put(self, ta_uuid, object_id, payload):
-        """Seal payload under (device key, ta_uuid); atomic replace."""
+    def _locate(self, ta_uuid, object_id):
+        """(canonical id, id digest, object directory, object file): the
+        id is hashed once per call, for the path, the lock and the header."""
         object_id = _canon_id(object_id)
+        digest = hashlib.sha256(object_id).digest()
+        directory = f"{self._root}{os.sep}{ta_uuid.hex}"
+        return object_id, digest, directory, \
+            f"{directory}{os.sep}{digest.hex()}"
+
+    def _path(self, ta_uuid, object_id):
+        return Path(self._locate(ta_uuid, object_id)[3])
+
+    def _lock_for(self, digest):
+        """The lock that makes put, get and delete of one object atomic."""
+        return self._locks[digest[0] % LOCK_STRIPES]
+
+    def put(self, ta_uuid, object_id, payload, cipher=None):
+        """Seal payload under (device key, ta_uuid); atomic replace. `cipher`
+        is the TA's `sealer(ta_uuid)`, derived here when not given."""
+        object_id, digest, directory, path = self._locate(ta_uuid, object_id)
         payload = bytes(payload)
-        path = self._path(ta_uuid, object_id)
         nonce = os.urandom(NONCE_LEN)
         header = _HEADER.pack(SEALED_MAGIC, ta_uuid.bytes, len(object_id),
-                              _object_digest(object_id), nonce, len(payload))
-        cipher = AESGCM(self._device_key.sealing_key(ta_uuid))
+                              digest, nonce, len(payload))
+        if cipher is None:
+            cipher = self.sealer(ta_uuid)
         sealed = cipher.encrypt(nonce, payload, header)
-        with self._lock_for(object_id):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".seal-")
+        with self._lock_for(digest):
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".seal-")
             try:
                 with os.fdopen(fd, "wb") as handle:
                     handle.write(header + sealed)
@@ -127,13 +139,14 @@ class SealedStorage:
                 os.unlink(tmp_name)
                 raise
 
-    def get(self, ta_uuid, object_id):
-        """Unseal and return the payload; authentication must pass."""
-        object_id = _canon_id(object_id)
-        path = self._path(ta_uuid, object_id)
-        with self._lock_for(object_id):
+    def get(self, ta_uuid, object_id, cipher=None):
+        """Unseal and return the payload; authentication must pass. `cipher`
+        is the TA's `sealer(ta_uuid)`, derived here when not given."""
+        object_id, digest, _directory, path = self._locate(ta_uuid, object_id)
+        with self._lock_for(digest):
             try:
-                blob = path.read_bytes()
+                with open(path, "rb", buffering=0) as handle:
+                    blob = handle.read()
             except FileNotFoundError:
                 raise ItemNotFoundError(
                     f"no sealed object for id {object_id!r}") from None
@@ -143,10 +156,11 @@ class SealedStorage:
         if (magic != SEALED_MAGIC
                 or uuid_bytes != ta_uuid.bytes
                 or id_len != len(object_id)
-                or id_digest != _object_digest(object_id)
+                or id_digest != digest
                 or len(blob) != _HEADER.size + length + TAG_LEN):
             raise TamperedObjectError("sealed blob header mismatch")
-        cipher = AESGCM(self._device_key.sealing_key(ta_uuid))
+        if cipher is None:
+            cipher = self.sealer(ta_uuid)
         try:
             return cipher.decrypt(nonce, blob[_HEADER.size:], blob[:_HEADER.size])
         except InvalidTag:
@@ -154,31 +168,38 @@ class SealedStorage:
 
     def delete(self, ta_uuid, object_id):
         """Remove one sealed object; missing objects are an error."""
-        object_id = _canon_id(object_id)
-        path = self._path(ta_uuid, object_id)
-        with self._lock_for(object_id):
+        object_id, digest, _directory, path = self._locate(ta_uuid, object_id)
+        with self._lock_for(digest):
             try:
-                path.unlink()
+                os.unlink(path)
             except FileNotFoundError:
                 raise ItemNotFoundError(
                     f"no sealed object for id {object_id!r}") from None
 
     def exists(self, ta_uuid, object_id):
-        return self._path(ta_uuid, _canon_id(object_id)).is_file()
+        return os.path.isfile(self._locate(ta_uuid, object_id)[3])
 
 
 class TaStorage:
-    """A TA's own view of the store: its uuid is fixed, not a parameter."""
+    """A TA's own view of the store: its uuid is fixed, not a parameter.
+
+    The view derives its sealing cipher at its first get or put and keeps
+    it, so the cipher lives as long as the TA instance that holds the view
+    and goes with it at scrub. TAs that never seal derive nothing."""
 
     def __init__(self, storage, ta_uuid):
         self._storage = storage
         self._uuid = ta_uuid
 
+    @cached_property
+    def _cipher(self):
+        return self._storage.sealer(self._uuid)
+
     def put(self, object_id, payload):
-        self._storage.put(self._uuid, object_id, payload)
+        self._storage.put(self._uuid, object_id, payload, self._cipher)
 
     def get(self, object_id):
-        return self._storage.get(self._uuid, object_id)
+        return self._storage.get(self._uuid, object_id, self._cipher)
 
     def delete(self, object_id):
         self._storage.delete(self._uuid, object_id)

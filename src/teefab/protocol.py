@@ -251,6 +251,7 @@ class MailboxFrame(NamedTuple):
         if len(words) > GP_WORDS:
             raise InvalidFrame(f"at most {GP_WORDS} gp words, got {len(words)}")
         words += [0] * (GP_WORDS - len(words))
+        _check_frame_words((session_id, *words, cmd_id))
         # An unknown operation stays as given, for validate() to name.
         frame = cls(_OPERATIONS.get(operation, operation), session_id,
                     pack_param_types(kinds), tuple(words), cmd_id)
@@ -265,11 +266,14 @@ class MailboxFrame(NamedTuple):
         return self.gp[2 * index], self.gp[2 * index + 1]
 
     def validate(self):
+        """Check the operation, the gp word count, param_type and each
+        memref's bounds. That every word is 32-bit is checked where the
+        words come in, once: by `build` from a caller's values and by
+        `decode_frame` from the mailbox, its two callers."""
         if self.operation not in _OPERATIONS:
             raise InvalidFrame(f"operation word {self.operation!r} not in 1..3")
         if len(self.gp) != GP_WORDS:
             raise InvalidFrame(f"expected {GP_WORDS} gp words, got {len(self.gp)}")
-        _check_frame_words((self.session_id, *self.gp, self.cmd_id))
         self.kinds()  # raises on upper bits or an unknown nibble
         for i in _MEMREF_SLOTS[self.param_type]:
             offset, length = self.param_words(i)

@@ -71,7 +71,16 @@ class WalletClient:
     def close(self):
         self._context.close()
 
-    def _open(self):
+    def _open(self, pin, index=0):
+        """A session for one command, once the pin and the child index
+        pass the client's own checks: a request refused here loads no
+        enclave."""
+        if not isinstance(pin, int) or not 0 <= pin <= PIN_MAX:
+            raise WalletError(f"pin must be 0..{PIN_MAX}")
+        if not isinstance(index, int) or not 0 <= index < HARDENED_BIT:
+            raise WalletError(f"child index {index!r} out of range: it "
+                              f"must be 0..{HARDENED_BIT - 1}",
+                              ReturnCode.ERROR_BAD_PARAMETERS)
         try:
             return self._context.open_session(WALLET_UUID, self._image)
         except TeeError as exc:
@@ -82,13 +91,8 @@ class WalletClient:
 
     @staticmethod
     def _invoke(session, cmd_id, pin, index, extra):
-        """Invoke with the standard credential word; map failures."""
-        if not isinstance(pin, int) or not 0 <= pin <= PIN_MAX:
-            raise WalletError(f"pin must be 0..{PIN_MAX}")
-        if not isinstance(index, int) or not 0 <= index < HARDENED_BIT:
-            raise WalletError(f"child index {index!r} out of range: it "
-                              f"must be 0..{HARDENED_BIT - 1}",
-                              ReturnCode.ERROR_BAD_PARAMETERS)
+        """Invoke with the standard credential word, which `_open` has
+        checked; map failures."""
         operation = Operation(Value(Direction.IN, pin, index), *extra)
         result = session.invoke_command(cmd_id, operation)
         if not result.success:
@@ -102,14 +106,14 @@ class WalletClient:
 
     def check_exists(self, pin=0):
         """True when a master record is stored."""
-        with self._open() as session:
+        with self._open(pin) as session:
             result = self._invoke(session, CMD_CHECK_EXISTS, pin, 0,
                                   [Value(Direction.OUT)])
             return bool(result.value(1)[0])
 
     def generate(self, pin):
         """Create a fresh wallet; returns the backup phrase."""
-        with self._open() as session:
+        with self._open(pin) as session:
             block = session.allocate_shared_memory(_MNEMONIC_BUFFER,
                                                    Direction.OUT)
             self._invoke(session, CMD_GENERATE, pin, 0, [block])
@@ -118,20 +122,20 @@ class WalletClient:
     def restore(self, pin, mnemonic):
         """Replace the wallet with one derived from a backup phrase."""
         phrase = mnemonic.encode() if isinstance(mnemonic, str) else bytes(mnemonic)
-        with self._open() as session:
+        with self._open(pin) as session:
             block = session.allocate_shared_memory(len(phrase), Direction.IN)
             block.write(phrase)
             self._invoke(session, CMD_RESTORE, pin, 0, [block])
 
     def delete(self, pin):
         """Remove the stored wallet record."""
-        with self._open() as session:
+        with self._open(pin) as session:
             self._invoke(session, CMD_DELETE, pin, 0, [])
 
     def sign(self, pin, index, raw_tx):
         """Sign a raw transaction with hardened child `index`; hex out."""
         raw_tx = bytes(raw_tx)
-        with self._open() as session:
+        with self._open(pin, index) as session:
             tx_block = session.allocate_shared_memory(len(raw_tx),
                                                       Direction.IN)
             tx_block.write(raw_tx)
@@ -142,7 +146,7 @@ class WalletClient:
 
     def get_address(self, pin, index=0):
         """P2PKH address of hardened child `index`."""
-        with self._open() as session:
+        with self._open(pin, index) as session:
             block = session.allocate_shared_memory(_ADDRESS_BUFFER,
                                                    Direction.OUT)
             self._invoke(session, CMD_GET_ADDRESS, pin, index, [block])

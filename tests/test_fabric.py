@@ -163,6 +163,23 @@ def test_cold_then_warm_open(fabric):
     assert fabric.slot_snapshot()[slot]["state"] == "FREE"
 
 
+def test_slot_load_does_not_wait_for_the_manager_lock(fabric):
+    """A warm request checks its slot's load under the slot lock alone, so
+    a manager busy elsewhere does not hold it up."""
+    ta_uuid, image = make_image(TA_KIND_INCREMENT)
+    offset, size = fabric.cm_stage(image)
+    slot, _fresh = fabric.manager_open(ta_uuid, offset, size)
+    hosted = []
+    with fabric._manager:
+        reader = threading.Thread(
+            target=lambda: hosted.append(fabric.slot_load(slot)))
+        reader.start()
+        reader.join(timeout=2.0)
+        assert not reader.is_alive()
+    assert hosted == [(ta_uuid, 1)]
+    fabric.release_pending(slot)
+
+
 def test_oversized_image_rejected(fabric):
     ta_uuid, _ = make_image(TA_KIND_INCREMENT)
     with pytest.raises(ImageSizeError):
@@ -954,6 +971,62 @@ def test_two_clients_take_turns(fabric):
         assert switches / (len(middle) - 1) >= 0.6
         fabric.wait_idle()
         fabric.audit()
+
+
+def test_six_tenants_each_get_turns_on_their_own_slots(fabric_factory):
+    """The paper's six enclaves, each with a client of its own doing
+    increments on its warm slot: every reply is right, every client ends
+    within 10 s, and while all six are running each completes at least
+    once in every window of 25 completions per tenant."""
+    tenants, increments, window = 6, 300, 25 * 6
+    fabric = fabric_factory(enclave_count=tenants)
+    order, errors, slots, elapsed = [], [], set(), {}
+    ready = threading.Barrier(tenants)
+
+    def client(tag):
+        ta_uuid, image = make_image(TA_KIND_INCREMENT, tag=tag)
+        try:
+            with Context(fabric) as ctx:
+                session = ctx.open_session(ta_uuid, image)
+                slots.add(session.slot_index)
+                ready.wait(timeout=5.0)
+                start = time.monotonic()
+                for value in range(increments):
+                    got = increment(session, value)
+                    if got != value + 1:
+                        errors.append((tag, value, got))
+                    order.append(tag)
+                elapsed[tag] = time.monotonic() - start
+                session.close()
+        except Exception as exc:  # reported below, with the tag
+            errors.append((tag, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-3)
+    try:
+        threads = [threading.Thread(target=client, args=(tag,))
+                   for tag in range(tenants)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(slots) == tenants
+    assert len(order) == tenants * increments
+    assert max(elapsed.values()) < 10.0
+    # The stretch in which all six are running: from the last client's
+    # first completion to the first client's last one.
+    start = max(order.index(tag) for tag in range(tenants))
+    end = min(len(order) - 1 - order[::-1].index(tag)
+              for tag in range(tenants))
+    assert end - start >= 2 * window
+    for at in range(start, end - window + 2):
+        assert set(order[at:at + window]) == set(range(tenants)), at
+    fabric.wait_idle()
+    fabric.audit()
 
 
 def test_two_wallet_clients_share_the_wallet_slot(fabric):

@@ -288,3 +288,83 @@ def test_ta_storage_view_is_scoped(tmp_path):
     view_b.put(b"shared-name", b"B data")
     assert view_a.get(b"shared-name") == b"A data"
     assert view_b.get(b"shared-name") == b"B data"
+
+
+def test_ta_view_reports_a_missing_object(tmp_path):
+    view = TaStorage(SealedStorage(tmp_path, DeviceKey.from_seed("s")), UUID_A)
+    with pytest.raises(ItemNotFoundError):
+        view.get(b"never-stored")
+    view.put(b"obj", b"payload")
+    view.delete(b"obj")
+    with pytest.raises(ItemNotFoundError):
+        view.get(b"obj")
+
+
+@pytest.mark.parametrize("resize", [
+    lambda raw: raw[:-1], lambda raw: raw[:40], lambda raw: b"",
+    lambda raw: raw + b"\x00", lambda raw: raw + raw],
+    ids=["short-by-one", "header-cut", "empty", "long-by-one", "doubled"])
+def test_a_truncated_or_extended_blob_is_tampered(tmp_path, resize):
+    store = SealedStorage(tmp_path, DeviceKey.from_seed("s"))
+    view = TaStorage(store, UUID_A)
+    view.put(b"obj", b"sealed payload")
+    path = store._path(UUID_A, b"obj")
+    path.write_bytes(resize(path.read_bytes()))
+    with pytest.raises(TamperedObjectError):
+        view.get(b"obj")
+    with pytest.raises(TamperedObjectError):
+        store.get(UUID_A, b"obj")
+
+
+def test_a_directory_at_the_object_path_does_not_exist(tmp_path):
+    store = SealedStorage(tmp_path, DeviceKey.from_seed("s"))
+    store._path(UUID_A, b"obj").mkdir(parents=True)
+    assert not store.exists(UUID_A, b"obj")
+    assert not TaStorage(store, UUID_A).exists(b"obj")
+
+
+def test_a_view_derives_its_cipher_once_and_only_to_seal(tmp_path,
+                                                          monkeypatch):
+    store = SealedStorage(tmp_path, DeviceKey.from_seed("s"))
+    derived = []
+    sealer = SealedStorage.sealer
+
+    def counting_sealer(self, ta_uuid):
+        derived.append(ta_uuid)
+        return sealer(self, ta_uuid)
+
+    monkeypatch.setattr(SealedStorage, "sealer", counting_sealer)
+    view = TaStorage(store, UUID_A)
+    assert not view.exists(b"obj")
+    with pytest.raises(ItemNotFoundError):
+        view.delete(b"obj")
+    assert derived == []
+    for round_ in range(3):
+        view.put(b"obj", b"v%d" % round_)
+        assert view.get(b"obj") == b"v%d" % round_
+    assert derived == [UUID_A]
+    assert store.get(UUID_A, b"obj") == b"v2"
+    assert derived == [UUID_A, UUID_A]
+
+
+def test_another_view_cannot_unseal_with_a_derived_cipher_about(tmp_path):
+    """A's view has derived and kept its cipher; B's view unseals only
+    under its own key: neither A's blob copied into B's place nor a blob
+    with B's header sealed under A's cipher opens for B."""
+    store = SealedStorage(tmp_path, DeviceKey.from_seed("s"))
+    view_a, view_b = TaStorage(store, UUID_A), TaStorage(store, UUID_B)
+    view_a.put(b"secret", b"belongs to A")
+    assert view_a.get(b"secret") == b"belongs to A"
+    view_b.put(b"own", b"belongs to B")
+    assert not view_b.exists(b"secret")
+    with pytest.raises(ItemNotFoundError):
+        view_b.get(b"secret")
+    stolen = store._path(UUID_B, b"secret")
+    stolen.write_bytes(store._path(UUID_A, b"secret").read_bytes())
+    with pytest.raises(AccessDeniedError):
+        view_b.get(b"secret")
+    store.put(UUID_B, b"secret", b"sealed by A", store.sealer(UUID_A))
+    with pytest.raises(TamperedObjectError):
+        view_b.get(b"secret")
+    assert view_b.get(b"own") == b"belongs to B"
+    assert view_a.get(b"secret") == b"belongs to A"

@@ -245,6 +245,16 @@ def test_decoders_reject_a_bad_word_anywhere(decode, words, position, bad):
         decode(words)
 
 
+@pytest.mark.parametrize("param_type", [0x4, 0x60, 0xF000, 0x10000,
+                                        0xFFFFFFFF], ids=hex)
+def test_decode_frame_rejects_a_32_bit_param_type_that_is_no_kind(
+        param_type):
+    words = list(_request_words())
+    words[2] = param_type
+    with pytest.raises(InvalidFrame, match="param_type|parameter"):
+        decode_frame(words)
+
+
 class _Index:
     """Not an int, but struct packs it through __index__."""
 

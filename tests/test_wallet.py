@@ -345,6 +345,23 @@ def test_client_names_the_child_index_range(wallet):
     assert wallet.get_address(PIN, 2**31 - 1).startswith("1")
 
 
+def test_a_refused_request_loads_no_enclave(fabric, wallet):
+    def loads():
+        return (fabric.load_count, len(fabric.events("stage")),
+                len(fabric.events("load")), len(fabric.events("open")))
+
+    before = loads()
+    for call in (lambda: wallet.get_address(PIN, 2**31),
+                 lambda: wallet.sign(PIN, -1, DEMO_RAW_TX),
+                 lambda: wallet.check_exists(10000),
+                 lambda: wallet.restore(-1, REFERENCE_MNEMONIC)):
+        with pytest.raises(WalletError):
+            call()
+    assert loads() == before
+    assert wallet.check_exists(PIN) is False
+    assert fabric.load_count == before[0] + 1
+
+
 def test_wallet_ta_refuses_a_hardened_index_itself(fabric, wallet):
     """The TA's own check, which the client's local one hides."""
     wallet.restore(PIN, REFERENCE_MNEMONIC)
