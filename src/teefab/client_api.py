@@ -205,14 +205,14 @@ class Context:
                         f"slot {slot} no longer hosts TA {ta_uuid}")
                     continue
                 try:
+                    # The reply drops this open's retain, whatever its code.
                     reply = self.fabric.comm_dispatch(
                         slot, MailboxFrame.build(_OPEN, 0))
                 except AccessDeniedError as exc:
-                    self.fabric.release_pending(slot)
+                    # Torn down under way; the scrub drops the retain.
                     last_error = exc
                     continue
             if reply.code is not _SUCCESS:
-                self.fabric.release_pending(slot)
                 raise error_for_code(reply.code,
                                      f"TA {ta_uuid} rejected the session")
             return Session(self, ta_uuid, slot, reply.session_id, generation)
@@ -320,7 +320,7 @@ class Session:
                 try:
                     fabric.comm_dispatch(self.slot_index, frame)
                 except AccessDeniedError:
-                    pass  # quarantined or reset: the session is gone
+                    pass  # torn down under way: the session is gone
         self.session_id = 0
 
     def __enter__(self):

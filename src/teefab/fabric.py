@@ -26,11 +26,9 @@ from .protocol import (
     ImageFormatError,
     ImageSizeError,
     LoadStatus,
-    ManagerRegisters,
     OperationId,
     OutOfEnclavesError,
     OutOfMemoryError,
-    ReturnCode,
     decode_frame,
     decode_image_header,
     decode_reply,
@@ -50,8 +48,7 @@ class SlotState(IntEnum):
 
 # Members read on every dispatch, bound once: on Python 3.11 each
 # `Enum.MEMBER` read costs several times a module global's.
-_TAKEN = SlotState.TAKEN
-_SUCCESS = ReturnCode.SUCCESS
+_LOADING, _TAKEN = SlotState.LOADING, SlotState.TAKEN
 _OPEN, _CLOSE = OperationId.OPEN, OperationId.CLOSE
 
 
@@ -267,9 +264,9 @@ class _Exchange:
 
 
 class EnclaveSlot:
-    """Manager bookkeeping for one enclave: lifecycle state, the hosted load
-    and its open-retains. The core owns the slot lock, the reset and the
-    session count."""
+    """The manager's one record of an enclave: lifecycle state, the uuid it
+    loads or hosts, the load's generation and its open-retains. The core
+    owns the slot lock, the reset and the session count."""
 
     def __init__(self, index, runtime, turnstile):
         self.index = index
@@ -293,7 +290,6 @@ class Fabric:
             storage=SealedStorage(storage_root, self.config.device_key()))
         self.delay = DelayModel(self.config.dma_ns_per_byte,
                                 self.config.dma_ns_per_op)
-        self.registers = ManagerRegisters()
         self.cm = CmRegion()
         uart_dir = self.config.uart_dir
         if uart_dir is not None:
@@ -305,8 +301,6 @@ class Fabric:
             if uart_dir is not None:
                 runtime.uart.attach_file(Path(uart_dir) / f"enclave{index}.log")
             self._slots.append(EnclaveSlot(index, runtime, self.turnstile))
-        self.loaded_tas = {}
-        self._loading = set()
         self._manager = threading.Condition()
         self._load_count = 0
         self._events = deque(maxlen=EVENT_CAPACITY)
@@ -336,20 +330,17 @@ class Fabric:
         follow-up OPEN dispatch. Returns (slot_index, fresh_load)."""
         with self._manager:
             while True:
-                slot = self.loaded_tas.get(ta_uuid)
-                if slot is not None:
-                    self._slots[slot].pending += 1
-                    self._log("open", slot, uuid=ta_uuid, warm=True)
-                    return slot, False
-                if ta_uuid not in self._loading:
+                record = self._hosting(ta_uuid, _TAKEN)
+                if record is not None:
+                    record.pending += 1
+                    self._log("open", record.index, uuid=ta_uuid, warm=True)
+                    return record.index, False
+                if self._hosting(ta_uuid, _LOADING) is None:
                     break
                 # Another caller is loading this TA; join its outcome.
                 self._manager.wait()
-            self.registers.uuid = ta_uuid
-            self.registers.addr = cm_addr
-            self.registers.size = size
             if size > MAX_IMAGE_SIZE:
-                self._load_status(LoadStatus.ERR_SIZE)
+                self._load_status(ta_uuid, LoadStatus.ERR_SIZE)
                 raise ImageSizeError(
                     f"image of {size} bytes exceeds the {MAX_IMAGE_SIZE}-byte "
                     f"private memory")
@@ -367,12 +358,10 @@ class Fabric:
                         f"image uuid {image_uuid} does not match requested "
                         f"{ta_uuid}")
             except (ImageFormatError, ImageSizeError):
-                self._load_status(LoadStatus.ERR_FORMAT)
+                self._load_status(ta_uuid, LoadStatus.ERR_FORMAT)
                 raise
-            slot = self._acquire_free_slot()
-            self._loading.add(ta_uuid)
-            self.registers.status = LoadStatus.LOADING
-        record = self._slots[slot]
+            record = self._acquire_free_slot(ta_uuid)
+        slot = record.index
         try:
             self._loader_copy(record, data)
             record.runtime.deassert_reset()
@@ -381,43 +370,45 @@ class Fabric:
                     f"no trusted application registered for the image in "
                     f"slot {slot}")
         except Exception:
-            record.runtime.assert_reset()
             with self._manager:
-                record.state = SlotState.FREE
-                self._loading.discard(ta_uuid)
-                self._load_status(LoadStatus.ERR_FORMAT, slot)
-                self._manager.notify_all()
+                self._load_status(ta_uuid, LoadStatus.ERR_FORMAT, slot)
+                self._begin_scrub(record)
+            self._scrub(record)
             raise
         # Committed under the slot lock too, which `slot_load` reads under.
         with record.runtime.lock, self._manager:
-            record.state = SlotState.TAKEN
-            record.uuid = ta_uuid
+            record.state = _TAKEN
             record.generation += 1
             record.pending = 1
-            self.loaded_tas[ta_uuid] = slot
-            self._loading.discard(ta_uuid)
-            self._load_status(LoadStatus.LOADED, slot)
+            self._load_status(ta_uuid, LoadStatus.LOADED, slot)
             self._manager.notify_all()
         self._log("open", slot, uuid=ta_uuid, warm=False)
         return slot, True
 
-    def _load_status(self, status, slot=None):
-        """Log a load's outcome; the status register then reads IDLE again.
-        Caller holds the manager lock."""
-        self._log("load_status", slot, uuid=self.registers.uuid,
-                  status=status)
-        self.registers.status = LoadStatus.IDLE
+    def _load_status(self, ta_uuid, status, slot=None):
+        """Log the outcome of the load of ta_uuid."""
+        self._log("load_status", slot, uuid=ta_uuid, status=status)
 
-    def _acquire_free_slot(self):
-        """Lowest-index free slot; waits out in-flight cleanups before
-        declaring the fabric full. Caller holds the manager lock."""
+    def _hosting(self, ta_uuid, state):
+        """The record in `state` for ta_uuid, or None. Caller holds the
+        manager lock."""
+        for record in self._slots:
+            if record.state is state and record.uuid == ta_uuid:
+                return record
+        return None
+
+    def _acquire_free_slot(self, ta_uuid):
+        """Claim the lowest-index free slot for loading ta_uuid; waits out
+        in-flight cleanups before declaring the fabric full. Caller holds
+        the manager lock."""
         while True:
             for record in self._slots:
                 if record.state is SlotState.FREE:
-                    record.state = SlotState.LOADING
-                    return record.index
+                    record.state = _LOADING
+                    record.uuid = ta_uuid
+                    return record
             if not any(r.state is SlotState.CLEANING for r in self._slots):
-                self._load_status(LoadStatus.ERR_FULL)
+                self._load_status(ta_uuid, LoadStatus.ERR_FULL)
                 raise OutOfEnclavesError("no free enclave slot")
             self._manager.wait()
 
@@ -444,27 +435,28 @@ class Fabric:
         self._scrub(record)
 
     def release_pending(self, slot_index):
-        """Drop one open-retain; may scrub a slot nobody uses any more."""
+        """Drop the retain of a `manager_open` that no OPEN dispatch
+        follows; may scrub a slot nobody uses any more. The reply to an
+        OPEN drops its own retain."""
         self._maybe_cleanup(self._slots[slot_index], release=True)
 
-    def _maybe_cleanup(self, record, release=False):
-        """Scrub a TAKEN slot with no session and no pending open, after
-        dropping one open-retain when `release` is set; both in one hold
-        of the manager lock, so no reader sees the slot unheld yet
-        TAKEN."""
+    def _maybe_cleanup(self, record, release=False, faulted=False):
+        """Scrub a TAKEN slot whose core faulted, or that has no session
+        and no pending open, after dropping one open-retain when `release`
+        is set; all in one hold of the manager lock, so no reader sees the
+        slot unheld yet TAKEN. A slot already CLEANING is left to the
+        scrub under way."""
         with self._manager:
             if release:
                 record.pending = max(0, record.pending - 1)
-            if (record.state is not _TAKEN or record.pending
-                    or record.runtime.session_count):
+            if record.state is not _TAKEN or (not faulted and (
+                    record.pending or record.runtime.session_count)):
                 return
             self._begin_scrub(record)
         self._scrub(record)
 
     def _begin_scrub(self, record):
-        """TAKEN -> CLEANING; caller holds the manager lock."""
-        if record.uuid is not None:
-            self.loaded_tas.pop(record.uuid, None)
+        """TAKEN or LOADING -> CLEANING; caller holds the manager lock."""
         record.state = SlotState.CLEANING
 
     def _scrub(self, record):
@@ -490,9 +482,6 @@ class Fabric:
         with runtime.lock:
             if record.state is not _TAKEN:
                 raise AccessDeniedError(f"slot {slot_index} is not taken")
-            if self.config.quarantine_on_fault and runtime.faulted:
-                raise AccessDeniedError(
-                    f"slot {slot_index} is quarantined after a fault")
             words = encode_frame(frame)
             start = time.perf_counter_ns()
             self.delay.charge(_MAILBOX_BYTES)
@@ -506,13 +495,14 @@ class Fabric:
             self._log("dispatch", slot_index, op=frame.operation,
                       cmd=frame.cmd_id, code=reply.code,
                       dur_ns=time.perf_counter_ns() - start)
-            if frame.operation is _OPEN:
-                if reply.code is _SUCCESS:
-                    # The core counts the session; this open's retain ends.
-                    # Freeing the slot needs the lock held here, so the
-                    # retain still belongs to the load that answered.
-                    with self._manager:
-                        record.pending = max(0, record.pending - 1)
+            # Under the slot lock, so the slot still holds the load that
+            # answered.
+            if self.config.quarantine_on_fault and runtime.faulted:
+                # Scrubbed at once, which ends every session on the slot.
+                self._maybe_cleanup(record, faulted=True)
+            elif frame.operation is _OPEN:
+                # The reply ends this open's retain, whatever its code.
+                self._maybe_cleanup(record, release=True)
             elif frame.operation is _CLOSE:
                 # Whatever the reply code: a TA that faults while closing
                 # still loses the session in the core.
@@ -575,6 +565,12 @@ class Fabric:
         with self._manager:
             return self._load_count
 
+    @property
+    def loaded_tas(self):
+        """{uuid: slot index} of the TAs the slots host now."""
+        with self._manager:
+            return {r.uuid: r.index for r in self._slots if r.state is _TAKEN}
+
     def slot_snapshot(self):
         with self._manager:
             return [{
@@ -592,29 +588,23 @@ class Fabric:
     def audit(self):
         """Check slot-allocation soundness; raises AssertionError on drift.
 
-        Each slot is checked under its slot lock, which a CLOSE holds from
-        the core dropping the session until the fabric frees the slot. A
-        TA that ignores the abort and holds its slot blocks the audit."""
+        No uuid may be loading or hosted on two slots. Each slot is then
+        checked under its slot lock, which a CLOSE holds from the core
+        dropping the session until the fabric frees the slot: a TAKEN slot
+        has a uuid and a session or a pending open. A TA that ignores the
+        abort and holds its slot blocks the audit."""
         with self._manager:
-            mapped = {}
-            for ta_uuid, slot in self.loaded_tas.items():
-                if slot in mapped.values():
-                    raise AssertionError(f"slot {slot} mapped twice")
-                mapped[ta_uuid] = slot
+            claimed = [r.uuid for r in self._slots
+                       if r.state in (_LOADING, _TAKEN)]
+        if len(set(claimed)) != len(claimed):
+            raise AssertionError(f"a TA is on two slots: {claimed}")
         for record in self._slots:
             with record.runtime.lock, self._manager:
-                taken = record.state is SlotState.TAKEN
-                in_map = record.uuid is not None and \
-                    self.loaded_tas.get(record.uuid) == record.index
-                if taken != in_map:
+                if record.state is _TAKEN and (record.uuid is None or not (
+                        record.pending or record.runtime.session_count)):
                     raise AssertionError(
-                        f"slot {record.index}: taken={taken} but mapping "
-                        f"says {in_map}")
-                if taken and not (record.pending
-                                  or record.runtime.session_count):
-                    raise AssertionError(
-                        f"slot {record.index} is TAKEN with no session "
-                        f"and no pending open")
+                        f"slot {record.index} is TAKEN with no uuid, or "
+                        f"with no session and no pending open")
         return self.slot_snapshot()
 
     def wait_idle(self, timeout=30):

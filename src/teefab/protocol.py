@@ -2,7 +2,8 @@
 
 Everything that crosses the mailbox or the loader path is defined here:
 the 12-word request/reply frame, the packed parameter-type field, return
-codes, the loadable TA image container, and the manager's register block.
+codes, the loadable TA image container, and the load outcomes the manager
+logs (`LoadStatus`).
 All multi-word values are little-endian when serialized to bytes.
 """
 
@@ -63,10 +64,8 @@ class ReturnCode(IntEnum):
 
 
 class LoadStatus(IntEnum):
-    """Manager status register values during a load handshake."""
+    """Outcome of a load, as the manager logs it in a `load_status` event."""
 
-    IDLE = 0
-    LOADING = 1
     LOADED = 2
     ERR_FULL = 3
     ERR_SIZE = 4
@@ -457,13 +456,3 @@ def error_for_code(code, message=""):
     exc_class = _CODE_ERRORS.get(ReturnCode(code), TeeError)
     exc = exc_class(message or f"operation failed with {ReturnCode(code).name}")
     return exc
-
-
-@dataclass
-class ManagerRegisters:
-    """REE-facing register block of the fabric manager."""
-
-    uuid: uuid_mod.UUID = uuid_mod.UUID(int=0)
-    addr: int = 0
-    size: int = 0
-    status: LoadStatus = LoadStatus.IDLE

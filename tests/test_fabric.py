@@ -21,7 +21,13 @@ from teefab.enclave import (
     TrustedApp,
     register_ta_kind,
 )
-from teefab.fabric import EVENT_CAPACITY, CmRegion, DelayModel, Turnstile
+from teefab.fabric import (
+    EVENT_CAPACITY,
+    CmRegion,
+    DelayModel,
+    Fabric,
+    Turnstile,
+)
 from teefab.protocol import (
     MAX_IMAGE_SIZE,
     SHM_WINDOW_SIZE,
@@ -48,6 +54,7 @@ TA_KIND_BAD_DESTROY = 248
 TA_KIND_NAP = 249
 TA_KIND_SPIN = 250
 TA_KIND_STORAGE_PROBE = 251
+TA_KIND_REFUSE_OPEN = 252
 
 
 class TripwireTa(TrustedApp):
@@ -115,6 +122,13 @@ class StorageProbeTa(TrustedApp):
                 pass
 
 
+class RefuseOpenTa(TrustedApp):
+    """Refuses every session."""
+
+    def open_session(self, params):
+        raise AccessDeniedError("no sessions here")
+
+
 register_ta_kind(TA_KIND_TRIPWIRE, TripwireTa)
 register_ta_kind(TA_KIND_STALL, StallTa)
 register_ta_kind(TA_KIND_BAD_CLOSE, BadCloseTa)
@@ -122,6 +136,7 @@ register_ta_kind(TA_KIND_BAD_DESTROY, BadDestroyTa)
 register_ta_kind(TA_KIND_NAP, NapTa)
 register_ta_kind(TA_KIND_SPIN, SpinTa)
 register_ta_kind(TA_KIND_STORAGE_PROBE, StorageProbeTa)
+register_ta_kind(TA_KIND_REFUSE_OPEN, RefuseOpenTa)
 
 
 def open_frame():
@@ -156,7 +171,6 @@ def test_cold_then_warm_open(fabric):
     assert again == slot and not fresh
     assert fabric.load_count == 1
     assert load_statuses(fabric) == [LoadStatus.LOADED]
-    assert fabric.registers.status is LoadStatus.IDLE
     fabric.release_pending(slot)
     fabric.release_pending(slot)
     fabric.wait_idle()
@@ -185,7 +199,6 @@ def test_oversized_image_rejected(fabric):
     with pytest.raises(ImageSizeError):
         fabric.manager_open(ta_uuid, 0, MAX_IMAGE_SIZE + 1)
     assert load_statuses(fabric) == [LoadStatus.ERR_SIZE]
-    assert fabric.registers.status is LoadStatus.IDLE
 
 
 def test_malformed_image_rejected(fabric):
@@ -228,7 +241,6 @@ def test_staged_image_rejected_before_any_slot(fabric, staged, error):
     with pytest.raises(error):
         fabric.manager_open(ta_uuid, offset, size)
     assert load_statuses(fabric) == [LoadStatus.ERR_FORMAT]
-    assert fabric.registers.status is LoadStatus.IDLE
     assert fabric.load_count == 0
     assert all(row["state"] == "FREE" for row in fabric.slot_snapshot())
 
@@ -250,7 +262,6 @@ def test_fabric_full(fabric):
         fabric.manager_open(ta_uuid, offset, size)
     assert load_statuses(fabric) == [
         LoadStatus.LOADED, LoadStatus.LOADED, LoadStatus.ERR_FULL]
-    assert fabric.registers.status is LoadStatus.IDLE
 
 
 def test_close_frees_slot_async(fabric):
@@ -321,6 +332,98 @@ def test_fault_not_quarantined_by_default(fabric):
     assert reply.code is ReturnCode.ERROR_GENERIC
     assert fabric.comm_dispatch(slot, close_frame(sid)).code \
         is ReturnCode.SUCCESS
+
+
+def test_quarantine_scrubs_the_faulted_slot_at_once(fabric_factory):
+    """Under quarantine_on_fault, a TA fault scrubs its slot before the
+    reply returns: every session on the slot ends, and the slot is free,
+    unmapped and zeroed rather than left TAKEN for good."""
+    fabric = fabric_factory(quarantine_on_fault=True)
+    ta_uuid, image = make_image(TA_KIND_TRIPWIRE, payload=b"\xa5" * 600)
+    with Context(fabric) as ctx:
+        faulting = ctx.open_session(ta_uuid, image)
+        bystander = ctx.open_session(ta_uuid, image)
+        slot = faulting.slot_index
+        assert bystander.slot_index == slot
+        fabric.shm_write(slot, 0, b"\x5a" * 64)
+        assert faulting.invoke_command(0).code is ReturnCode.ERROR_GENERIC
+        assert_scrubbed(fabric, slot)
+        assert not fabric.loaded_tas
+        fabric.audit()
+        dispatches = len(fabric.events("dispatch"))
+        with pytest.raises(AccessDeniedError):
+            bystander.invoke_command(0)
+        bystander.close()
+        faulting.close()
+        assert not (bystander.is_open or faulting.is_open)
+        assert len(fabric.events("dispatch")) == dispatches
+        assert [event.slot for event in fabric.events("close")] == [slot]
+    fabric.audit()
+
+
+def test_concurrent_cold_loads_log_their_own_uuid(fabric):
+    """A cold open of another TA while a load copies must not change the
+    uuid that the first load's outcome is logged with."""
+    first_uuid, first_image = make_image(TA_KIND_INCREMENT, tag=1)
+    second_uuid, second_image = make_image(TA_KIND_ECHO, tag=2)
+    first_at, first_size = fabric.cm_stage(first_image)
+    second_at, second_size = fabric.cm_stage(second_image)
+    copying, second_opened = threading.Event(), threading.Event()
+    runtime = fabric.slot_runtime(0)
+    load_image = runtime.load_image
+
+    def held_load_image(data):
+        copying.set()
+        second_opened.wait(5.0)
+        load_image(data)
+
+    runtime.load_image = held_load_image
+    first = []
+    loader = threading.Thread(target=lambda: first.append(
+        fabric.manager_open(first_uuid, first_at, first_size)))
+    loader.start()
+    assert copying.wait(5.0)
+    second = fabric.manager_open(second_uuid, second_at, second_size)
+    second_opened.set()
+    loader.join(timeout=5.0)
+    assert not loader.is_alive()
+    assert first == [(0, True)] and second == (1, True)
+    assert sorted((event.slot, event.fields["uuid"], event.fields["status"])
+                  for event in fabric.events("load_status")) == [
+        (0, first_uuid, LoadStatus.LOADED),
+        (1, second_uuid, LoadStatus.LOADED)]
+    fabric.release_pending(0)
+    fabric.release_pending(1)
+    fabric.audit()
+
+
+def test_open_session_leaves_the_retain_to_the_open_reply(fabric,
+                                                          monkeypatch):
+    """The reply to an OPEN drops that open's retain in the fabric, so the
+    client never calls release_pending, and a TA that refuses its first
+    OPEN leaves its slot free and zeroed once open_session raises."""
+    released = []
+    release_pending = Fabric.release_pending
+
+    def spy(self, slot_index):
+        released.append(slot_index)
+        release_pending(self, slot_index)
+
+    monkeypatch.setattr(Fabric, "release_pending", spy)
+    refusing_uuid, refusing_image = make_image(TA_KIND_REFUSE_OPEN,
+                                               payload=b"\xa5" * 600)
+    with Context(fabric) as ctx:
+        with pytest.raises(AccessDeniedError):
+            ctx.open_session(refusing_uuid, refusing_image)
+        assert_scrubbed(fabric, 0)
+        assert fabric.events("close")[-1].slot == 0
+        assert not fabric.loaded_tas
+        fabric.audit()
+        with ctx.open_session(*make_image(TA_KIND_INCREMENT)) as session:
+            assert fabric.slot_snapshot()[session.slot_index]["pending"] == 0
+            fabric.audit()
+    assert released == []
+    fabric.audit()
 
 
 def test_shm_round_trip_and_gating(fabric):
