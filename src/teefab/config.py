@@ -51,6 +51,8 @@ class SimConfig:
                 f"device {device.name} fits only {ceiling} enclave(s); the "
                 f"platform floor is two concurrently hosted TAs",
                 stacklevel=2)
+        if self.huk is not None and self.huk_seed is not None:
+            raise ValueError("set huk or huk_seed, not both")
         if self.huk is not None:
             raw = self.huk.strip()
             if len(raw) != 64 or any(c not in "0123456789abcdefABCDEF" for c in raw):
@@ -59,6 +61,9 @@ class SimConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
+        if not isinstance(self.quarantine_on_fault, bool):
+            raise ValueError(f"quarantine_on_fault must be a bool, got "
+                             f"{self.quarantine_on_fault!r}")
         if self.rng_seed is not None and not isinstance(self.rng_seed, int):
             raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}")
         return self

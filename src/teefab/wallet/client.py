@@ -10,7 +10,7 @@ import uuid as uuid_mod
 from ..client_api import Context, Direction, Operation, Value
 from ..config import SimConfig
 from ..fabric import Fabric
-from ..protocol import ReturnCode, TAImage, TeeError, encode_image
+from ..protocol import SHM_WINDOW_SIZE, ReturnCode, TAImage, TeeError, encode_image
 from .hd import HARDENED_BIT
 from .ta import (
     CMD_CHECK_EXISTS,
@@ -71,15 +71,19 @@ class WalletClient:
     def close(self):
         self._context.close()
 
-    def _open(self, pin, index=0):
-        """A session for one command, once the pin and the child index
-        pass the client's own checks: a request refused here loads no
-        enclave."""
+    def _open(self, pin, index=0, payload=b"", room=SHM_WINDOW_SIZE):
+        """A session for one command, once the pin, the child index and
+        the size of the input `payload` pass the client's own checks: a
+        request refused here loads no enclave."""
         if not isinstance(pin, int) or not 0 <= pin <= PIN_MAX:
             raise WalletError(f"pin must be 0..{PIN_MAX}")
         if not isinstance(index, int) or not 0 <= index < HARDENED_BIT:
             raise WalletError(f"child index {index!r} out of range: it "
                               f"must be 0..{HARDENED_BIT - 1}",
+                              ReturnCode.ERROR_BAD_PARAMETERS)
+        if len(payload) > room:
+            raise WalletError(f"input of {len(payload)} bytes is over the "
+                              f"{room} the shared window takes",
                               ReturnCode.ERROR_BAD_PARAMETERS)
         try:
             return self._context.open_session(WALLET_UUID, self._image)
@@ -122,7 +126,7 @@ class WalletClient:
     def restore(self, pin, mnemonic):
         """Replace the wallet with one derived from a backup phrase."""
         phrase = mnemonic.encode() if isinstance(mnemonic, str) else bytes(mnemonic)
-        with self._open(pin) as session:
+        with self._open(pin, payload=phrase) as session:
             block = session.allocate_shared_memory(len(phrase), Direction.IN)
             block.write(phrase)
             self._invoke(session, CMD_RESTORE, pin, 0, [block])
@@ -135,7 +139,8 @@ class WalletClient:
     def sign(self, pin, index, raw_tx):
         """Sign a raw transaction with hardened child `index`; hex out."""
         raw_tx = bytes(raw_tx)
-        with self._open(pin, index) as session:
+        with self._open(pin, index, raw_tx,
+                        SHM_WINDOW_SIZE - _SIGNATURE_BUFFER) as session:
             tx_block = session.allocate_shared_memory(len(raw_tx),
                                                       Direction.IN)
             tx_block.write(raw_tx)

@@ -23,6 +23,7 @@ from ..protocol import (
     ItemNotFoundError,
     ParamKind,
     ShortBufferError,
+    TeeError,
 )
 from .hd import (
     HARDENED_BIT,
@@ -51,25 +52,25 @@ CMD_GET_ADDRESS = 6
 RECORD_ID = b"master"
 _ENTROPY_BYTES = 16
 _SALT_BYTES = 16
-_RECORD_BYTES = 32 + 32 + _SALT_BYTES + 32
+_MASTER_BYTES = 32 + 32 + _SALT_BYTES + 32
 _SIGHASH_ALL = b"\x01"
 PIN_MAX = 9999
 
-# The child table: one sealed object holding the hardened children already
-# derived from the current master, each as (index, compressed point, PKCS8).
-CHILDREN_ID = b"children"
+# After the master come the hardened children already derived from it,
+# each as (index, compressed point, PKCS8), in the same sealed record.
 CHILD_TABLE_CAP = 64
-_CHILDREN_LABEL = b"teefab-wallet-children-v1"
-_FINGERPRINT_BYTES = 32
 _CHILD_ENTRY = struct.Struct(f">I33s{PKCS8_BYTES}s")
+# Earlier versions sealed the children apart under this id. Such an object
+# is never read; it goes when its master is deleted or replaced.
+CHILDREN_ID = b"children"
+
+
+class RecordUnreadableError(TeeError):
+    """The sealed record fails to unseal or parse; restore replaces it."""
 
 
 def _pin_digest(pin, salt):
     return hashlib.sha256(b"%04d" % pin + salt).digest()
-
-
-def _master_fingerprint(master_sk, chain_code):
-    return hashlib.sha256(_CHILDREN_LABEL + master_sk + chain_code).digest()
 
 
 def _derive_child(record, index):
@@ -77,23 +78,22 @@ def _derive_child(record, index):
     return export_private_key(child_sk)
 
 
-def _parse_children(blob, fingerprint):
-    """{index: (point, pkcs8)}; ValueError when the table cannot be used."""
-    body = blob[_FINGERPRINT_BYTES:]
-    if not compare_digest(blob[:_FINGERPRINT_BYTES], fingerprint):
-        raise ValueError("made from another master")
-    if len(body) % _CHILD_ENTRY.size \
+def _parse_record(blob):
+    """(master_sk, chain_code, salt, pin_digest, {index: (point, pkcs8)});
+    ValueError when the blob is not a record."""
+    body = blob[_MASTER_BYTES:]
+    if len(blob) < _MASTER_BYTES or len(body) % _CHILD_ENTRY.size \
             or len(body) > CHILD_TABLE_CAP * _CHILD_ENTRY.size:
         raise ValueError("malformed")
-    table = {index: (point, pkcs8)
-             for index, point, pkcs8 in _CHILD_ENTRY.iter_unpack(body)}
-    if any(index >= CHILD_TABLE_CAP for index in table):
+    children = {index: (point, pkcs8)
+                for index, point, pkcs8 in _CHILD_ENTRY.iter_unpack(body)}
+    if any(index >= CHILD_TABLE_CAP for index in children):
         raise ValueError("malformed")
-    return table
+    return blob[:32], blob[32:64], blob[64:80], blob[80:112], children
 
 
 class WalletTa(TrustedApp):
-    """Single-session wallet: master key sealed, each child sealed once."""
+    """Single-session wallet: one sealed record, its master and children."""
 
     def __init__(self, env):
         super().__init__(env)
@@ -116,27 +116,33 @@ class WalletTa(TrustedApp):
     # --- sealed record -------------------------------------------------------
 
     def _load_record(self):
-        """(master_sk, chain_code, salt, pin_digest) or None when absent."""
-        try:
-            record = self.env.storage.get(RECORD_ID)
-        except ItemNotFoundError:
-            return None
-        if len(record) != _RECORD_BYTES:
-            raise AccessDeniedError("wallet record is malformed")
-        return record[:32], record[32:64], record[64:80], record[80:112]
+        """(master_sk, chain_code, salt, pin_digest, children).
 
-    def _store_record(self, record, master_sk, chain_code, pin):
-        """Seal a new master; the child table goes unless the master is the
-        one `record` already holds."""
-        if record is None or not compare_digest(record[0] + record[1],
-                                                master_sk + chain_code):
-            self._drop_children()
+        ItemNotFoundError when absent; RecordUnreadableError when it fails
+        to unseal or parse."""
+        try:
+            return _parse_record(self.env.storage.get(RECORD_ID))
+        except (TamperedObjectError, ValueError) as exc:
+            self.env.uart.log(f"wallet: record unreadable: {exc}")
+            raise RecordUnreadableError("wallet record unreadable") from None
+
+    def _store_record(self, master_sk, chain_code, pin, children):
+        """Seal the master under a fresh salt for `pin`, then its children."""
         salt = self.env.rng.random_bytes(_SALT_BYTES)
-        self.env.storage.put(
-            RECORD_ID, master_sk + chain_code + salt + _pin_digest(pin, salt))
+        self.env.storage.put(RECORD_ID, b"".join((
+            master_sk, chain_code, salt, _pin_digest(pin, salt),
+            *(_CHILD_ENTRY.pack(index, *children[index])
+              for index in sorted(children)))))
+
+    def _drop_children(self):
+        """Remove a child table an earlier version sealed apart."""
+        try:
+            self.env.storage.delete(CHILDREN_ID)
+        except ItemNotFoundError:
+            pass
 
     def _require_pin(self, record, pin):
-        _sk, _cc, salt, stored = record
+        _sk, _cc, salt, stored, _children = record
         if not compare_digest(_pin_digest(pin, salt), stored):
             raise AccessDeniedError("wrong pin")
 
@@ -173,45 +179,21 @@ class WalletTa(TrustedApp):
                 f"need {len(data)} bytes, caller granted {block.length}")
         block.write(data)
 
-    # --- child table ---------------------------------------------------------
-
-    def _load_children(self, fingerprint):
-        """The sealed child table of this master, or an empty one when it is
-        missing, fails to unseal or belongs to another master; the next
-        store then replaces what is on disk."""
-        try:
-            return _parse_children(self.env.storage.get(CHILDREN_ID),
-                                   fingerprint)
-        except ItemNotFoundError:
-            return {}
-        except (TamperedObjectError, ValueError) as exc:
-            self.env.uart.log(f"wallet: child table rebuilt: {exc}")
-            return {}
-
-    def _store_children(self, fingerprint, table):
-        self.env.storage.put(CHILDREN_ID, fingerprint + b"".join(
-            _CHILD_ENTRY.pack(index, *table[index]) for index in sorted(table)))
-
-    def _drop_children(self):
-        try:
-            self.env.storage.delete(CHILDREN_ID)
-        except ItemNotFoundError:
-            pass
+    # --- children ------------------------------------------------------------
 
     def _child(self, record, pin, index):
         """(compressed point, PKCS8 key) of hardened child `index`.
 
         Below CHILD_TABLE_CAP a child is derived once per master and then
-        read from the sealed table; at or above it, derived on every call."""
+        read from the record; at or above it, derived on every call."""
         self._require_pin(record, pin)
         if index >= CHILD_TABLE_CAP:
             return _derive_child(record, index)
-        fingerprint = _master_fingerprint(record[0], record[1])
-        table = self._load_children(fingerprint)
-        if index not in table:
-            table[index] = _derive_child(record, index)
-            self._store_children(fingerprint, table)
-        return table[index]
+        children = record[4]
+        if index not in children:
+            children[index] = _derive_child(record, index)
+            self._store_record(record[0], record[1], pin, children)
+        return children[index]
 
     # --- commands ------------------------------------------------------------
 
@@ -241,13 +223,18 @@ class WalletTa(TrustedApp):
         entropy = self.env.rng.random_bytes(_ENTROPY_BYTES)
         phrase = entropy_to_mnemonic(entropy)
         master_sk, chain_code = master_from_seed(mnemonic_to_seed(phrase))
-        self._store_record(None, master_sk, chain_code, pin)
+        self._store_record(master_sk, chain_code, pin, {})
         self._memref_out(params, 1, phrase.encode())
         self.env.uart.log("wallet: generated new master record")
 
     def _cmd_restore(self, params):
         pin, _index = self._credentials(params)
-        record = self._load_record()
+        try:
+            record = self._load_record()
+        except (ItemNotFoundError, RecordUnreadableError):
+            # An unreadable record is replaced as a missing one is: a host
+            # that can corrupt it can delete it as well.
+            record = None
         if record is not None:
             self._require_pin(record, pin)
         phrase = normalize_mnemonic(self._memref_in(params, 1))
@@ -256,14 +243,16 @@ class WalletTa(TrustedApp):
         except MnemonicError as exc:
             raise BadParametersError(f"invalid mnemonic: {exc}") from exc
         master_sk, chain_code = master_from_seed(mnemonic_to_seed(phrase))
-        self._store_record(record, master_sk, chain_code, pin)
+        same = record is not None and compare_digest(
+            record[0] + record[1], master_sk + chain_code)
+        if not same:
+            self._drop_children()
+        self._store_record(master_sk, chain_code, pin, record[4] if same else {})
         self.env.uart.log("wallet: restored master record from phrase")
 
     def _cmd_delete(self, params):
         pin, _index = self._credentials(params)
         record = self._load_record()
-        if record is None:
-            raise ItemNotFoundError("no wallet to delete")
         self._require_pin(record, pin)
         self._drop_children()
         self.env.storage.delete(RECORD_ID)
@@ -272,8 +261,6 @@ class WalletTa(TrustedApp):
     def _cmd_sign(self, params):
         pin, index = self._credentials(params)
         record = self._load_record()
-        if record is None:
-            raise ItemNotFoundError("no wallet key to sign with")
         raw_tx = self._memref_in(params, 1)
         if not raw_tx:
             raise BadParametersError("empty transaction")
@@ -284,8 +271,6 @@ class WalletTa(TrustedApp):
     def _cmd_get_address(self, params):
         pin, index = self._credentials(params)
         record = self._load_record()
-        if record is None:
-            raise ItemNotFoundError("no wallet key to address")
         point, _pkcs8 = self._child(record, pin, index)
         address = p2pkh_address(point)
         self._memref_out(params, 1, address.encode())

@@ -87,6 +87,14 @@ def test_validate_huk_shape():
         SimConfig(huk="zz" * 32).validate()
 
 
+def test_huk_and_huk_seed_together_rejected(tmp_path):
+    with pytest.raises(ValueError, match="huk or huk_seed"):
+        SimConfig(huk="ab" * 32, huk_seed="unit-test").validate()
+    with pytest.raises(ValueError, match="huk or huk_seed"):
+        load_config(write_config(
+            tmp_path, f"huk = {'ab' * 32}\nhuk_seed = unit-test\n"))
+
+
 def test_device_key_sources():
     explicit = SimConfig(huk="ab" * 32).validate().device_key()
     seeded = SimConfig(huk_seed="unit-test").validate().device_key()
@@ -105,6 +113,14 @@ def test_bad_delay_values_rejected():
         SimConfig(dma_ns_per_byte=-1).validate()
     with pytest.raises(ValueError, match="rng_seed must be an integer"):
         SimConfig(rng_seed="seed").validate()
+
+
+def test_quarantine_flag_must_be_a_bool():
+    for value in ("no", "false", 0, 1, None):
+        with pytest.raises(ValueError,
+                           match="quarantine_on_fault must be a bool"):
+            SimConfig(quarantine_on_fault=value).validate()
+    assert SimConfig(quarantine_on_fault=True).validate().quarantine_on_fault
 
 
 def test_tiny_device_warns_below_platform_floor(tmp_path):

@@ -8,8 +8,8 @@ import pytest
 
 import oracle_hd
 from teefab.client_api import Context, Direction, Operation, Value
-from teefab.internal_api import crypto
-from teefab.protocol import AccessDeniedError, ReturnCode
+from teefab.internal_api import SealedStorage, crypto
+from teefab.protocol import SHM_WINDOW_SIZE, AccessDeniedError, ReturnCode
 from teefab.wallet import (
     WALLET_UUID,
     WalletClient,
@@ -38,7 +38,13 @@ from teefab.wallet.mnemonic import (
     normalize_mnemonic,
     validate_mnemonic,
 )
-from teefab.wallet.ta import CHILD_TABLE_CAP, CHILDREN_ID, CMD_GET_ADDRESS
+from teefab.wallet.ta import (
+    CHILD_TABLE_CAP,
+    CHILDREN_ID,
+    CMD_GET_ADDRESS,
+    RECORD_ID,
+    _parse_record,
+)
 
 REFERENCE_MNEMONIC = ("abandon abandon abandon abandon abandon abandon "
                       "abandon abandon abandon abandon abandon about")
@@ -354,12 +360,29 @@ def test_a_refused_request_loads_no_enclave(fabric, wallet):
     for call in (lambda: wallet.get_address(PIN, 2**31),
                  lambda: wallet.sign(PIN, -1, DEMO_RAW_TX),
                  lambda: wallet.check_exists(10000),
-                 lambda: wallet.restore(-1, REFERENCE_MNEMONIC)):
+                 lambda: wallet.restore(-1, REFERENCE_MNEMONIC),
+                 lambda: wallet.sign(PIN, 0, bytes(SHM_WINDOW_SIZE - 129)),
+                 lambda: wallet.restore(PIN, "a" * (SHM_WINDOW_SIZE + 1))):
         with pytest.raises(WalletError):
             call()
     assert loads() == before
     assert wallet.check_exists(PIN) is False
     assert fabric.load_count == before[0] + 1
+
+
+def test_oversized_input_is_refused_as_bad_parameters(wallet):
+    wallet.restore(PIN, REFERENCE_MNEMONIC)
+    largest = bytes(SHM_WINDOW_SIZE - 130)
+    assert wallet.sign(PIN, 0, largest) == \
+        _oracle_signature(REFERENCE_MNEMONIC, 0, largest)
+    for call, match in (
+            (lambda: wallet.sign(PIN, 0, largest + b"\0"),
+             "input of 8063 bytes is over the 8062"),
+            (lambda: wallet.restore(PIN, " " * (SHM_WINDOW_SIZE + 1)),
+             "input of 8193 bytes is over the 8192")):
+        with pytest.raises(WalletError, match=match) as info:
+            call()
+        assert info.value.code is ReturnCode.ERROR_BAD_PARAMETERS
 
 
 def test_wallet_ta_refuses_a_hardened_index_itself(fabric, wallet):
@@ -373,7 +396,7 @@ def test_wallet_ta_refuses_a_hardened_index_itself(fabric, wallet):
     assert result.code is ReturnCode.ERROR_BAD_PARAMETERS
 
 
-# --- the sealed child table --------------------------------------------------
+# --- the sealed record --------------------------------------------------------
 
 def _oracle_child(phrase, index):
     seed = oracle_hd.mnemonic_to_seed(phrase)
@@ -399,9 +422,20 @@ def _assert_children_match(wallet, phrase, indices):
             == _oracle_signature(phrase, index, DEMO_RAW_TX)
 
 
-def _table_path(fabric):
+def _object_path(fabric, object_id):
     return (Path(fabric.config.storage_dir) / WALLET_UUID.hex
-            / hashlib.sha256(CHILDREN_ID).hexdigest())
+            / hashlib.sha256(object_id).hexdigest())
+
+
+def _stored_children(fabric):
+    """The indices of the children the sealed record holds."""
+    blob = fabric.services.storage.get(WALLET_UUID, RECORD_ID)
+    return sorted(_parse_record(blob)[4])
+
+
+def _sealed_objects(fabric):
+    return sorted(path.name for path in
+                  (Path(fabric.config.storage_dir) / WALLET_UUID.hex).iterdir())
 
 
 def _uart_lines(fabric):
@@ -409,59 +443,128 @@ def _uart_lines(fabric):
             for line in fabric.slot_runtime(i).uart.lines()]
 
 
-def test_child_table_from_another_master_is_replaced(fabric, wallet):
-    wallet.restore(PIN, REFERENCE_MNEMONIC)
-    _assert_children_match(wallet, REFERENCE_MNEMONIC, (0, 1))
-    stolen = _table_path(fabric).read_bytes()
-    wallet.restore(PIN, OTHER_MNEMONIC)
-    _table_path(fabric).write_bytes(stolen)
-    _assert_children_match(wallet, OTHER_MNEMONIC, (0, 1))
-    assert any("child table rebuilt: made from another master" in line
-               for line in _uart_lines(fabric))
-    assert _table_path(fabric).read_bytes() != stolen
+def _plant_parent_wallet(fabric, phrase):
+    """A master record and a child table as the two-object format sealed
+    them: the record is the bare 112-byte master."""
+    storage = fabric.services.storage
+    sk, cc = oracle_hd.master_from_seed(oracle_hd.mnemonic_to_seed(phrase))
+    salt = bytes(range(16))
+    storage.put(WALLET_UUID, RECORD_ID, sk + cc + salt + hashlib.sha256(
+        b"%04d" % PIN + salt).digest())
+    storage.put(WALLET_UUID, CHILDREN_ID, bytes(32))
 
 
-def test_tampered_child_table_is_rebuilt(fabric, wallet):
+def test_unreadable_record_answers_generic_and_restore_replaces_it(
+        fabric, wallet):
+    record = _object_path(fabric, RECORD_ID)
     wallet.restore(PIN, REFERENCE_MNEMONIC)
     wallet.get_address(PIN, 2)
-    blob = bytearray(_table_path(fabric).read_bytes())
+    blob = bytearray(record.read_bytes())
     blob[len(blob) // 2] ^= 0x10
-    _table_path(fabric).write_bytes(bytes(blob))
-    _assert_children_match(wallet, REFERENCE_MNEMONIC, (2,))
-    assert any("child table rebuilt: sealed blob failed authentication"
+    record.write_bytes(bytes(blob))
+    for call in (lambda: wallet.get_address(PIN, 2),
+                 lambda: wallet.sign(PIN, 2, DEMO_RAW_TX),
+                 lambda: wallet.delete(PIN)):
+        with pytest.raises(WalletError) as info:
+            call()
+        assert info.value.code is ReturnCode.ERROR_GENERIC
+    assert any("wallet: record unreadable: sealed blob failed authentication"
                in line for line in _uart_lines(fabric))
+    wallet.restore(PIN, REFERENCE_MNEMONIC)
+    _assert_children_match(wallet, REFERENCE_MNEMONIC, (0, 2))
+    fabric.services.storage.put(WALLET_UUID, RECORD_ID, b"short")
+    with pytest.raises(WalletError) as info:
+        wallet.get_address(PIN, 0)
+    assert info.value.code is ReturnCode.ERROR_GENERIC
+    assert any("wallet: record unreadable: malformed" in line
+               for line in _uart_lines(fabric))
+    wallet.restore(4321, OTHER_MNEMONIC)
+    assert wallet.get_address(4321, 0) == _oracle_address(OTHER_MNEMONIC, 0)
 
 
 def test_child_table_follows_the_master(fabric, wallet):
-    path = _table_path(fabric)
+    record = _object_path(fabric, RECORD_ID)
+    wallet.generate(PIN)
+    assert _sealed_objects(fabric) == [record.name]
     wallet.restore(PIN, REFERENCE_MNEMONIC)
     wallet.get_address(PIN, 0)
-    table = path.read_bytes()
+    wallet.sign(PIN, 3, DEMO_RAW_TX)
+    assert _stored_children(fabric) == [0, 3]
     wallet.restore(PIN, REFERENCE_MNEMONIC)
-    assert path.read_bytes() == table
+    assert _stored_children(fabric) == [0, 3]
     wallet.restore(PIN, OTHER_MNEMONIC)
-    assert not path.exists()
+    assert _stored_children(fabric) == []
     wallet.get_address(PIN, 0)
-    assert path.exists()
+    assert _stored_children(fabric) == [0]
+    assert _sealed_objects(fabric) == [record.name]
     wallet.delete(PIN)
-    assert not path.exists()
-    assert list(path.parent.iterdir()) == []
+    assert _sealed_objects(fabric) == []
 
 
 def test_child_table_stops_at_its_cap(fabric, wallet):
-    path = _table_path(fabric)
+    record = _object_path(fabric, RECORD_ID)
     wallet.restore(PIN, REFERENCE_MNEMONIC)
-    wallet.get_address(PIN, 0)
-    one = len(path.read_bytes())
-    wallet.get_address(PIN, 1)
-    entry = len(path.read_bytes()) - one
-    for index in range(2, CHILD_TABLE_CAP):
+    for index in range(CHILD_TABLE_CAP):
         wallet.get_address(PIN, index)
-    full = path.read_bytes()
-    assert len(full) == one + (CHILD_TABLE_CAP - 1) * entry
+    assert _stored_children(fabric) == list(range(CHILD_TABLE_CAP))
+    full = record.read_bytes()
     _assert_children_match(wallet, REFERENCE_MNEMONIC,
                            (CHILD_TABLE_CAP, 2**31 - 1))
-    assert path.read_bytes() == full
+    assert record.read_bytes() == full
+
+
+def test_a_parent_format_wallet_still_reads(fabric, wallet):
+    record, table = (_object_path(fabric, RECORD_ID),
+                     _object_path(fabric, CHILDREN_ID))
+    _plant_parent_wallet(fabric, REFERENCE_MNEMONIC)
+    assert _stored_children(fabric) == []
+    _assert_children_match(wallet, REFERENCE_MNEMONIC, (0,))
+    assert _stored_children(fabric) == [0]
+    wallet.restore(PIN, REFERENCE_MNEMONIC)
+    assert _stored_children(fabric) == [0]
+    wallet.restore(PIN, OTHER_MNEMONIC)
+    assert _sealed_objects(fabric) == [record.name]
+    _plant_parent_wallet(fabric, REFERENCE_MNEMONIC)
+    assert _sealed_objects(fabric) == sorted([record.name, table.name])
+    wallet.delete(PIN)
+    assert _sealed_objects(fabric) == []
+
+
+def test_sign_and_address_make_one_sealed_read(wallet, monkeypatch):
+    reads = []
+    get = SealedStorage.get
+
+    def spy(self, ta_uuid, object_id, cipher=None):
+        reads.append(object_id)
+        return get(self, ta_uuid, object_id, cipher)
+
+    monkeypatch.setattr(SealedStorage, "get", spy)
+    wallet.restore(PIN, REFERENCE_MNEMONIC)
+    for index in (7, CHILD_TABLE_CAP):
+        wallet.get_address(PIN, index)
+        reads.clear()
+        wallet.get_address(PIN, index)
+        wallet.sign(PIN, index, DEMO_RAW_TX)
+        assert reads == [RECORD_ID, RECORD_ID]
+
+
+def test_children_match_the_oracle_across_restores(wallet, monkeypatch):
+    indices = (0, 1, CHILD_TABLE_CAP - 1, CHILD_TABLE_CAP, 2**31 - 1)
+    wallet.restore(PIN, REFERENCE_MNEMONIC)
+    _assert_children_match(wallet, REFERENCE_MNEMONIC, indices)
+    wallet.restore(PIN, REFERENCE_MNEMONIC)
+    calls = []
+    derive = crypto.ec.derive_private_key
+
+    def spy(*args):
+        calls.append(args)
+        return derive(*args)
+
+    monkeypatch.setattr(crypto.ec, "derive_private_key", spy)
+    _assert_children_match(wallet, REFERENCE_MNEMONIC, indices[:3])
+    assert calls == []
+    wallet.restore(PIN, OTHER_MNEMONIC)
+    _assert_children_match(wallet, OTHER_MNEMONIC, indices)
 
 
 def test_a_stored_child_needs_no_derivation(wallet, monkeypatch):
@@ -531,6 +634,12 @@ def test_cli_reports_an_out_of_range_child_index(tmp_path, capsys):
         assert run_cli(tmp_path, command, "1234", "-a", "5000000000") == 1
         assert "error: child index 5000000000 out of range" \
             in capsys.readouterr().err
+
+
+def test_cli_refuses_an_oversized_transaction(tmp_path, capsys):
+    assert run_cli(tmp_path, "5", "1234", "-a", "0", "00" * 9000) == 1
+    assert "error: input of 9000 bytes is over the 8062" \
+        in capsys.readouterr().err
 
 
 def test_cli_usage_errors(tmp_path, capsys):
