@@ -135,10 +135,8 @@ def run_bench(repetitions=DEFAULT_REPETITIONS,
                 fabric, context, cold_image, repetitions)
             results["warm_open"] = _bench_warm_open(
                 fabric, context, cold_image, repetitions)
-            results["invoke_raw"] = _bench_invoke_raw(
-                fabric, context, inc_image, repetitions)
-            results["invoke_shm"] = _bench_invoke_shm(
-                fabric, context, shm_image, repetitions)
+            results["invoke_raw"], results["invoke_shm"] = _bench_invokes(
+                fabric, context, inc_image, shm_image, repetitions)
             results["close"] = _bench_close(
                 fabric, context, cold_image, repetitions)
     finally:
@@ -173,31 +171,34 @@ def _bench_warm_open(fabric, context, image, repetitions):
     return result
 
 
-def _bench_invoke_raw(fabric, context, image, repetitions):
-    result = ScenarioResult("invoke_raw")
-    with context.open_session(_INC_UUID, image) as session:
-        for value in range(repetitions):
-            reply = _timed(
-                result.samples_ns,
-                lambda: session.invoke_command(
-                    0, Operation(Value(Direction.INOUT, value))))
+def _bench_invokes(fabric, context, inc_image, shm_image, repetitions):
+    """invoke_raw and invoke_shm, sample by sample in turn, the order
+    swapped on each round, so that host noise falls on both alike."""
+    raw = ScenarioResult("invoke_raw")
+    shm = ScenarioResult("invoke_shm")
+    with context.open_session(_INC_UUID, inc_image) as counter, \
+            context.open_session(_SHM_UUID, shm_image) as filler:
+        block = filler.allocate_shared_memory(16, Direction.OUT)
+
+        def invoke_raw(value):
+            reply = _timed(raw.samples_ns, lambda: counter.invoke_command(
+                0, Operation(Value(Direction.INOUT, value))))
             if reply.value(0)[0] != value + 1:
                 raise AssertionError("increment reply is wrong")
-    fabric.wait_idle()
-    return result
 
-
-def _bench_invoke_shm(fabric, context, image, repetitions):
-    result = ScenarioResult("invoke_shm")
-    with context.open_session(_SHM_UUID, image) as session:
-        block = session.allocate_shared_memory(16, Direction.OUT)
-        for _ in range(repetitions):
-            reply = _timed(result.samples_ns,
-                           lambda: session.invoke_command(0, Operation(block)))
+        def invoke_shm(_value):
+            reply = _timed(shm.samples_ns,
+                           lambda: filler.invoke_command(0, Operation(block)))
             if not reply.success or block.read() != bytes(range(16)):
                 raise AssertionError("shared-memory reply is wrong")
+
+        for value in range(repetitions):
+            steps = (invoke_raw, invoke_shm) if value % 2 else \
+                (invoke_shm, invoke_raw)
+            for step in steps:
+                step(value)
     fabric.wait_idle()
-    return result
+    return raw, shm
 
 
 def _bench_close(fabric, context, image, repetitions):

@@ -26,7 +26,6 @@ class SimConfig:
     huk_seed: str | None = None  # or any string stretched into one
     dma_ns_per_byte: int = 0
     dma_ns_per_op: int = 0
-    quarantine_on_fault: bool = False
 
     tcm_size: int = field(default=TCM_SIZE, init=False)
     shm_size: int = field(default=SHM_WINDOW_SIZE, init=False)
@@ -61,9 +60,6 @@ class SimConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
-        if not isinstance(self.quarantine_on_fault, bool):
-            raise ValueError(f"quarantine_on_fault must be a bool, got "
-                             f"{self.quarantine_on_fault!r}")
         if self.rng_seed is not None and not isinstance(self.rng_seed, int):
             raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}")
         return self
@@ -75,17 +71,6 @@ class SimConfig:
             return DeviceKey(bytes.fromhex(self.huk.strip()))
         seed = self.huk_seed if self.huk_seed is not None else _DEFAULT_HUK_SEED
         return DeviceKey.from_seed(seed)
-
-
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-               "0": False, "false": False, "no": False, "off": False}
-
-
-def _parse_bool(key, value):
-    try:
-        return _BOOL_WORDS[value.lower()]
-    except KeyError:
-        raise ValueError(f"{key} must be a boolean, got {value!r}") from None
 
 
 def _parse_int(key, value):
@@ -116,8 +101,6 @@ def load_config(path):
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in ("enclave_count", "rng_seed", "dma_ns_per_byte", "dma_ns_per_op"):
             setattr(config, key, _parse_int(key, value))
-        elif key == "quarantine_on_fault":
-            setattr(config, key, _parse_bool(key, value))
         else:
             setattr(config, key, value)
     return config.validate()

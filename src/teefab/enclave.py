@@ -427,7 +427,8 @@ class EnclaveRuntime:
         self._rst.set()
         self._int = False
         self._reply_serial = 0
-        self._faulted = False
+        # Set by a TA fault; the fabric then scrubs the slot at once.
+        self.faulted = False
         self._ta_uuid = None
         self._ta_kind = None
         self._image_size = 0
@@ -519,10 +520,6 @@ class EnclaveRuntime:
         return tuple(self._mailbox)
 
     @property
-    def faulted(self):
-        return self._faulted
-
-    @property
     def ta_kind(self):
         """The booted image's ta_kind; None in reset or after a rejected
         boot."""
@@ -541,7 +538,7 @@ class EnclaveRuntime:
         self.window.zeroize()
         self._mailbox[:] = [0] * MAILBOX_WORDS
         self._int = False
-        self._faulted = False
+        self.faulted = False
         self._ta_uuid = None
         self._ta_kind = None
         self._image_size = 0
@@ -634,7 +631,7 @@ class EnclaveRuntime:
                 session_out = 0
         except Exception:
             self.uart.log("isr: ta fault:\n" + traceback.format_exc().rstrip())
-            self._faulted = True
+            self.faulted = True
             code = ReturnCode.ERROR_GENERIC
             if frame.operation is _OPEN:
                 session_out = 0

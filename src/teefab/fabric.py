@@ -440,7 +440,7 @@ class Fabric:
         OPEN drops its own retain."""
         self._maybe_cleanup(self._slots[slot_index], release=True)
 
-    def _maybe_cleanup(self, record, release=False, faulted=False):
+    def _maybe_cleanup(self, record, release=False):
         """Scrub a TAKEN slot whose core faulted, or that has no session
         and no pending open, after dropping one open-retain when `release`
         is set; all in one hold of the manager lock, so no reader sees the
@@ -449,7 +449,7 @@ class Fabric:
         with self._manager:
             if release:
                 record.pending = max(0, record.pending - 1)
-            if record.state is not _TAKEN or (not faulted and (
+            if record.state is not _TAKEN or (not record.runtime.faulted and (
                     record.pending or record.runtime.session_count)):
                 return
             self._begin_scrub(record)
@@ -496,17 +496,13 @@ class Fabric:
                       cmd=frame.cmd_id, code=reply.code,
                       dur_ns=time.perf_counter_ns() - start)
             # Under the slot lock, so the slot still holds the load that
-            # answered.
-            if self.config.quarantine_on_fault and runtime.faulted:
-                # Scrubbed at once, which ends every session on the slot.
-                self._maybe_cleanup(record, faulted=True)
+            # answered. A faulted core is scrubbed at once, which ends every
+            # session on the slot; a CLOSE frees the slot at its last one.
+            if runtime.faulted or frame.operation is _CLOSE:
+                self._maybe_cleanup(record)
             elif frame.operation is _OPEN:
                 # The reply ends this open's retain, whatever its code.
                 self._maybe_cleanup(record, release=True)
-            elif frame.operation is _CLOSE:
-                # Whatever the reply code: a TA that faults while closing
-                # still loses the session in the core.
-                self._maybe_cleanup(record)
         return reply
 
     def exchange(self, slot_index):

@@ -50,6 +50,9 @@ def build_wallet_image():
 
 
 _CODE_MESSAGES = {
+    ReturnCode.ERROR_GENERIC: ("the wallet record could not be read; "
+                               "`wallet 3` (restore) replaces it from the "
+                               "backup phrase"),
     ReturnCode.ERROR_ACCESS_DENIED: "wrong pin",
     ReturnCode.ERROR_ITEM_NOT_FOUND: "no wallet stored",
     ReturnCode.ERROR_SHORT_BUFFER: "reply buffer too small",

@@ -1,7 +1,13 @@
 """Top-level command line: boot, demo, bench, resources, wallet passthrough."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import teefab
 from teefab.cli import main
 
 
@@ -91,6 +97,39 @@ def test_wallet_passthrough(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "exists"
     assert main(["wallet", "2", "1234", "--storage-dir", store]) == 1
     assert "already exists" in capsys.readouterr().err
+
+
+def test_wallet_names_restore_for_an_unreadable_record(tmp_path, capsys):
+    store = tmp_path / "wallet-store"
+    args = ["--storage-dir", str(store)]
+    assert main(["wallet", "2", "1234", *args]) == 0
+    phrase = capsys.readouterr().out.split()
+    [record] = store.glob("*/*")
+    blob = bytearray(record.read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    record.write_bytes(bytes(blob))
+    assert main(["wallet", "6", "1234", "-a", "0", *args]) == 1
+    err = capsys.readouterr().err
+    assert "record could not be read" in err and "`wallet 3` (restore)" in err
+    assert main(["wallet", "3", "1234", "-a", *phrase, *args]) == 0
+    assert main(["wallet", "6", "1234", "-a", "0", *args]) == 0
+    assert capsys.readouterr().out.split()[-1].startswith("1")
+
+
+def test_wallet_module_runs_without_a_runpy_warning(tmp_path):
+    """`python -m teefab.wallet.client` is not imported before runpy runs
+    it, so it starts with no RuntimeWarning."""
+    src = str(Path(teefab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else os.pathsep.join((src, path)))
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "teefab.wallet.client", "1", "0000",
+         "--storage-dir", str(tmp_path / "w")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "missing"
 
 
 def test_unknown_subcommand_exits_with_usage():

@@ -20,7 +20,6 @@ def test_defaults_validate():
     assert config.device_profile == "zu3eg"
     assert config.tcm_size == TCM_SIZE
     assert config.shm_size == SHM_WINDOW_SIZE
-    assert not config.quarantine_on_fault
 
 
 def test_load_config_full_file(tmp_path):
@@ -38,13 +37,14 @@ def test_load_config_full_file(tmp_path):
 
 def test_load_config_bools_and_delays(tmp_path):
     path = write_config(tmp_path, (
-        "quarantine_on_fault = TRUE\n"
         "dma_ns_per_byte = 250\n"
         "dma_ns_per_op = 1000\n"))
     config = load_config(path)
-    assert config.quarantine_on_fault
     assert config.dma_ns_per_byte == 250
     assert config.dma_ns_per_op == 1000
+    # A TA fault always scrubs its slot; the old switch is no key at all.
+    with pytest.raises(ValueError, match="unknown key 'quarantine_on_fault'"):
+        load_config(write_config(tmp_path, "quarantine_on_fault = true\n"))
 
 
 def test_fixed_sizes_cannot_be_overridden(tmp_path):
@@ -67,8 +67,8 @@ def test_malformed_lines_name_position(tmp_path):
 def test_bad_value_types(tmp_path):
     with pytest.raises(ValueError, match="must be an integer"):
         load_config(write_config(tmp_path, "enclave_count = lots\n"))
-    with pytest.raises(ValueError, match="must be a boolean"):
-        load_config(write_config(tmp_path, "quarantine_on_fault = sometimes\n"))
+    with pytest.raises(ValueError, match="dma_ns_per_op must be an integer"):
+        load_config(write_config(tmp_path, "dma_ns_per_op = fast\n"))
 
 
 def test_validate_enclave_count_bounds():
@@ -113,14 +113,6 @@ def test_bad_delay_values_rejected():
         SimConfig(dma_ns_per_byte=-1).validate()
     with pytest.raises(ValueError, match="rng_seed must be an integer"):
         SimConfig(rng_seed="seed").validate()
-
-
-def test_quarantine_flag_must_be_a_bool():
-    for value in ("no", "false", 0, 1, None):
-        with pytest.raises(ValueError,
-                           match="quarantine_on_fault must be a bool"):
-            SimConfig(quarantine_on_fault=value).validate()
-    assert SimConfig(quarantine_on_fault=True).validate().quarantine_on_fault
 
 
 def test_tiny_device_warns_below_platform_floor(tmp_path):

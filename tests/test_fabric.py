@@ -43,10 +43,12 @@ from teefab.protocol import (
     OutOfMemoryError,
     ParamKind,
     ReturnCode,
+    TeeError,
 )
 from teefab.wallet.client import WalletClient, WalletError
 from test_acceptance import PIN, REFERENCE_MNEMONIC, WALLET_VECTORS
 
+TA_KIND_SECOND_OPEN_FAULT = 244
 TA_KIND_TRIPWIRE = 245
 TA_KIND_STALL = 246
 TA_KIND_BAD_CLOSE = 247
@@ -58,7 +60,7 @@ TA_KIND_REFUSE_OPEN = 252
 
 
 class TripwireTa(TrustedApp):
-    """Faults on purpose so quarantine behaviour is testable."""
+    """Faults on purpose so scrub-on-fault is testable."""
 
     def invoke_command(self, session, cmd_id, params):
         raise RuntimeError("tripwire")
@@ -129,6 +131,20 @@ class RefuseOpenTa(TrustedApp):
         raise AccessDeniedError("no sessions here")
 
 
+class SecondOpenFaultTa(TrustedApp):
+    """Opens one session per load, then faults on the next open."""
+
+    def __init__(self, env):
+        super().__init__(env)
+        self.opened = False
+
+    def open_session(self, params):
+        if self.opened:
+            raise RuntimeError("second open")
+        self.opened = True
+        return super().open_session(params)
+
+
 register_ta_kind(TA_KIND_TRIPWIRE, TripwireTa)
 register_ta_kind(TA_KIND_STALL, StallTa)
 register_ta_kind(TA_KIND_BAD_CLOSE, BadCloseTa)
@@ -137,6 +153,7 @@ register_ta_kind(TA_KIND_NAP, NapTa)
 register_ta_kind(TA_KIND_SPIN, SpinTa)
 register_ta_kind(TA_KIND_STORAGE_PROBE, StorageProbeTa)
 register_ta_kind(TA_KIND_REFUSE_OPEN, RefuseOpenTa)
+register_ta_kind(TA_KIND_SECOND_OPEN_FAULT, SecondOpenFaultTa)
 
 
 def open_frame():
@@ -313,8 +330,7 @@ def test_concurrent_same_uuid_single_load(fabric):
     fabric.audit()
 
 
-def test_quarantine_after_fault(fabric_factory):
-    fabric = fabric_factory(quarantine_on_fault=True)
+def test_quarantine_after_fault(fabric):
     slot, sid = open_ta(fabric, TA_KIND_TRIPWIRE)
     reply = fabric.comm_dispatch(slot, MailboxFrame.build(
         OperationId.INVOKE, sid, [], cmd_id=0))
@@ -325,20 +341,10 @@ def test_quarantine_after_fault(fabric_factory):
     assert fabric.slot_snapshot()[slot]["state"] == "FREE"
 
 
-def test_fault_not_quarantined_by_default(fabric):
-    slot, sid = open_ta(fabric, TA_KIND_TRIPWIRE)
-    reply = fabric.comm_dispatch(slot, MailboxFrame.build(
-        OperationId.INVOKE, sid, [], cmd_id=0))
-    assert reply.code is ReturnCode.ERROR_GENERIC
-    assert fabric.comm_dispatch(slot, close_frame(sid)).code \
-        is ReturnCode.SUCCESS
-
-
-def test_quarantine_scrubs_the_faulted_slot_at_once(fabric_factory):
-    """Under quarantine_on_fault, a TA fault scrubs its slot before the
-    reply returns: every session on the slot ends, and the slot is free,
-    unmapped and zeroed rather than left TAKEN for good."""
-    fabric = fabric_factory(quarantine_on_fault=True)
+def test_quarantine_scrubs_the_faulted_slot_at_once(fabric):
+    """A TA fault scrubs its slot before the reply returns: every session
+    on the slot ends, and the slot is free, unmapped and zeroed rather
+    than left TAKEN for good."""
     ta_uuid, image = make_image(TA_KIND_TRIPWIRE, payload=b"\xa5" * 600)
     with Context(fabric) as ctx:
         faulting = ctx.open_session(ta_uuid, image)
@@ -358,6 +364,31 @@ def test_quarantine_scrubs_the_faulted_slot_at_once(fabric_factory):
         assert not (bystander.is_open or faulting.is_open)
         assert len(fabric.events("dispatch")) == dispatches
         assert [event.slot for event in fabric.events("close")] == [slot]
+    fabric.audit()
+
+
+def test_a_fault_in_open_ends_every_session_on_the_slot(fabric):
+    """An OPEN that faults scrubs the slot before its reply returns, so a
+    session already open there ends too, and the next open loads cold."""
+    ta_uuid, image = make_image(TA_KIND_SECOND_OPEN_FAULT,
+                                payload=b"\xa5" * 600)
+    with Context(fabric) as ctx:
+        first = ctx.open_session(ta_uuid, image)
+        slot = first.slot_index
+        fabric.shm_write(slot, 0, b"\x5a" * 64)
+        with pytest.raises(TeeError) as refused:
+            ctx.open_session(ta_uuid, image)
+        assert refused.value.code is ReturnCode.ERROR_GENERIC
+        assert_scrubbed(fabric, slot)
+        assert not fabric.loaded_tas
+        fabric.audit()
+        with pytest.raises(AccessDeniedError):
+            first.invoke_command(0)
+        first.close()
+        assert not first.is_open
+        again = ctx.open_session(ta_uuid, image)
+        assert fabric.load_count == 2
+        again.close()
     fabric.audit()
 
 

@@ -1,6 +1,7 @@
 """Model-based check of the slot lifecycle: random sequences of opens,
 invokes, faults, closes, teardowns and bare retains on a two-slot fabric,
-compared after every step with a model of which TA each slot hosts."""
+compared after every step with a model of which TA each slot hosts. A
+faulting invoke always ends its load."""
 
 import shutil
 import tempfile
@@ -59,15 +60,13 @@ class SlotLifecycle(RuleBasedStateMachine):
     maps each session whose load is still there to its slot. A session
     whose load went away stays in the bundle as a stale handle."""
 
-    quarantine = False
     sessions = Bundle("sessions")
 
     def __init__(self):
         super().__init__()
         self.storage = tempfile.mkdtemp(prefix="teefab-model-")
         self.fabric = Fabric(SimConfig(
-            enclave_count=SLOTS, storage_dir=self.storage, rng_seed=7,
-            quarantine_on_fault=self.quarantine))
+            enclave_count=SLOTS, storage_dir=self.storage, rng_seed=7))
         self.context = Context(self.fabric)
         self.staged = [self.fabric.cm_stage(image) for _uuid, image in TAS]
         self.hosted = {}
@@ -126,8 +125,7 @@ class SlotLifecycle(RuleBasedStateMachine):
             return
         reply = session.invoke_command(CMD_FAULT)
         assert reply.code is ReturnCode.ERROR_GENERIC
-        if self.quarantine:
-            self._end_load(session.slot_index)
+        self._end_load(session.slot_index)
 
     @rule(session=consumes(sessions))
     def close(self, session):
@@ -167,14 +165,7 @@ class SlotLifecycle(RuleBasedStateMachine):
                     bytes(SHM_WINDOW_SIZE)
 
 
-class QuarantinedSlotLifecycle(SlotLifecycle):
-    quarantine = True
-
-
-_SETTINGS = settings(derandomize=True, database=None, deadline=None,
-                     max_examples=50, stateful_step_count=30,
-                     suppress_health_check=[HealthCheck.too_slow])
 TestSlotLifecycle = SlotLifecycle.TestCase
-TestSlotLifecycle.settings = _SETTINGS
-TestQuarantinedSlotLifecycle = QuarantinedSlotLifecycle.TestCase
-TestQuarantinedSlotLifecycle.settings = _SETTINGS
+TestSlotLifecycle.settings = settings(
+    derandomize=True, database=None, deadline=None, max_examples=50,
+    stateful_step_count=30, suppress_health_check=[HealthCheck.too_slow])
