@@ -5,8 +5,9 @@ from __future__ import annotations
 import statistics
 import tempfile
 import uuid as uuid_mod
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from time import perf_counter_ns
+from time import thread_time_ns
 
 from .client_api import Context, Direction, Operation, Value
 from .config import SimConfig
@@ -106,9 +107,11 @@ def _fmt(ns):
 
 
 def _timed(samples, call):
-    start = perf_counter_ns()
+    """Run call, adding the CPU time it took on this thread to samples:
+    while the thread waits descheduled, that clock stands still."""
+    start = thread_time_ns()
     value = call()
-    samples.append(perf_counter_ns() - start)
+    samples.append(thread_time_ns() - start)
     return value
 
 
@@ -117,11 +120,9 @@ def run_bench(repetitions=DEFAULT_REPETITIONS,
               per_op_ns=DEFAULT_NS_PER_OP,
               seed=0,
               storage_dir=None):
-    """Run all five scenarios on a private fabric; returns a BenchReport."""
-    storage_dir = storage_dir or tempfile.mkdtemp(prefix="teefab-bench-")
-    config = SimConfig(enclave_count=2, storage_dir=storage_dir, rng_seed=seed,
-                       dma_ns_per_byte=per_byte_ns, dma_ns_per_op=per_op_ns)
-    fabric = Fabric(config)
+    """Run all five scenarios on a private fabric; returns a BenchReport.
+    Without a storage_dir, sealed storage lives in a temporary directory
+    that is removed when the run ends."""
     # Full-size image so a cold load moves a realistic amount of data.
     cold_image = encode_image(TAImage(
         _COLD_UUID, TA_KIND_INCREMENT,
@@ -129,7 +130,14 @@ def run_bench(repetitions=DEFAULT_REPETITIONS,
     inc_image = encode_image(TAImage(_INC_UUID, TA_KIND_INCREMENT))
     shm_image = encode_image(TAImage(_SHM_UUID, TA_KIND_SHMEM16))
     results = {}
-    try:
+    with ExitStack() as cleanup:
+        if not storage_dir:
+            storage_dir = cleanup.enter_context(
+                tempfile.TemporaryDirectory(prefix="teefab-bench-"))
+        fabric = Fabric(SimConfig(
+            enclave_count=2, storage_dir=storage_dir, rng_seed=seed,
+            dma_ns_per_byte=per_byte_ns, dma_ns_per_op=per_op_ns))
+        cleanup.callback(fabric.shutdown)
         with Context(fabric) as context:
             results["cold_open"] = _bench_cold_open(
                 fabric, context, cold_image, repetitions)
@@ -139,8 +147,6 @@ def run_bench(repetitions=DEFAULT_REPETITIONS,
                 fabric, context, inc_image, shm_image, repetitions)
             results["close"] = _bench_close(
                 fabric, context, cold_image, repetitions)
-    finally:
-        fabric.shutdown()
     return BenchReport(results=results, repetitions=repetitions)
 
 

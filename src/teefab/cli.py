@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 import uuid as uuid_mod
 
 from .bench import (
@@ -126,8 +125,7 @@ def _cmd_bench(config, args):
     report = run_bench(repetitions=args.repetitions,
                        per_byte_ns=args.ns_per_byte,
                        per_op_ns=args.ns_per_op,
-                       seed=config.rng_seed or 0,
-                       storage_dir=tempfile.mkdtemp(prefix="teefab-bench-"))
+                       seed=config.rng_seed or 0)
     print(report.render_text())
     return 0
 

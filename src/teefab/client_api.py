@@ -112,30 +112,34 @@ class Operation:
         self.params = list(params) + [None] * (PARAM_SLOTS - len(params))
 
     def _marshal(self):
-        """(kinds, gp words); OUT value words travel as zeros."""
-        kinds, words = [], []
-        for param in self.params:
+        """One walk over the parameters: (kinds, gp words, shared), where
+        shared pairs each SharedMemory with its index. OUT value words
+        travel as zeros."""
+        kinds, words, shared = [], [], []
+        for index, param in enumerate(self.params):
             if param is None:
                 kinds.append(_NONE)
-                words += [0, 0]
+                words += (0, 0)
             elif isinstance(param, Value):
                 kinds.append(_VALUE_KINDS[param.direction])
                 if param.direction is _OUT:
-                    words += [0, 0]
+                    words += (0, 0)
                 else:
-                    words += [param.a, param.b]
+                    words += (param.a, param.b)
             else:
                 kinds.append(_MEMREF)
-                words += [param.offset, param.length]
-        return kinds, words
+                words += (param.offset, param.length)
+                shared.append((index, param))
+        return kinds, words, shared
 
 
 class InvokeResult:
-    """Reply-side view of one exchange."""
+    """Reply-side view of one exchange: the reply's code and words, read
+    by the kinds the request was sent with."""
 
-    def __init__(self, reply):
+    def __init__(self, reply, kinds):
         self.code = reply.code
-        self._kinds = reply.kinds()
+        self._kinds = kinds
         self._words = reply.gp
 
     @property
@@ -274,39 +278,32 @@ class Session:
         """Marshal, copy shared buffers in, dispatch, copy back out."""
         if not self.is_open:
             raise BadParametersError("session is closed")
-        operation = operation or Operation()
-        kinds, words = operation._marshal()
+        kinds, words, shared = (operation or Operation())._marshal()
         frame = MailboxFrame.build(_INVOKE, self.session_id,
                                    kinds, gp=words, cmd_id=cmd_id)
         fabric = self.context.fabric
-        with fabric.exchange(self.slot_index):
+        slot = self.slot_index
+        with fabric.exchange(slot):
             if not self._is_current():
                 raise AccessDeniedError(
-                    f"slot {self.slot_index} no longer hosts the load "
+                    f"slot {slot} no longer hosts the load "
                     f"session {self.session_id} was opened on")
-            for param in operation.params:
-                if not isinstance(param, SharedMemory) or param.length == 0:
-                    continue
-                if param.direction in _COPIED_IN:
-                    fabric.shm_write(self.slot_index, param.offset,
-                                     param.buffer)
-                else:
+            for _index, block in shared:
+                if block.length:
                     # OUT: REE contents must never reach the enclave.
-                    fabric.shm_write(self.slot_index, param.offset,
-                                     bytes(param.length))
-            reply = fabric.comm_dispatch(self.slot_index, frame)
-            for index, param in enumerate(operation.params):
-                if not isinstance(param, SharedMemory):
-                    continue
-                returned = reply.param_words(index)[1]
-                param.returned_length = returned
+                    fabric.shm_write(slot, block.offset, block.buffer
+                                     if block.direction in _COPIED_IN
+                                     else bytes(block.length))
+            reply = fabric.comm_dispatch(slot, frame)
+            for index, block in shared:
+                returned = block.returned_length = reply.gp[2 * index + 1]
                 if (reply.code is _SUCCESS
-                        and param.direction in _COPIED_OUT
-                        and param.length):
-                    data = fabric.shm_read(self.slot_index, param.offset,
-                                           min(returned, param.length))
-                    param.buffer[:len(data)] = data
-        return InvokeResult(reply)
+                        and block.direction in _COPIED_OUT
+                        and block.length):
+                    data = fabric.shm_read(slot, block.offset,
+                                           min(returned, block.length))
+                    block.buffer[:len(data)] = data
+        return InvokeResult(reply, kinds)
 
     def close(self):
         """Dispatch CLOSE; double close and close after the slot's load

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 import traceback
+from bisect import insort
 from collections import deque
 from contextlib import nullcontext
 from enum import IntEnum
@@ -23,7 +24,7 @@ from .protocol import (
     ShortBufferError,
     ImageFormatError,
     ImageSizeError,
-    ReplyFrame,
+    _KINDS_BY_WORD,
     _MEMREF_SLOTS,
     decode_frame,
     encode_reply,
@@ -111,8 +112,7 @@ class MemoryContext:
             raise AccessDeniedError(
                 f"grant [{offset}, +{length}) outside the shared window")
         if length:
-            self._grants.append((offset, offset + length))
-            self._grants.sort()
+            insort(self._grants, (offset, offset + length))
 
     def _covered(self, lo, hi):
         """True when [lo, hi) lies inside the union of grants."""
@@ -466,8 +466,8 @@ class EnclaveRuntime:
             self._boot()
 
     def deliver(self, words):
-        """Place a request, ring INT and run the ISR on this thread."""
-        words = tuple(words)
+        """Place a request, ring INT and run the ISR on this thread; the
+        ISR's `decode_frame` converts and checks the words."""
         if len(words) != MAILBOX_WORDS:
             raise InvalidFrame(f"mailbox holds {MAILBOX_WORDS} words")
         reply = None
@@ -584,22 +584,23 @@ class EnclaveRuntime:
             raise AbortedError("reset asserted")
 
     def _dispatch(self, words):
-        """Serve one mailbox frame; returns the 12 reply words."""
+        """Serve one mailbox frame; returns the 12 reply words. The frame
+        is decoded and validated once, and its kinds unpacked once, here;
+        the reply is encoded from its fields."""
         try:
             frame = decode_frame(words)
         except InvalidFrame as exc:
             self.uart.log(f"isr: bad frame: {exc}")
-            return encode_reply(ReplyFrame(
-                ReturnCode.ERROR_BAD_PARAMETERS, 0, 0, (0,) * 8, 0))
+            return encode_reply(
+                (ReturnCode.ERROR_BAD_PARAMETERS, 0, 0, (0,) * 8, 0))
         if self._ta_kind is None:
             self.uart.log("isr: no valid image loaded")
-            return encode_reply(ReplyFrame(
-                ReturnCode.ERROR_GENERIC, frame.session_id, frame.param_type,
-                frame.gp, frame.cmd_id))
+            return encode_reply((ReturnCode.ERROR_GENERIC, *frame[1:]))
+        gp = frame.gp
         mem = MemoryContext(self.tcm, self.window, self._check_abort)
         for i in _MEMREF_SLOTS[frame.param_type]:
-            mem.grant(*frame.param_words(i))
-        params = TaParams(frame.kinds(), frame.gp, mem)
+            mem.grant(gp[2 * i], gp[2 * i + 1])
+        params = TaParams(_KINDS_BY_WORD[frame.param_type], gp, mem)
         code = _SUCCESS
         session_out = frame.session_id
         try:
@@ -642,5 +643,5 @@ class EnclaveRuntime:
                 self._ta.destroy()
             finally:
                 self._ta = None
-        return encode_reply(ReplyFrame(
-            code, session_out, frame.param_type, params.words(), frame.cmd_id))
+        return encode_reply(
+            (code, session_out, frame.param_type, params._words, frame.cmd_id))

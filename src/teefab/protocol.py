@@ -150,11 +150,11 @@ _KINDS_BY_WORD, _WORDS_BY_KINDS, _MEMREF_SLOTS = _param_type_tables()
 
 def pack_param_types(kinds):
     """Pack up to four ParamKind nibbles into the param_type word."""
-    kinds = list(kinds)
+    kinds = tuple(kinds)
     if len(kinds) > PARAM_SLOTS:
         raise InvalidFrame(f"at most {PARAM_SLOTS} parameters, got {len(kinds)}")
-    kinds += [_NONE] * (PARAM_SLOTS - len(kinds))
-    packed = _WORDS_BY_KINDS.get(tuple(kinds))
+    kinds += (_NONE,) * (PARAM_SLOTS - len(kinds))
+    packed = _WORDS_BY_KINDS.get(kinds)
     if packed is not None:
         return packed
     # Not all members: go by each kind's int(), naming the first bad one.
@@ -235,25 +235,23 @@ class MailboxFrame(NamedTuple):
     @classmethod
     def build(cls, operation, session_id, params=(), gp=(), cmd_id=0):
         """Construct from a kind list or from (kind, a, b) triples."""
-        params = list(params)
+        kinds = params = tuple(params)
         if params and isinstance(params[0], (tuple, list)):
             if gp:
                 raise InvalidFrame("gp words are implied by (kind, a, b) triples")
-            kinds, words = [], []
+            kinds, gp = [], []
             for entry in params:
                 kind, word_a, word_b = entry
                 kinds.append(kind)
-                words += [word_a, word_b]
-        else:
-            kinds = params
-            words = list(gp)
-        if len(words) > GP_WORDS:
-            raise InvalidFrame(f"at most {GP_WORDS} gp words, got {len(words)}")
-        words += [0] * (GP_WORDS - len(words))
-        _check_frame_words((session_id, *words, cmd_id))
+                gp += [word_a, word_b]
+        gp = tuple(gp)
+        if len(gp) > GP_WORDS:
+            raise InvalidFrame(f"at most {GP_WORDS} gp words, got {len(gp)}")
+        gp += (0,) * (GP_WORDS - len(gp))
+        _check_frame_words((session_id, *gp, cmd_id))
         # An unknown operation stays as given, for validate() to name.
         frame = cls(_OPERATIONS.get(operation, operation), session_id,
-                    pack_param_types(kinds), tuple(words), cmd_id)
+                    pack_param_types(kinds), gp, cmd_id)
         frame.validate()
         return frame
 
@@ -271,11 +269,19 @@ class MailboxFrame(NamedTuple):
         `decode_frame` from the mailbox, its two callers."""
         if self.operation not in _OPERATIONS:
             raise InvalidFrame(f"operation word {self.operation!r} not in 1..3")
-        if len(self.gp) != GP_WORDS:
-            raise InvalidFrame(f"expected {GP_WORDS} gp words, got {len(self.gp)}")
-        self.kinds()  # raises on upper bits or an unknown nibble
-        for i in _MEMREF_SLOTS[self.param_type]:
-            offset, length = self.param_words(i)
+        gp = self.gp
+        if len(gp) != GP_WORDS:
+            raise InvalidFrame(f"expected {GP_WORDS} gp words, got {len(gp)}")
+        # One lookup checks an exact int: the table holds every valid
+        # word and no other. Anything else goes through kinds(), which
+        # names what is wrong, so that 1.0 == 1 cannot find an entry.
+        memrefs = _MEMREF_SLOTS.get(self.param_type) \
+            if type(self.param_type) is int else None
+        if memrefs is None:
+            self.kinds()
+            memrefs = _MEMREF_SLOTS[self.param_type]
+        for i in memrefs:
+            offset, length = gp[2 * i], gp[2 * i + 1]
             # Plain integer sum: a 32-bit wraparound cannot sneak past.
             if offset + length > SHM_WINDOW_SIZE:
                 raise InvalidFrame(
@@ -310,23 +316,23 @@ def encode_frame(frame):
 
 
 def decode_frame(words):
-    """12 words -> MailboxFrame, rejecting anything malformed."""
+    """12 words -> MailboxFrame, rejecting anything malformed: the words
+    are converted and range-checked here, the rest by validate()."""
     words = tuple(words)
     if len(words) != MAILBOX_WORDS:
         raise InvalidFrame(f"expected {MAILBOX_WORDS} words, got {len(words)}")
     _check_mailbox_words(words)
-    operation = _OPERATIONS.get(words[0])
-    if operation is None:
-        raise InvalidFrame(f"operation word {words[0]} not in 1..3")
-    frame = MailboxFrame(operation, words[1], words[2], words[3:11], words[11])
+    frame = MailboxFrame(_OPERATIONS.get(words[0], words[0]), words[1],
+                         words[2], words[3:11], words[11])
     frame.validate()
     return frame
 
 
 def encode_reply(reply):
-    """ReplyFrame -> 12 words (return code in the operation slot)."""
-    return (int(reply.code), reply.session_id, reply.param_type,
-            *reply.gp, reply.cmd_id)
+    """A ReplyFrame, or its five fields as a plain tuple -> 12 words
+    (return code in the operation slot)."""
+    code, session_id, param_type, gp, cmd_id = reply
+    return (int(code), session_id, param_type, *gp, cmd_id)
 
 
 def decode_reply(words):

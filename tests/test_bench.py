@@ -2,6 +2,7 @@
 those depend on the DMA cost model and are asserted in the acceptance run)."""
 
 import re
+import tempfile
 
 from teefab.bench import (
     DEFAULT_NS_PER_BYTE,
@@ -62,3 +63,10 @@ def test_defaults_are_the_acceptance_settings():
     assert DEFAULT_REPETITIONS == 100
     assert DEFAULT_NS_PER_BYTE == 1000
     assert DEFAULT_NS_PER_OP == 50000
+
+
+def test_a_run_without_a_storage_dir_leaves_nothing_behind(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    run_bench(repetitions=1, per_byte_ns=0, per_op_ns=0, seed=9)
+    assert list(tmp_path.iterdir()) == []

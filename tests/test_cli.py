@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,13 @@ def test_bench_quick_run(capsys):
                  "close", "ratio=cold_over_warm", "ratio=shm_over_raw"):
         assert name in out
 
+
+
+def test_bench_leaves_no_temporary_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert main(["bench", "--repetitions", "1", "--ns-per-byte", "0",
+                 "--ns-per-op", "0"]) == 0
+    assert list(tmp_path.iterdir()) == []
 
 def test_resources_report(capsys):
     assert main(["resources", "--enclaves", "4"]) == 0

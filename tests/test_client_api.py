@@ -18,6 +18,7 @@ from teefab.protocol import (
     AccessDeniedError,
     BadParametersError,
     ImageFormatError,
+    InvalidFrame,
     MailboxFrame,
     OutOfMemoryError,
     ReturnCode,
@@ -53,6 +54,49 @@ def test_invoke_validates_once_per_trust_boundary(context, monkeypatch):
     assert result.value(0) == (42, 0)
     assert callers == ["build", "decode_frame"]
 
+
+
+def _refused_before_the_window(fabric, session, monkeypatch, *request):
+    """The request raises InvalidFrame on the REE side: no window copy,
+    and the core answers no frame."""
+    copies = []
+    monkeypatch.setattr(fabric, "shm_write",
+                        lambda *args: copies.append(args))
+    runtime = fabric.slot_runtime(session.slot_index)
+    served = runtime.snapshot()["reply_serial"]
+    with pytest.raises(InvalidFrame):
+        session.invoke_command(*request)
+    assert copies == []
+    assert runtime.snapshot()["reply_serial"] == served
+
+
+@pytest.mark.parametrize("cmd_id", [2 ** 32, -1, 1.0], ids=repr)
+def test_a_cmd_id_that_is_no_word_is_refused_on_the_ree_side(
+        fabric, context, monkeypatch, cmd_id):
+    session = open_ta(context, TA_KIND_ECHO)
+    block = session.allocate_shared_memory(16)
+    _refused_before_the_window(fabric, session, monkeypatch,
+                               cmd_id, Operation(block))
+
+
+def test_a_value_word_changed_after_it_was_built_is_refused(
+        fabric, context, monkeypatch):
+    session = open_ta(context, TA_KIND_INCREMENT)
+    value = Value(Direction.INOUT, 41)
+    value.a = 2 ** 32
+    _refused_before_the_window(fabric, session, monkeypatch,
+                               0, Operation(value))
+
+
+@pytest.mark.parametrize("field, moved", [
+    ("offset", SHM_WINDOW_SIZE - 8), ("length", SHM_WINDOW_SIZE + 1)])
+def test_a_block_moved_past_the_window_is_refused(
+        fabric, context, monkeypatch, field, moved):
+    session = open_ta(context, TA_KIND_ECHO)
+    block = session.allocate_shared_memory(16)
+    setattr(block, field, moved)
+    _refused_before_the_window(fabric, session, monkeypatch,
+                               1, Operation(block))
 
 def test_open_invoke_close(context):
     session = open_ta(context, TA_KIND_INCREMENT)
