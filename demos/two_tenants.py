@@ -20,8 +20,12 @@ ECHO_UUID = uuid.UUID("0d203afe-0002-4000-8000-00000000000b")
 
 
 def main():
-    fabric = Fabric(SimConfig(enclave_count=2,
-                              storage_dir=tempfile.mkdtemp()))
+    with tempfile.TemporaryDirectory() as storage_dir:
+        return run(storage_dir)
+
+
+def run(storage_dir):
+    fabric = Fabric(SimConfig(enclave_count=2, storage_dir=storage_dir))
     try:
         with Context(fabric) as context:
             inc = context.open_session(

@@ -15,8 +15,12 @@ from teefab.wallet.client import DEMO_RAW_TX as DEMO_TX
 
 
 def main():
-    fabric = Fabric(SimConfig(enclave_count=2,
-                              storage_dir=tempfile.mkdtemp(),
+    with tempfile.TemporaryDirectory() as storage_dir:
+        return run(storage_dir)
+
+
+def run(storage_dir):
+    fabric = Fabric(SimConfig(enclave_count=2, storage_dir=storage_dir,
                               rng_seed=2024))
     client = WalletClient(fabric)
     pin = 1234

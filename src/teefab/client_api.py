@@ -64,7 +64,10 @@ class Value:
     """One (a, b) word-pair parameter."""
 
     def __init__(self, direction, a=0, b=0):
-        self.direction = _direction(direction)
+        try:
+            self.direction = _DIRECTIONS[direction]
+        except (KeyError, TypeError):
+            self.direction = Direction(direction)
         for word in (a, b):
             if not isinstance(word, int) or not 0 <= word <= WORD_MASK:
                 raise BadParametersError(f"value word {word!r} is not 32-bit")
@@ -246,19 +249,15 @@ class Session:
         self.uuid = ta_uuid
         self.slot_index = slot_index
         self.session_id = session_id
-        self._generation = generation
+        # `fabric.slot_load` while the slot hosts the load this session was
+        # opened on; a reloaded core numbers its sessions from 1 again.
+        self._load = (ta_uuid, generation)
+        self._exchange = context.fabric.exchange(slot_index)
         self._shm_cursor = 0
 
     @property
     def is_open(self):
         return self.session_id != 0
-
-    def _is_current(self):
-        """Whether the slot still hosts the load this session was opened
-        on; a reloaded core numbers its sessions from 1 again. Call under
-        `fabric.exchange(slot_index)`."""
-        return self.context.fabric.slot_load(self.slot_index) == \
-            (self.uuid, self._generation)
 
     def allocate_shared_memory(self, length, direction=Direction.INOUT):
         """Reserve the next disjoint window slice for this session."""
@@ -276,15 +275,15 @@ class Session:
 
     def invoke_command(self, cmd_id, operation=None):
         """Marshal, copy shared buffers in, dispatch, copy back out."""
-        if not self.is_open:
+        if not self.session_id:
             raise BadParametersError("session is closed")
         kinds, words, shared = (operation or Operation())._marshal()
         frame = MailboxFrame.build(_INVOKE, self.session_id,
                                    kinds, gp=words, cmd_id=cmd_id)
         fabric = self.context.fabric
         slot = self.slot_index
-        with fabric.exchange(slot):
-            if not self._is_current():
+        with self._exchange:
+            if fabric.slot_load(slot) != self._load:
                 raise AccessDeniedError(
                     f"slot {slot} no longer hosts the load "
                     f"session {self.session_id} was opened on")
@@ -308,12 +307,12 @@ class Session:
     def close(self):
         """Dispatch CLOSE; double close and close after the slot's load
         went away are no-ops."""
-        if not self.is_open:
+        if not self.session_id:
             return
         frame = MailboxFrame.build(_CLOSE, self.session_id)
         fabric = self.context.fabric
-        with fabric.exchange(self.slot_index):
-            if self._is_current():
+        with self._exchange:
+            if fabric.slot_load(self.slot_index) == self._load:
                 try:
                     fabric.comm_dispatch(self.slot_index, frame)
                 except AccessDeniedError:

@@ -25,7 +25,6 @@ from .protocol import (
     ImageFormatError,
     ImageSizeError,
     _KINDS_BY_WORD,
-    _MEMREF_SLOTS,
     decode_frame,
     encode_reply,
     decode_image_header,
@@ -68,7 +67,8 @@ class Space:
     def __init__(self, size):
         if size > len(_ZEROS):
             raise ValueError(f"a region holds at most {len(_ZEROS)} bytes")
-        self._buf = bytearray(size)
+        # A view: a slice of it copies once, and takes an assignment as is.
+        self._buf = memoryview(bytearray(size))
 
     def __len__(self):
         return len(self._buf)
@@ -82,7 +82,7 @@ class Space:
 
     def read(self, offset, length):
         self._check(offset, length)
-        return bytes(self._buf[offset:offset + length])
+        return self._buf[offset:offset + length].tobytes()
 
     def write(self, offset, data):
         data = bytes(data)
@@ -91,20 +91,22 @@ class Space:
 
     def view(self):
         """A read-only view of the whole region, without a copy."""
-        return memoryview(self._buf).toreadonly()
+        return self._buf.toreadonly()
 
     def zeroize(self):
         self._buf[:] = _ZEROS[:len(self._buf)]
 
 
 class MemoryContext:
-    """Per-dispatch access rights: all of TCM plus granted window slices."""
+    """Per-dispatch access rights: all of TCM plus granted window slices.
+    `aborted`, when given, returns True once the core's RST is asserted."""
 
-    def __init__(self, tcm, window, abort_check=None):
+    def __init__(self, tcm, window, aborted=None):
         self._tcm = tcm
-        self._window = window
+        # The window's bytes: `_gate` checks every access, no Space again.
+        self._window = window._buf
         self._grants = []
-        self._abort_check = abort_check
+        self._aborted = aborted
 
     def grant(self, offset, length):
         """Admit one window slice for this dispatch."""
@@ -126,8 +128,8 @@ class MemoryContext:
         return cursor >= hi
 
     def _gate(self, offset, length):
-        if self._abort_check is not None:
-            self._abort_check()
+        if self._aborted is not None and self._aborted():
+            raise AbortedError("reset asserted")
         if not isinstance(offset, int) or not isinstance(length, int):
             raise AccessDeniedError("window offsets must be integers")
         if offset < 0 or length < 0 or offset + length > len(self._window):
@@ -139,21 +141,21 @@ class MemoryContext:
 
     def window_read(self, offset, length):
         self._gate(offset, length)
-        return self._window.read(offset, length)
+        return self._window[offset:offset + length].tobytes()
 
     def window_write(self, offset, data):
         data = bytes(data)
         self._gate(offset, len(data))
-        self._window.write(offset, data)
+        self._window[offset:offset + len(data)] = data
 
     def tcm_read(self, offset, length):
-        if self._abort_check is not None:
-            self._abort_check()
+        if self._aborted is not None and self._aborted():
+            raise AbortedError("reset asserted")
         return self._tcm.read(offset, length)
 
     def tcm_write(self, offset, data):
-        if self._abort_check is not None:
-            self._abort_check()
+        if self._aborted is not None and self._aborted():
+            raise AbortedError("reset asserted")
         self._tcm.write(offset, data)
 
 
@@ -186,12 +188,14 @@ _WRITABLE = frozenset((ParamKind.VALUE_OUT, _VALUE_INOUT))
 
 
 class TaParams:
-    """Handler view of the four frame parameters."""
+    """Handler view of the four frame parameters on one core."""
 
-    def __init__(self, kinds, gp, mem):
+    def __init__(self, kinds, gp, core):
         self._kinds = kinds
+        self._gp = gp
         self._words = list(gp)
-        self._mem = mem
+        self._core = core
+        self._mem = None
 
     def kind(self, index):
         return self._kinds[index]
@@ -217,7 +221,14 @@ class TaParams:
 
     @property
     def memory(self):
-        """The dispatch's MemoryContext (full TCM, granted window slices)."""
+        """The dispatch's MemoryContext (full TCM, granted window slices),
+        built on first read, with grants from the request's own words."""
+        if self._mem is None:
+            core, gp = self._core, self._gp
+            self._mem = MemoryContext(core.tcm, core.window, core._rst.is_set)
+            for i, kind in enumerate(self._kinds):
+                if kind is _MEMREF:
+                    self._mem.grant(gp[2 * i], gp[2 * i + 1])
         return self._mem
 
     def memref(self, index):
@@ -226,7 +237,7 @@ class TaParams:
             raise BadParametersError(
                 f"parameter {index} is {self._kinds[index].name}, not a memref")
         offset, length = self._words[2 * index], self._words[2 * index + 1]
-        return MemRef(self._mem, offset, length)
+        return MemRef(self.memory, offset, length)
 
     def set_memref_length(self, index, length):
         """Report the size a memref actually needs (short-buffer replies)."""
@@ -565,23 +576,9 @@ class EnclaveRuntime:
         self._image_size = consumed
         self.uart.log(f"boot: ta {ta_uuid} kind {ta_kind}")
 
-    def _ensure_ta(self):
-        if self._ta is None:
-            env = TaEnvironment(self._ta_uuid,
-                                *self._services.for_ta(self._ta_uuid),
-                                self.uart, self._rst,
-                                image_size=self._image_size,
-                                turnstile=self._turnstile)
-            self._ta = ta_factory(self._ta_kind)(env)
-        return self._ta
-
     def _next_sid(self):
         self._last_sid = (self._last_sid + 1) & WORD_MASK or 1
         return self._last_sid
-
-    def _check_abort(self):
-        if self._rst.is_set():
-            raise AbortedError("reset asserted")
 
     def _dispatch(self, words):
         """Serve one mailbox frame; returns the 12 reply words. The frame
@@ -596,30 +593,31 @@ class EnclaveRuntime:
         if self._ta_kind is None:
             self.uart.log("isr: no valid image loaded")
             return encode_reply((ReturnCode.ERROR_GENERIC, *frame[1:]))
-        gp = frame.gp
-        mem = MemoryContext(self.tcm, self.window, self._check_abort)
-        for i in _MEMREF_SLOTS[frame.param_type]:
-            mem.grant(gp[2 * i], gp[2 * i + 1])
-        params = TaParams(_KINDS_BY_WORD[frame.param_type], gp, mem)
+        params = TaParams(_KINDS_BY_WORD[frame.param_type], frame.gp, self)
         code = _SUCCESS
         session_out = frame.session_id
         try:
             if frame.operation is _OPEN:
-                ta = self._ensure_ta()
-                context = ta.open_session(params)
+                if self._ta is None:    # the load's first session
+                    self._ta = ta_factory(self._ta_kind)(TaEnvironment(
+                        self._ta_uuid, *self._services.for_ta(self._ta_uuid),
+                        self.uart, self._rst, image_size=self._image_size,
+                        turnstile=self._turnstile))
+                context = self._ta.open_session(params)
                 sid = self._next_sid()
                 self._sessions[sid] = context
                 session_out = sid
             elif frame.operation is _INVOKE:
                 if frame.session_id not in self._sessions:
                     raise BadParametersError(f"no session {frame.session_id}")
-                self._ensure_ta().invoke_command(
+                # The core holds its TA while any session is open.
+                self._ta.invoke_command(
                     self._sessions[frame.session_id], frame.cmd_id, params)
             else:
                 if frame.session_id not in self._sessions:
                     raise BadParametersError(f"no session {frame.session_id}")
                 context = self._sessions.pop(frame.session_id)
-                ta = self._ensure_ta()
+                ta = self._ta
                 ta.close_session(context)
                 if not self._sessions:
                     ta.destroy()

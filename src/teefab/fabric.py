@@ -140,14 +140,23 @@ def _align(offset):
     return (offset + CM_ALIGNMENT - 1) & ~(CM_ALIGNMENT - 1)
 
 
-class _TurnstileLocal(threading.local):
+class _Turn:
     """A thread's exchange depth at one turnstile, and the lock it parks
     on there: held while it rests, released by `Turnstile._handover`."""
+
+    __slots__ = ("depth", "waiter")
 
     def __init__(self):
         self.depth = 0
         self.waiter = threading.Lock()
         self.waiter.acquire()
+
+
+class _TurnstileLocal(threading.local):
+    """Each thread's `_Turn`, reached in one thread-local lookup."""
+
+    def __init__(self):
+        self.turn = _Turn()
 
 
 class Turnstile:
@@ -175,9 +184,9 @@ class Turnstile:
     def enter(self):
         """Enter an exchange; the outermost one makes this thread a
         contender."""
-        local = self._local
-        depth = local.depth
-        local.depth = depth + 1
+        turn = self._local.turn
+        depth = turn.depth
+        turn.depth = depth + 1
         if not depth:
             with self._mutex:
                 self._running += 1
@@ -185,16 +194,16 @@ class Turnstile:
     def leave(self):
         """Leave an exchange; at the outermost one, park while another
         contender takes its turn. Call with no lock held."""
-        local = self._local
-        local.depth -= 1
-        if local.depth:
+        turn = self._local.turn
+        turn.depth -= 1
+        if turn.depth:
             return
         with self._mutex:
             self._running -= 1
             if not (self._running or self._parked):
                 return
             self._handover()
-            waiter = local.waiter
+            waiter = turn.waiter
             self._parked.append(waiter)
         self._park(waiter)
 
@@ -215,7 +224,7 @@ class Turnstile:
     def stepped_out(self):
         """Not a contender for the body: a thread that waits there does
         not hold up the others."""
-        if not self._local.depth:
+        if not self._local.turn.depth:
             yield
             return
         with self._mutex:
@@ -527,8 +536,9 @@ class Fabric:
             if record.state is not _TAKEN:
                 raise AccessDeniedError(f"slot {slot_index} is not taken")
             data = bytes(data)
-            self.delay.charge(len(data))
+            # Charged after the window's bounds check: a refused copy is free.
             record.runtime.window.write(offset, data)
+            self.delay.charge(len(data))
 
     def shm_read(self, slot_index, offset, length):
         """REE copy out of the slot's shared window (costed transfer)."""
@@ -536,8 +546,9 @@ class Fabric:
         with record.runtime.lock:
             if record.state is not _TAKEN:
                 raise AccessDeniedError(f"slot {slot_index} is not taken")
+            data = record.runtime.window.read(offset, length)
             self.delay.charge(length)
-            return record.runtime.window.read(offset, length)
+            return data
 
     # ---- observability ----
 
@@ -545,7 +556,9 @@ class Fabric:
         # _log_lock is a leaf: callers may hold the manager or a slot lock.
         with self._log_lock:
             self._seq += 1
-            self._events.append(Event(self._seq, kind, slot, fields))
+            # Not Event(...): tuple.__new__ skips its Python-level __new__.
+            self._events.append(
+                tuple.__new__(Event, (self._seq, kind, slot, fields)))
 
     def events(self, kind=None):
         """The last EVENT_CAPACITY records, oldest first; only those of

@@ -239,19 +239,23 @@ class MailboxFrame(NamedTuple):
         if params and isinstance(params[0], (tuple, list)):
             if gp:
                 raise InvalidFrame("gp words are implied by (kind, a, b) triples")
-            kinds, gp = [], []
+            kinds, gp = (), []
             for entry in params:
                 kind, word_a, word_b = entry
-                kinds.append(kind)
+                kinds += (kind,)
                 gp += [word_a, word_b]
         gp = tuple(gp)
         if len(gp) > GP_WORDS:
             raise InvalidFrame(f"at most {GP_WORDS} gp words, got {len(gp)}")
         gp += (0,) * (GP_WORDS - len(gp))
         _check_frame_words((session_id, *gp, cmd_id))
+        packed = _WORDS_BY_KINDS.get(kinds)     # four members: one lookup
+        if packed is None:
+            packed = pack_param_types(kinds)
         # An unknown operation stays as given, for validate() to name.
-        frame = cls(_OPERATIONS.get(operation, operation), session_id,
-                    pack_param_types(kinds), gp, cmd_id)
+        # tuple.__new__ skips the named tuple's Python-level __new__.
+        frame = tuple.__new__(cls, (_OPERATIONS.get(operation, operation),
+                                    session_id, packed, gp, cmd_id))
         frame.validate()
         return frame
 
@@ -322,8 +326,9 @@ def decode_frame(words):
     if len(words) != MAILBOX_WORDS:
         raise InvalidFrame(f"expected {MAILBOX_WORDS} words, got {len(words)}")
     _check_mailbox_words(words)
-    frame = MailboxFrame(_OPERATIONS.get(words[0], words[0]), words[1],
-                         words[2], words[3:11], words[11])
+    frame = tuple.__new__(MailboxFrame, (_OPERATIONS.get(words[0], words[0]),
+                                         words[1], words[2], words[3:11],
+                                         words[11]))
     frame.validate()
     return frame
 
@@ -344,7 +349,8 @@ def decode_reply(words):
     code = _RETURN_CODES.get(words[0])
     if code is None:
         raise InvalidFrame(f"unknown return code {words[0]}")
-    return ReplyFrame(code, words[1], words[2], words[3:11], words[11])
+    return tuple.__new__(ReplyFrame,
+                         (code, words[1], words[2], words[3:11], words[11]))
 
 
 def words_to_bytes(words):

@@ -1,10 +1,12 @@
 """Untrusted-side API: contexts, sessions, operations, shared memory."""
 
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import make_image
+import teefab
 from teefab.client_api import (
     Context,
     Direction,
@@ -54,6 +56,58 @@ def test_invoke_validates_once_per_trust_boundary(context, monkeypatch):
     assert result.value(0) == (42, 0)
     assert callers == ["build", "decode_frame"]
 
+
+
+_PACKAGE = str(Path(teefab.__file__).parent)
+
+
+def _frames_entered(call):
+    """The names of the Python frames that call() enters in teefab's own
+    files, plus the `<string>` frames of generated code such as a named
+    tuple's __new__. The standard library's frames are not counted, so the
+    figure does not move between Python versions."""
+    entered = []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            filename = frame.f_code.co_filename
+            if filename == "<string>" or filename.startswith(_PACKAGE):
+                entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+def test_a_warm_request_stays_within_its_frame_budget(context):
+    """A warm increment enters at most 33 frames and a 256-byte echo at
+    most 52: a frame that only forwards a call, or rebuilds what its caller
+    holds, costs every request."""
+    inc = open_ta(context, TA_KIND_INCREMENT)
+    echo = open_ta(context, TA_KIND_ECHO)
+    block = echo.allocate_shared_memory(256, Direction.INOUT)
+    data = bytes(range(256))
+    results = []
+
+    def increment():
+        results.append(inc.invoke_command(
+            0, Operation(Value(Direction.INOUT, 41))).value(0))
+
+    def echo_block():
+        block.write(data)
+        echo.invoke_command(1, Operation(block))
+
+    increment()
+    echo_block()            # warm-up: every lazy first use is behind us
+    entered = _frames_entered(increment)
+    assert len(entered) <= 33, entered
+    entered = _frames_entered(echo_block)
+    assert len(entered) <= 52, entered
+    assert results == [(42, 0)] * 2
+    assert block.read() == data[::-1]
 
 
 def _refused_before_the_window(fabric, session, monkeypatch, *request):

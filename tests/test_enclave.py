@@ -1,6 +1,7 @@
 """Enclave core: boot, dispatch, grants, zeroization, fault containment."""
 
 import threading
+import time
 import uuid as uuid_mod
 
 import pytest
@@ -11,6 +12,7 @@ from teefab.enclave import (
     TA_KIND_PROBE,
     TA_KIND_SHMEM16,
     UART_CAPACITY,
+    AbortedError,
     EnclaveResetError,
     EnclaveRuntime,
     MemoryContext,
@@ -45,6 +47,7 @@ TA_KIND_SLEEPY = 240
 TA_KIND_CRASHY = 241
 TA_KIND_FAREWELL = 242
 TA_KIND_IMAGE_SIZE = 243
+TA_KIND_MEMORY = 239
 
 
 class SleepyTa(TrustedApp):
@@ -81,10 +84,45 @@ class ImageSizeTa(TrustedApp):
         params.set_value(0, a=self.env.image_size)
 
 
+class MemoryTa(TrustedApp):
+    """Reaches `params.memory` on a request that carries no memref.
+    cmd 0: value 0 gets the image magic read from TCM and the number of
+    window accesses refused. cmd 1: polls the window gate until a reset
+    aborts it, and records the abort; it gives up after five seconds."""
+
+    started = threading.Event()
+    aborted = []
+
+    def invoke_command(self, session, cmd_id, params):
+        mem = params.memory
+        if cmd_id == 0:
+            refused = 0
+            for access in (lambda: mem.window_read(0, 1),
+                           lambda: mem.window_write(0, b"x"),
+                           lambda: mem.window_read(0, SHM_WINDOW_SIZE)):
+                try:
+                    access()
+                except AccessDeniedError:
+                    refused += 1
+            magic = int.from_bytes(mem.tcm_read(0, 4), "little")
+            params.set_value(0, a=magic, b=refused)
+            return
+        MemoryTa.started.set()
+        deadline = time.monotonic() + 5.0
+        try:
+            while time.monotonic() < deadline:
+                mem.window_read(0, 0)
+                time.sleep(0.001)
+        except AbortedError:
+            MemoryTa.aborted.append("window gate")
+            raise
+
+
 register_ta_kind(TA_KIND_SLEEPY, SleepyTa)
 register_ta_kind(TA_KIND_CRASHY, CrashyTa)
 register_ta_kind(TA_KIND_FAREWELL, FarewellTa)
 register_ta_kind(TA_KIND_IMAGE_SIZE, ImageSizeTa)
+register_ta_kind(TA_KIND_MEMORY, MemoryTa)
 
 
 @pytest.fixture
@@ -279,6 +317,40 @@ def test_reset_interrupts_blocked_handler(core):
     thread.join(timeout=5.0)
     assert failure == ["reset"]
     assert core.snapshot()["state"].name == "RESET"
+
+
+def test_a_value_only_request_reaches_tcm_and_no_window(core):
+    """`params.memory` is built on first read: with no memref in the
+    request it still reaches all of TCM, and grants no window byte."""
+    boot(core, TA_KIND_MEMORY)
+    sid = open_session(core)
+    reply = exchange(core, OperationId.INVOKE, sid,
+                     [(ParamKind.VALUE_INOUT, 0, 0)])
+    assert reply.code is ReturnCode.SUCCESS
+    assert reply.gp[:2] == (int.from_bytes(b"TEOD", "little"), 3)
+
+
+def test_a_reset_aborts_a_value_only_request_at_the_window_gate(core):
+    boot(core, TA_KIND_MEMORY)
+    sid = open_session(core)
+    MemoryTa.started.clear()
+    MemoryTa.aborted.clear()
+    failure = []
+
+    def caller():
+        try:
+            exchange(core, OperationId.INVOKE, sid,
+                     [(ParamKind.VALUE_IN, 0, 0)], cmd_id=1)
+        except EnclaveResetError:
+            failure.append("reset")
+
+    thread = threading.Thread(target=caller)
+    thread.start()
+    assert MemoryTa.started.wait(5.0)
+    core.assert_reset()
+    thread.join(timeout=5.0)
+    assert failure == ["reset"]
+    assert MemoryTa.aborted == ["window gate"]
 
 
 def test_bad_image_boot_is_inert(core):

@@ -25,6 +25,7 @@ from teefab.fabric import (
     EVENT_CAPACITY,
     CmRegion,
     DelayModel,
+    Event,
     Fabric,
     Turnstile,
 )
@@ -42,8 +43,13 @@ from teefab.protocol import (
     OutOfEnclavesError,
     OutOfMemoryError,
     ParamKind,
+    ReplyFrame,
     ReturnCode,
     TeeError,
+    decode_frame,
+    decode_reply,
+    encode_frame,
+    encode_reply,
 )
 from teefab.wallet.client import WalletClient, WalletError
 from test_acceptance import PIN, REFERENCE_MNEMONIC, WALLET_VECTORS
@@ -464,6 +470,58 @@ def test_shm_round_trip_and_gating(fabric):
     other = 1 - slot
     with pytest.raises(AccessDeniedError):
         fabric.shm_write(other, 0, b"x")
+
+
+class _CountingDelay:
+    """Stands in for a fabric's DelayModel and records each charge."""
+
+    def __init__(self):
+        self.charged = []
+
+    def charge(self, nbytes):
+        self.charged.append(nbytes)
+
+
+def test_a_refused_window_copy_is_not_charged(fabric):
+    slot, _sid = open_ta(fabric, TA_KIND_ECHO)
+    fabric.delay = delay = _CountingDelay()
+    for refused in (lambda: fabric.shm_read(slot, 0, -5),
+                    lambda: fabric.shm_read(slot, SHM_WINDOW_SIZE, 100),
+                    lambda: fabric.shm_write(slot, SHM_WINDOW_SIZE - 1, b"xx"),
+                    lambda: fabric.shm_write(1 - slot, 0, b"x")):
+        with pytest.raises(AccessDeniedError):
+            refused()
+    assert delay.charged == []
+    fabric.shm_write(slot, SHM_WINDOW_SIZE - 2, b"xx")
+    assert fabric.shm_read(slot, SHM_WINDOW_SIZE - 2, 2) == b"xx"
+    assert delay.charged == [2, 2]
+
+
+def test_frames_and_events_keep_their_named_tuple_types(fabric):
+    """Frames and events are built with tuple.__new__, which equality
+    cannot tell from a plain tuple: each is still its named-tuple type,
+    and every field reads by name."""
+    gp = (1, 2) + (0,) * 6
+    built = (MailboxFrame.build(OperationId.INVOKE, 7,
+                                [(ParamKind.VALUE_INOUT, 1, 2)], cmd_id=3),
+             MailboxFrame.build(OperationId.INVOKE, 7,
+                                [ParamKind.VALUE_INOUT] + [ParamKind.NONE] * 3,
+                                gp=(1, 2), cmd_id=3))
+    for frame in (*built, decode_frame(encode_frame(built[0]))):
+        assert type(frame) is MailboxFrame
+        assert (frame.operation, frame.session_id, frame.param_type,
+                frame.gp, frame.cmd_id) == (OperationId.INVOKE, 7, 3, gp, 3)
+    reply = decode_reply(encode_reply((ReturnCode.ERROR_SHORT_BUFFER, 7, 3,
+                                       gp, 3)))
+    assert type(reply) is ReplyFrame
+    assert (reply.code, reply.session_id, reply.param_type, reply.gp,
+            reply.cmd_id) == (ReturnCode.ERROR_SHORT_BUFFER, 7, 3, gp, 3)
+    slot, _sid = open_ta(fabric, TA_KIND_INCREMENT)
+    events = fabric.events()
+    assert all(type(event) is Event for event in events)
+    opened = fabric.events("open")[0]
+    assert (opened.seq, opened.kind, opened.slot, opened.fields["warm"]) == \
+        (5, "open", slot, False)
 
 
 def test_events_record_lifecycle(fabric):
@@ -966,7 +1024,7 @@ def test_a_park_that_runs_out_as_it_is_woken_counts_as_a_turn():
     done = threading.Event()
 
     def contender():
-        turnstile._local.waiter = waiter
+        turnstile._local.turn.waiter = waiter
         turnstile.enter()
         turnstile.leave()       # parks: the main thread is a contender
         done.set()
@@ -1241,3 +1299,8 @@ def test_turnstile_counts_hold_under_many_clients(fabric):
     fabric.audit()
     for slot in range(2):
         assert_scrubbed(fabric, slot)
+    events = fabric.events()
+    assert all(type(event) is Event for event in events)
+    # Every event of the run has its own seq, one above the last.
+    assert [event.seq for event in events] == list(
+        range(events[0].seq, events[0].seq + len(events)))
