@@ -22,12 +22,9 @@ from .protocol import (
     BadParametersError,
     AccessDeniedError,
     ShortBufferError,
-    ImageFormatError,
-    ImageSizeError,
     _KINDS_BY_WORD,
     decode_frame,
     encode_reply,
-    decode_image_header,
 )
 
 TA_KIND_INCREMENT = 1
@@ -88,10 +85,6 @@ class Space:
         data = bytes(data)
         self._check(offset, len(data))
         self._buf[offset:offset + len(data)] = data
-
-    def view(self):
-        """A read-only view of the whole region, without a copy."""
-        return self._buf.toreadonly()
 
     def zeroize(self):
         self._buf[:] = _ZEROS[:len(self._buf)]
@@ -409,8 +402,10 @@ register_ta_kind(TA_KIND_PROBE, ProbeTa)
 class EnclaveRuntime:
     """One emulated core: mailbox, RST/INT lines, an ISR on the caller's thread.
 
-    The fabric loads an image over DMA while RST is asserted, deasserts RST
-    to boot, then exchanges 12-word frames: deliver() places a request and
+    The fabric's manager checks a staged image once, its loader copies it
+    over DMA while RST is asserted, and the manager deasserts RST with what
+    it checked: the core boots that TA and never parses TCM. The fabric
+    then exchanges 12-word frames: deliver() places a request and
     raises INT, and the core serves it in its ISR on the delivering thread,
     clearing INT once the reply is in the mailbox. The core never yields
     the interpreter itself: the fabric's turnstile hands it between
@@ -468,13 +463,18 @@ class EnclaveRuntime:
             self._rst.set()
             self._zeroize()
 
-    def deassert_reset(self):
-        """Release RST; the core boots from whatever TCM now holds."""
+    def deassert_reset(self, ta_uuid, ta_kind, image_size):
+        """Release RST and boot the TA the manager checked and loaded:
+        its uuid, its registered ta_kind and the image size that
+        `env.image_size` reports. The core parses nothing in TCM."""
         with self.lock:
             if not self._rst.is_set():
                 return
             self._rst.clear()
-            self._boot()
+            self._ta_uuid = ta_uuid
+            self._ta_kind = ta_kind
+            self._image_size = image_size
+            self.uart.log(f"boot: ta {ta_uuid} kind {ta_kind}")
 
     def deliver(self, words):
         """Place a request, ring INT and run the ISR on this thread; the
@@ -531,12 +531,6 @@ class EnclaveRuntime:
         return tuple(self._mailbox)
 
     @property
-    def ta_kind(self):
-        """The booted image's ta_kind; None in reset or after a rejected
-        boot."""
-        return self._ta_kind
-
-    @property
     def session_count(self):
         """Sessions open on the loaded TA; the fabric frees the slot at 0."""
         return len(self._sessions)
@@ -558,24 +552,6 @@ class EnclaveRuntime:
         self._last_sid = 0
         self._reply_serial = 0
 
-    def _boot(self):
-        """Parse the loaded image's header in place in TCM; a bad image
-        leaves the core answering every request with a generic error and
-        a note on the UART."""
-        with self.tcm.view() as tcm:
-            try:
-                ta_uuid, ta_kind, consumed = decode_image_header(tcm)
-            except (ImageFormatError, ImageSizeError) as exc:
-                self.uart.log(f"boot: image rejected: {exc}")
-                return
-        if ta_factory(ta_kind) is None:
-            self.uart.log(f"boot: no handler for ta_kind {ta_kind}")
-            return
-        self._ta_uuid = ta_uuid
-        self._ta_kind = ta_kind
-        self._image_size = consumed
-        self.uart.log(f"boot: ta {ta_uuid} kind {ta_kind}")
-
     def _next_sid(self):
         self._last_sid = (self._last_sid + 1) & WORD_MASK or 1
         return self._last_sid
@@ -590,9 +566,6 @@ class EnclaveRuntime:
             self.uart.log(f"isr: bad frame: {exc}")
             return encode_reply(
                 (ReturnCode.ERROR_BAD_PARAMETERS, 0, 0, (0,) * 8, 0))
-        if self._ta_kind is None:
-            self.uart.log("isr: no valid image loaded")
-            return encode_reply((ReturnCode.ERROR_GENERIC, *frame[1:]))
         params = TaParams(_KINDS_BY_WORD[frame.param_type], frame.gp, self)
         code = _SUCCESS
         session_out = frame.session_id

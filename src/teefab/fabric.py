@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .config import SimConfig
-from .enclave import EnclaveRuntime, EnclaveResetError
+from .enclave import EnclaveRuntime, EnclaveResetError, ta_factory
 from .internal_api import Csprng, SealedStorage, TeeServices
 from .protocol import (
     CM_ALIGNMENT,
@@ -353,11 +353,11 @@ class Fabric:
                 raise ImageSizeError(
                     f"image of {size} bytes exceeds the {MAX_IMAGE_SIZE}-byte "
                     f"private memory")
-            # The one CM read of this load: checked here, copied to TCM
-            # by the loader.
+            # The one CM read and the one check of this load: the loader
+            # copies these bytes to TCM, and the core boots from the check.
             data = self.cm.read(cm_addr, size)
             try:
-                image_uuid, _ta_kind, total = decode_image_header(data)
+                image_uuid, ta_kind, total = decode_image_header(data)
                 if total != size:
                     raise ImageFormatError(
                         f"payload_len {total - IMAGE_HEADER_SIZE} "
@@ -366,6 +366,10 @@ class Fabric:
                     raise ImageFormatError(
                         f"image uuid {image_uuid} does not match requested "
                         f"{ta_uuid}")
+                if ta_factory(ta_kind) is None:
+                    raise ImageFormatError(
+                        f"no trusted application registered for ta_kind "
+                        f"{ta_kind}")
             except (ImageFormatError, ImageSizeError):
                 self._load_status(ta_uuid, LoadStatus.ERR_FORMAT)
                 raise
@@ -373,11 +377,7 @@ class Fabric:
         slot = record.index
         try:
             self._loader_copy(record, data)
-            record.runtime.deassert_reset()
-            if record.runtime.ta_kind is None:
-                raise ImageFormatError(
-                    f"no trusted application registered for the image in "
-                    f"slot {slot}")
+            record.runtime.deassert_reset(ta_uuid, ta_kind, size)
         except Exception:
             with self._manager:
                 self._load_status(ta_uuid, LoadStatus.ERR_FORMAT, slot)
@@ -389,6 +389,7 @@ class Fabric:
             record.state = _TAKEN
             record.generation += 1
             record.pending = 1
+            self._load_count += 1
             self._load_status(ta_uuid, LoadStatus.LOADED, slot)
             self._manager.notify_all()
         self._log("open", slot, uuid=ta_uuid, warm=False)
@@ -426,8 +427,6 @@ class Fabric:
         start = time.perf_counter_ns()
         self.delay.charge(len(data))
         record.runtime.load_image(data)
-        with self._manager:
-            self._load_count += 1
         self._log("load", record.index, size=len(data),
                   dur_ns=time.perf_counter_ns() - start)
 

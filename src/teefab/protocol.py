@@ -122,7 +122,6 @@ class ImageFormatError(TeeError):
 
 
 _VALID_NIBBLES = frozenset(int(k) for k in ParamKind)
-_NONE = ParamKind.NONE
 
 # Word -> member tables: one dict lookup where an Enum call costs a
 # microsecond on the per-request path.
@@ -132,16 +131,19 @@ _RETURN_CODES = {int(code): code for code in ReturnCode}
 
 def _param_type_tables():
     """Each of the 5**4 valid param_type words -> its four kinds, the
-    reverse map, and each word -> the indices of its memory references.
-    Built one parameter slot at a time."""
+    reverse map from every tuple of up to four kinds (the missing ones
+    NONE), and each word -> the indices of its memory references. Built
+    one parameter slot at a time."""
     all_kinds, memref = tuple(ParamKind), ParamKind.MEMREF
     entries = [((), 0, ())]
+    words_by_kinds = {(): 0}
     for slot in range(PARAM_SLOTS):
         entries = [(kinds + (kind,), word | kind << (4 * slot),
                     memrefs + (slot,) if kind is memref else memrefs)
                    for kinds, word, memrefs in entries for kind in all_kinds]
+        words_by_kinds.update((kinds, word) for kinds, word, _ in entries)
     return ({word: kinds for kinds, word, _ in entries},
-            {kinds: word for kinds, word, _ in entries},
+            words_by_kinds,
             {word: memrefs for _, word, memrefs in entries})
 
 
@@ -151,12 +153,11 @@ _KINDS_BY_WORD, _WORDS_BY_KINDS, _MEMREF_SLOTS = _param_type_tables()
 def pack_param_types(kinds):
     """Pack up to four ParamKind nibbles into the param_type word."""
     kinds = tuple(kinds)
-    if len(kinds) > PARAM_SLOTS:
-        raise InvalidFrame(f"at most {PARAM_SLOTS} parameters, got {len(kinds)}")
-    kinds += (_NONE,) * (PARAM_SLOTS - len(kinds))
     packed = _WORDS_BY_KINDS.get(kinds)
     if packed is not None:
         return packed
+    if len(kinds) > PARAM_SLOTS:
+        raise InvalidFrame(f"at most {PARAM_SLOTS} parameters, got {len(kinds)}")
     # Not all members: go by each kind's int(), naming the first bad one.
     packed = 0
     for i, kind in enumerate(kinds):
@@ -249,7 +250,7 @@ class MailboxFrame(NamedTuple):
             raise InvalidFrame(f"at most {GP_WORDS} gp words, got {len(gp)}")
         gp += (0,) * (GP_WORDS - len(gp))
         _check_frame_words((session_id, *gp, cmd_id))
-        packed = _WORDS_BY_KINDS.get(kinds)     # four members: one lookup
+        packed = _WORDS_BY_KINDS.get(kinds)     # up to four members: one lookup
         if packed is None:
             packed = pack_param_types(kinds)
         # An unknown operation stays as given, for validate() to name.

@@ -8,8 +8,22 @@ from pathlib import Path
 
 import pytest
 
+try:
+    import tomllib
+except ModuleNotFoundError:     # Python 3.10: pytest's own TOML reader
+    import tomli as tomllib
+
 import teefab
 from teefab.cli import main
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+@pytest.fixture(autouse=True)
+def run_in_tmp_path(tmp_path, monkeypatch):
+    """A command without --storage-dir makes the default `teefab-storage`
+    in the working directory: here, not in the checkout."""
+    monkeypatch.chdir(tmp_path)
 
 
 def test_boot_prints_slot_table(capsys):
@@ -148,3 +162,14 @@ def test_unknown_subcommand_exits_with_usage():
 def test_bad_config_path_reports_error(capsys):
     assert main(["boot", "--config", "/nonexistent/sim.conf"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_the_version_has_one_source():
+    """pyproject.toml states no version of its own: setuptools reads
+    `teefab.__version__`, so the two cannot disagree."""
+    with PYPROJECT.open("rb") as file:
+        meta = tomllib.load(file)
+    assert "version" not in meta["project"]
+    assert "version" in meta["project"]["dynamic"]
+    assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "teefab.__version__"}

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_image
 import teefab
+from teefab import protocol
 from teefab.client_api import (
     Context,
     Direction,
@@ -108,6 +109,42 @@ def test_a_warm_request_stays_within_its_frame_budget(context):
     assert len(entered) <= 52, entered
     assert results == [(42, 0)] * 2
     assert block.read() == data[::-1]
+
+
+def test_a_cold_open_stays_within_its_frame_budget(fabric, context):
+    """A cold open of a 32-byte image, one increment and the close that
+    scrubs the slot enter at most 123 frames: the manager parses the
+    header once and boots the core from that parse, and no frame packs
+    the parameter kinds of an OPEN or CLOSE by hand."""
+    ta_uuid, image = make_image(TA_KIND_INCREMENT)
+
+    def cold_round():
+        with context.open_session(ta_uuid, image) as session:
+            assert session.invoke_command(
+                0, Operation(Value(Direction.INOUT, 41))).value(0) == (42, 0)
+
+    cold_round()            # warm-up: the image is staged, lazy uses done
+    loads = fabric.load_count
+    entered = _frames_entered(cold_round)
+    assert len(entered) <= 123, entered
+    assert len(image) == 32 and fabric.load_count == loads + 1
+
+
+def test_open_and_close_frames_pack_no_kinds_by_hand(context, monkeypatch):
+    """The kinds of an OPEN or CLOSE frame, none at all, are found in the
+    same table as a request's four: `pack_param_types` is never called."""
+    calls = []
+    pack = protocol.pack_param_types
+
+    def spying_pack(kinds):
+        calls.append(kinds)
+        return pack(kinds)
+
+    monkeypatch.setattr(protocol, "pack_param_types", spying_pack)
+    with open_ta(context, TA_KIND_INCREMENT) as session:
+        assert session.invoke_command(
+            0, Operation(Value(Direction.INOUT, 41))).value(0) == (42, 0)
+    assert calls == []
 
 
 def _refused_before_the_window(fabric, session, monkeypatch, *request):

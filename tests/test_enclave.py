@@ -138,14 +138,21 @@ def core(services):
     runtime.assert_reset()
 
 
+def uuid_for(kind, tag=0):
+    return uuid_mod.UUID(int=(kind << 64) | tag, version=4)
+
+
 def image_for(kind, tag=0, payload=b""):
-    ta_uuid = uuid_mod.UUID(int=(kind << 64) | tag, version=4)
-    return encode_image(TAImage(ta_uuid, kind, payload))
+    return encode_image(TAImage(uuid_for(kind, tag), kind, payload))
 
 
 def boot(core, kind, payload=b""):
-    core.load_image(image_for(kind, payload=payload))
-    core.deassert_reset()
+    """Load an image and boot it as the manager does, with the uuid,
+    ta_kind and size it checked; returns the image."""
+    image = image_for(kind, payload=payload)
+    core.load_image(image)
+    core.deassert_reset(uuid_for(kind), kind, len(image))
+    return image
 
 
 def exchange(core, operation, session_id, params=(), cmd_id=0):
@@ -264,9 +271,7 @@ def test_probe_sees_no_predecessor_bytes(core):
 
 @pytest.mark.parametrize("payload_len", [0, 700, TCM_SIZE - 32])
 def test_boot_reports_the_image_size_to_the_ta(core, payload_len):
-    image = image_for(TA_KIND_IMAGE_SIZE, payload=b"\x11" * payload_len)
-    core.load_image(image)
-    core.deassert_reset()
+    image = boot(core, TA_KIND_IMAGE_SIZE, payload=b"\x11" * payload_len)
     sid = open_session(core)
     reply = exchange(core, OperationId.INVOKE, sid,
                      [(ParamKind.VALUE_OUT, 0, 0)])
@@ -351,21 +356,6 @@ def test_a_reset_aborts_a_value_only_request_at_the_window_gate(core):
     thread.join(timeout=5.0)
     assert failure == ["reset"]
     assert MemoryTa.aborted == ["window gate"]
-
-
-def test_bad_image_boot_is_inert(core):
-    core.load_image(b"\xde\xad\xbe\xef" * 16)
-    core.deassert_reset()
-    assert any("image rejected" in line for line in core.uart.lines())
-    reply = exchange(core, OperationId.OPEN, 0)
-    assert reply.code is ReturnCode.ERROR_GENERIC
-
-
-def test_unknown_kind_boot_is_inert(core):
-    core.load_image(image_for(209))
-    core.deassert_reset()
-    assert any("no handler" in line for line in core.uart.lines())
-    assert ta_factory(209) is None
 
 
 def test_malformed_frame_words(core, monkeypatch):

@@ -12,7 +12,8 @@ import pytest
 
 from conftest import make_image
 import teefab
-from teefab import client_api
+from teefab import client_api, enclave, protocol
+from teefab import fabric as fabric_module
 from teefab.client_api import Context, Direction, Operation, Value
 from teefab.enclave import (
     TA_KIND_ECHO,
@@ -268,12 +269,21 @@ def test_staged_image_rejected_before_any_slot(fabric, staged, error):
     assert all(row["state"] == "FREE" for row in fabric.slot_snapshot())
 
 
-def test_unregistered_kind_frees_slot(fabric):
+def test_unregistered_kind_frees_slot(fabric, monkeypatch):
+    """A ta_kind with no registered TA is refused by the manager's header
+    check, before any slot is claimed: no loader run, no DMA charged, and
+    every slot stays FREE and zeroed."""
     ta_uuid, image = make_image(209)
     offset, size = fabric.cm_stage(image)
+    charges = []
+    monkeypatch.setattr(fabric.delay, "charge", charges.append)
     with pytest.raises(ImageFormatError):
         fabric.manager_open(ta_uuid, offset, size)
-    assert all(row["state"] == "FREE" for row in fabric.slot_snapshot())
+    assert load_statuses(fabric) == [LoadStatus.ERR_FORMAT]
+    assert fabric.load_count == 0 and fabric.events("load") == ()
+    assert charges == []
+    for slot in range(fabric.config.enclave_count):
+        assert_scrubbed(fabric, slot)
 
 
 def test_fabric_full(fabric):
@@ -765,10 +775,12 @@ def test_shutdown_frees_every_slot(fabric):
 
 
 def test_cold_open_does_each_piece_of_image_work_once(fabric, monkeypatch):
-    """The client decodes an image only when first staging it, a load
-    reads the staged bytes from CM once, and the core boots without
-    copying its whole TCM."""
+    """The client decodes an image only when first staging it, and a load
+    reads the staged bytes from CM once and parses their header once, in
+    the manager. The core boots from that parse: it neither parses its
+    TCM nor copies the whole of it."""
     calls = {"decode": 0, "cm_read": 0}
+    header_parsers = []
     tcm_reads = []
     decode_image, cm_read, space_read = \
         client_api.decode_image, fabric.cm.read, Space.read
@@ -788,6 +800,19 @@ def test_cold_open_does_each_piece_of_image_work_once(fabric, monkeypatch):
             tcm_reads.append(length)
         return space_read(space, offset, length)
 
+    def recording_header_parse(parse):
+        def parse_header(buf):
+            header_parsers.append(
+                Path(sys._getframe(1).f_code.co_filename).name)
+            return parse(buf)
+        return parse_header
+
+    # Each module that binds the parser; the core should bind none.
+    for module in (protocol, fabric_module, enclave):
+        if hasattr(module, "decode_image_header"):
+            monkeypatch.setattr(module, "decode_image_header",
+                                recording_header_parse(
+                                    module.decode_image_header))
     monkeypatch.setattr(client_api, "decode_image", counting_decode)
     monkeypatch.setattr(fabric.cm, "read", counting_cm_read)
     monkeypatch.setattr(Space, "read", recording_space_read)
@@ -799,6 +824,8 @@ def test_cold_open_does_each_piece_of_image_work_once(fabric, monkeypatch):
                     0, Operation(Value(Direction.INOUT, 7))).value(0) == (8, 0)
     assert fabric.load_count == 3
     assert calls == {"decode": 1, "cm_read": 3}
+    # One parse per load, in the manager; the other is the client's decode.
+    assert sorted(header_parsers) == ["fabric.py"] * 3 + ["protocol.py"]
     assert TCM_SIZE not in tcm_reads
 
 
