@@ -58,6 +58,15 @@ class EnclaveResetError(RuntimeError):
     """A mailbox delivery was cut short by a reset."""
 
 
+def region_fault(offset, length, size):
+    """The error for an access to [offset, +length) that a size-byte
+    region refuses."""
+    if not isinstance(offset, int) or not isinstance(length, int):
+        return AccessDeniedError("region offsets must be integers")
+    return AccessDeniedError(
+        f"access [{offset}, +{length}) outside {size}-byte region")
+
+
 class Space:
     """Bounds-checked byte region; out-of-range access is a bus fault."""
 
@@ -71,11 +80,10 @@ class Space:
         return len(self._buf)
 
     def _check(self, offset, length):
-        if not isinstance(offset, int) or not isinstance(length, int):
-            raise AccessDeniedError("region offsets must be integers")
-        if offset < 0 or length < 0 or offset + length > len(self._buf):
-            raise AccessDeniedError(
-                f"access [{offset}, +{length}) outside {len(self._buf)}-byte region")
+        if (not isinstance(offset, int) or not isinstance(length, int)
+                or offset < 0 or length < 0
+                or offset + length > len(self._buf)):
+            raise region_fault(offset, length, len(self._buf))
 
     def read(self, offset, length):
         self._check(offset, length)
@@ -153,27 +161,37 @@ class MemoryContext:
 
 
 class MemRef:
-    """A TA's handle on one granted window slice."""
+    """A TA's handle on one granted window slice: a view of exactly the
+    bytes its request's memref words grant, and the core's RST line, so
+    an access copies straight from or into the window."""
 
-    def __init__(self, mem, offset, length):
-        self._mem = mem
-        self._offset = offset
-        self.length = length
+    def __init__(self, view, aborted):
+        self._view = view
+        self._aborted = aborted
+        self.length = len(view)
 
     def read(self, at=0, length=None):
         if length is None:
             length = self.length - at
+        if not isinstance(at, int) or not isinstance(length, int):
+            raise AccessDeniedError("window offsets must be integers")
         if at < 0 or length < 0 or at + length > self.length:
             raise AccessDeniedError(
                 f"read [{at}, +{length}) outside {self.length}-byte reference")
-        return self._mem.window_read(self._offset + at, length)
+        if self._aborted():
+            raise AbortedError("reset asserted")
+        return self._view[at:at + length].tobytes()
 
     def write(self, data, at=0):
         data = bytes(data)
+        if not isinstance(at, int):
+            raise AccessDeniedError("window offsets must be integers")
         if at < 0 or at + len(data) > self.length:
             raise AccessDeniedError(
                 f"write [{at}, +{len(data)}) outside {self.length}-byte reference")
-        self._mem.window_write(self._offset + at, data)
+        if self._aborted():
+            raise AbortedError("reset asserted")
+        self._view[at:at + len(data)] = data
 
 
 _VALUES = frozenset((ParamKind.VALUE_IN, ParamKind.VALUE_OUT, _VALUE_INOUT))
@@ -225,12 +243,15 @@ class TaParams:
         return self._mem
 
     def memref(self, index):
-        """The granted window slice behind a memory reference parameter."""
+        """The granted window slice behind a memory reference parameter:
+        cut by the request's own words, which `decode_frame` checked to
+        lie in the window, not by a length `set_memref_length` reports."""
         if self._kinds[index] is not _MEMREF:
             raise BadParametersError(
                 f"parameter {index} is {self._kinds[index].name}, not a memref")
-        offset, length = self._words[2 * index], self._words[2 * index + 1]
-        return MemRef(self.memory, offset, length)
+        offset, core = self._gp[2 * index], self._core
+        return MemRef(core.window._buf[offset:offset + self._gp[2 * index + 1]],
+                      core._rst.is_set)
 
     def set_memref_length(self, index, length):
         """Report the size a memref actually needs (short-buffer replies)."""

@@ -149,21 +149,29 @@ def _param_type_tables():
 
 _KINDS_BY_WORD, _WORDS_BY_KINDS, _MEMREF_SLOTS = _param_type_tables()
 
+# A parameter kind is a member or an exact int. The kinds table is keyed
+# on tuples, where 1.0 == True == VALUE_IN: a hit counts only when every
+# kind has one of these types.
+_KIND_TYPES = frozenset((ParamKind, int))
+
 
 def pack_param_types(kinds):
     """Pack up to four ParamKind nibbles into the param_type word."""
     kinds = tuple(kinds)
     packed = _WORDS_BY_KINDS.get(kinds)
-    if packed is not None:
+    if packed is not None and _KIND_TYPES.issuperset(map(type, kinds)):
         return packed
     if len(kinds) > PARAM_SLOTS:
         raise InvalidFrame(f"at most {PARAM_SLOTS} parameters, got {len(kinds)}")
-    # Not all members: go by each kind's int(), naming the first bad one.
+    # Not all members: go kind by kind, naming the first bad one.
     packed = 0
     for i, kind in enumerate(kinds):
-        if int(kind) not in _VALID_NIBBLES:
+        if type(kind) not in _KIND_TYPES:
+            raise InvalidFrame(
+                f"parameter {i} kind {kind!r} is not a ParamKind or an int")
+        if kind not in _VALID_NIBBLES:
             raise InvalidFrame(f"parameter {i} has invalid kind {kind:#x}")
-        packed |= (int(kind) & 0xF) << (4 * i)
+        packed |= kind << (4 * i)
     return packed
 
 
@@ -251,7 +259,7 @@ class MailboxFrame(NamedTuple):
         gp += (0,) * (GP_WORDS - len(gp))
         _check_frame_words((session_id, *gp, cmd_id))
         packed = _WORDS_BY_KINDS.get(kinds)     # up to four members: one lookup
-        if packed is None:
+        if packed is None or not _KIND_TYPES.issuperset(map(type, kinds)):
             packed = pack_param_types(kinds)
         # An unknown operation stays as given, for validate() to name.
         # tuple.__new__ skips the named tuple's Python-level __new__.

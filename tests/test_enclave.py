@@ -48,6 +48,7 @@ TA_KIND_CRASHY = 241
 TA_KIND_FAREWELL = 242
 TA_KIND_IMAGE_SIZE = 243
 TA_KIND_MEMORY = 239
+TA_KIND_REACH = 238
 
 
 class SleepyTa(TrustedApp):
@@ -118,11 +119,62 @@ class MemoryTa(TrustedApp):
             raise
 
 
+class ReachTa(TrustedApp):
+    """Tries to reach past a memref's 16-byte grant. cmd 0: raises the
+    length word to 64 before it asks for the memref, then probes it.
+    cmd 1: keeps the memref; cmd 2, a later request: probes the kept one.
+    cmd 3 and 4: poll a read, or a write, of the memref until a reset
+    aborts it, and record the abort; each gives up after five seconds."""
+
+    GRANT = 16
+    probes = []
+    started = threading.Event()
+    aborted = []
+
+    def invoke_command(self, session, cmd_id, params):
+        if cmd_id == 0:
+            params.set_memref_length(0, 64)
+            ReachTa.probes.append(self._probe(params.memref(0)))
+        elif cmd_id == 1:
+            self.kept = params.memref(0)
+        elif cmd_id == 2:
+            ReachTa.probes.append(self._probe(self.kept))
+        else:
+            ref = params.memref(0)
+            poll = ref.read if cmd_id == 3 else lambda: ref.write(b"x")
+            ReachTa.started.set()
+            deadline = time.monotonic() + 5.0
+            try:
+                while time.monotonic() < deadline:
+                    poll()
+                    time.sleep(0.001)
+            except AbortedError:
+                ReachTa.aborted.append(cmd_id)
+                raise
+
+    def _probe(self, ref):
+        """The length, a whole read, four accesses past the grant and a
+        write of the whole grant: each result, or "denied"."""
+        grant, outcomes = self.GRANT, [ref.length]
+        for access in (ref.read,
+                       lambda: ref.read(0, grant + 1),
+                       lambda: ref.read(grant, 1),
+                       lambda: ref.write(b"\xee" * (grant + 1)),
+                       lambda: ref.write(b"\xee", at=grant),
+                       lambda: ref.write(b"\xff" * grant)):
+            try:
+                outcomes.append(access())
+            except AccessDeniedError:
+                outcomes.append("denied")
+        return outcomes
+
+
 register_ta_kind(TA_KIND_SLEEPY, SleepyTa)
 register_ta_kind(TA_KIND_CRASHY, CrashyTa)
 register_ta_kind(TA_KIND_FAREWELL, FarewellTa)
 register_ta_kind(TA_KIND_IMAGE_SIZE, ImageSizeTa)
 register_ta_kind(TA_KIND_MEMORY, MemoryTa)
+register_ta_kind(TA_KIND_REACH, ReachTa)
 
 
 @pytest.fixture
@@ -356,6 +408,78 @@ def test_a_reset_aborts_a_value_only_request_at_the_window_gate(core):
     thread.join(timeout=5.0)
     assert failure == ["reset"]
     assert MemoryTa.aborted == ["window gate"]
+
+
+# A window whose every byte differs from its neighbours', and the 16-byte
+# grant the ReachTa requests carry; the next request grants other bytes.
+PATTERN = bytes((i * 7 + 3) % 251 for i in range(SHM_WINDOW_SIZE))
+GRANT_AT = 64
+GRANT = (ParamKind.MEMREF, GRANT_AT, ReachTa.GRANT)
+GRANTED = slice(GRANT_AT, GRANT_AT + ReachTa.GRANT)
+# What a probe of the grant sees: its length, its own bytes, four refusals
+# and the whole-grant write, which returns None.
+PROBED = [ReachTa.GRANT, PATTERN[GRANTED]] + ["denied"] * 4 + [None]
+
+
+def _window_after_probe():
+    after = bytearray(PATTERN)
+    after[GRANTED] = b"\xff" * ReachTa.GRANT
+    return bytes(after)
+
+
+def test_a_raised_length_word_reaches_no_byte_past_the_grant(core):
+    """The memref is cut from the words the request carried, not from a
+    length the TA reported before it asked for the memref."""
+    boot(core, TA_KIND_REACH)
+    sid = open_session(core)
+    core.window.write(0, PATTERN)
+    ReachTa.probes.clear()
+    reply = exchange(core, OperationId.INVOKE, sid, [GRANT], cmd_id=0)
+    assert reply.code is ReturnCode.SUCCESS
+    assert reply.param_words(0) == (GRANT_AT, 64)   # what the TA reported
+    assert ReachTa.probes == [PROBED]
+    assert core.window.read(0, SHM_WINDOW_SIZE) == _window_after_probe()
+
+
+def test_a_kept_memref_reaches_only_its_own_slice_later(core):
+    boot(core, TA_KIND_REACH)
+    sid = open_session(core)
+    core.window.write(0, PATTERN)
+    ReachTa.probes.clear()
+    for cmd_id, params in ((1, [GRANT]),
+                           (2, [(ParamKind.MEMREF, GRANT_AT + 16, 64)]),
+                           (2, [(ParamKind.VALUE_IN, 0, 0)])):
+        reply = exchange(core, OperationId.INVOKE, sid, params, cmd_id=cmd_id)
+        assert reply.code is ReturnCode.SUCCESS
+    assert ReachTa.probes[0] == PROBED
+    # The second probe reads back the first one's write.
+    assert ReachTa.probes[1] == [ReachTa.GRANT, b"\xff" * ReachTa.GRANT] \
+        + PROBED[2:]
+    assert core.window.read(0, SHM_WINDOW_SIZE) == _window_after_probe()
+
+
+@pytest.mark.parametrize("cmd_id", [3, 4], ids=["read", "write"])
+def test_a_reset_aborts_a_request_at_a_memref_access(core, cmd_id):
+    boot(core, TA_KIND_REACH)
+    sid = open_session(core)
+    ReachTa.started.clear()
+    ReachTa.aborted.clear()
+    failure = []
+
+    def caller():
+        try:
+            exchange(core, OperationId.INVOKE, sid, [GRANT], cmd_id=cmd_id)
+        except EnclaveResetError:
+            failure.append("reset")
+
+    thread = threading.Thread(target=caller)
+    thread.start()
+    assert ReachTa.started.wait(5.0)
+    core.assert_reset()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert failure == ["reset"]
+    assert ReachTa.aborted == [cmd_id]
 
 
 def test_malformed_frame_words(core, monkeypatch):

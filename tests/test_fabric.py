@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from teefab.client_api import Context, Direction, Operation, Value
 from teefab.enclave import (
     TA_KIND_ECHO,
     TA_KIND_INCREMENT,
+    TA_KIND_SHMEM16,
     Space,
     TrustedApp,
     register_ta_kind,
@@ -505,6 +507,57 @@ def test_a_refused_window_copy_is_not_charged(fabric):
     fabric.shm_write(slot, SHM_WINDOW_SIZE - 2, b"xx")
     assert fabric.shm_read(slot, SHM_WINDOW_SIZE - 2, 2) == b"xx"
     assert delay.charged == [2, 2]
+
+
+def test_shm_write_takes_what_bytes_takes(fabric):
+    """A window copy takes any input bytes() takes, copies its bytes as
+    bytes() reads them, and is charged that many; it keeps no hold on the
+    caller's buffer."""
+    slot, _sid = open_ta(fabric, TA_KIND_ECHO)
+    fabric.delay = delay = _CountingDelay()
+    source = bytearray(b"mutable")
+    inputs = (b"bytes", memoryview(b"a view"), array("H", [1, 2]),
+              memoryview(b"abcdef")[::2], [7, 8, 9], 3, source)
+    for data in inputs:
+        fabric.shm_write(slot, 32, data)
+        assert fabric.shm_read(slot, 32, len(bytes(data))) == bytes(data)
+    source[:] = b"changed"
+    assert fabric.shm_read(slot, 32, 7) == b"mutable"
+    assert delay.charged == [n for data in inputs
+                             for n in (len(bytes(data)),) * 2] + [7]
+    with pytest.raises(TypeError):
+        fabric.shm_write(slot, 0, "text")
+    for offset in (1.0, "0", None):
+        with pytest.raises(AccessDeniedError, match="must be integers"):
+            fabric.shm_write(slot, offset, b"x")
+        with pytest.raises(AccessDeniedError, match="must be integers"):
+            fabric.shm_read(slot, offset, 1)
+    with pytest.raises(AccessDeniedError, match="must be integers"):
+        fabric.shm_read(slot, 0, 1.0)
+    assert len(delay.charged) == 2 * len(inputs) + 1
+
+
+@pytest.mark.parametrize("ta_kind, cmd_id, direction, size", [
+    (TA_KIND_ECHO, 1, Direction.INOUT, 16),
+    (TA_KIND_ECHO, 1, Direction.INOUT, 256),
+    (TA_KIND_ECHO, 1, Direction.INOUT, 4096),
+    (TA_KIND_SHMEM16, 0, Direction.OUT, 16),
+], ids=["echo16", "echo256", "echo4096", "shmem16-out"])
+def test_a_memref_request_is_charged_once_per_crossing(
+        fabric, ta_kind, cmd_id, direction, size):
+    """The modeled cost of a memref request: the block into the window
+    (zeros for OUT), the mailbox frame each way, the block back out."""
+    with Context(fabric) as context:
+        ta_uuid, image = make_image(ta_kind)
+        session = context.open_session(ta_uuid, image)
+        block = session.allocate_shared_memory(size, direction)
+        data = bytes(i % 251 for i in range(size))
+        block.write(data)
+        fabric.delay = delay = _CountingDelay()
+        session.invoke_command(cmd_id, Operation(block)).raise_for_code()
+        assert delay.charged == [size, 48, 48, size]
+        assert block.read() == (data[::-1] if ta_kind == TA_KIND_ECHO
+                                else bytes(range(16)))
 
 
 def test_frames_and_events_keep_their_named_tuple_types(fabric):

@@ -321,6 +321,24 @@ def test_unpack_param_types_matches_the_nibble_loop_on_every_word():
             unpack_param_types(bad)
 
 
+def test_a_kind_that_is_not_a_member_or_an_exact_int_is_refused():
+    """The kinds table is keyed on tuples, where 1.0 == True == VALUE_IN:
+    neither `pack_param_types` nor `build` may take such a kind for one."""
+    for bad in (1.0, 1.5, True, _Small.ONE, "1"):
+        for kinds in ([bad], [bad, 0, 0, 0], [ParamKind.NONE, bad]):
+            with pytest.raises(InvalidFrame, match="not a ParamKind or an int"):
+                pack_param_types(kinds)
+        with pytest.raises(InvalidFrame, match="not a ParamKind or an int"):
+            MailboxFrame.build(OperationId.INVOKE, 1, [(bad, 5, 6)])
+        with pytest.raises(InvalidFrame, match="not a ParamKind or an int"):
+            MailboxFrame.build(OperationId.INVOKE, 1, [bad], gp=(5, 6))
+    assert pack_param_types([1, 0, 0, 0]) == 1
+    assert pack_param_types([1, 5]) == pack_param_types(
+        [ParamKind.VALUE_IN, ParamKind.MEMREF]) == 0x51
+    assert MailboxFrame.build(
+        OperationId.INVOKE, 1, [(1, 5, 6)]).param_type == 1
+
+
 def _frames():
     request = MailboxFrame.build(
         OperationId.INVOKE, 7, [(ParamKind.MEMREF, 16, 32)], cmd_id=4)

@@ -1,0 +1,133 @@
+"""Property checks at the window's grants, against a set-of-bytes model.
+Through `params.memory`, a window access succeeds exactly when every byte
+it touches lies in the window and is granted. Through a memref, a TA
+reads exactly the bytes of the slice its request's words grant, and
+writes only there, or is refused with AccessDeniedError."""
+
+import uuid as uuid_mod
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, seed, settings, strategies as st
+
+from teefab.enclave import (
+    TA_KIND_ECHO,
+    EnclaveRuntime,
+    MemoryContext,
+    Space,
+    TaParams,
+)
+from teefab.protocol import (
+    SHM_WINDOW_SIZE,
+    WORD_MASK,
+    AccessDeniedError,
+    ParamKind,
+)
+
+# Small, so that grants meet, overlap and leave gaps.
+WINDOW = 48
+NONE, MEMREF = ParamKind.NONE, ParamKind.MEMREF
+
+
+def _fits(offset, length, size):
+    return 0 <= offset and 0 <= length and offset + length <= size
+
+
+spans = st.tuples(st.integers(-2, WINDOW + 2), st.integers(-2, 24))
+
+
+@seed(0x7EEFAB)
+@settings(database=None, deadline=None, max_examples=200)
+@given(grants=st.lists(spans, max_size=5),
+       accesses=st.lists(st.tuples(spans, st.booleans()), min_size=1,
+                         max_size=8))
+def test_a_window_access_succeeds_exactly_when_every_byte_is_granted(
+        grants, accesses):
+    window = Space(WINDOW)
+    window.write(0, bytes(range(1, WINDOW + 1)))
+    mem = MemoryContext(Space(8), window)
+    granted = set()
+    for offset, length in grants:
+        try:
+            mem.grant(offset, length)
+        except AccessDeniedError:
+            assert not _fits(offset, length, WINDOW)
+        else:
+            assert _fits(offset, length, WINDOW)
+            granted.update(range(offset, offset + length))
+    model = bytearray(window.read(0, WINDOW))
+    for serial, ((offset, length), write) in enumerate(accesses):
+        if write:
+            length = max(length, 0)
+        allowed = _fits(offset, length, WINDOW) and granted.issuperset(
+            range(offset, offset + length))
+        try:
+            if write:
+                data = bytes([0x80 + serial]) * length
+                mem.window_write(offset, data)
+                model[offset:offset + length] = data
+            else:
+                assert mem.window_read(offset, length) == \
+                    model[offset:offset + length]
+        except AccessDeniedError:
+            assert not allowed
+        else:
+            assert allowed
+    assert window.read(0, WINDOW) == model
+
+
+@st.composite
+def memref_requests(draw):
+    """A memref's words as `decode_frame` lets them through (the slice in
+    the window), the length word the TA may report before it asks for the
+    memref, and accesses at and around the slice's edges."""
+    length = draw(st.integers(0, 40))
+    offset = draw(st.one_of(st.integers(0, 64),
+                            st.just(SHM_WINDOW_SIZE - length)))
+    reported = draw(st.one_of(st.none(), st.integers(0, 80),
+                              st.just(WORD_MASK)))
+    around = st.integers(-2, length + 2)
+    accesses = draw(st.lists(st.tuples(
+        around, st.one_of(st.none(), around), st.booleans()),
+        min_size=1, max_size=6))
+    return offset, length, reported, accesses
+
+
+@seed(0x7EEFAB)
+@settings(database=None, deadline=None, max_examples=120)
+@given(request=memref_requests())
+def test_a_memref_reads_exactly_its_slice_or_refuses(request):
+    offset, length, reported, accesses = request
+    core = EnclaveRuntime(0, None)
+    core.deassert_reset(uuid_mod.UUID(int=1), TA_KIND_ECHO, 0)
+    model = bytearray((i * 7 + 3) % 251 for i in range(SHM_WINDOW_SIZE))
+    core.window.write(0, model)
+    params = TaParams((MEMREF, NONE, NONE, NONE),
+                      (offset, length) + (0,) * 6, core)
+    if reported is not None:
+        params.set_memref_length(0, reported)
+    ref = params.memref(0)
+    assert ref.length == length
+    for serial, (at, size, write) in enumerate(accesses):
+        if write:
+            size = max(size or 0, 0)
+            data = bytes([0x80 + serial]) * size
+            try:
+                ref.write(data, at)
+            except AccessDeniedError:
+                assert not _fits(at, size, length)
+            else:
+                assert _fits(at, size, length)
+                model[offset + at:offset + at + size] = data
+            continue
+        wanted = length - at if size is None else size
+        try:
+            got = ref.read(at, size)
+        except AccessDeniedError:
+            assert not _fits(at, wanted, length)
+        else:
+            assert _fits(at, wanted, length)
+            assert got == model[offset + at:offset + at + wanted]
+    assert core.window.read(0, SHM_WINDOW_SIZE) == model
