@@ -58,15 +58,6 @@ class EnclaveResetError(RuntimeError):
     """A mailbox delivery was cut short by a reset."""
 
 
-def region_fault(offset, length, size):
-    """The error for an access to [offset, +length) that a size-byte
-    region refuses."""
-    if not isinstance(offset, int) or not isinstance(length, int):
-        return AccessDeniedError("region offsets must be integers")
-    return AccessDeniedError(
-        f"access [{offset}, +{length}) outside {size}-byte region")
-
-
 class Space:
     """Bounds-checked byte region; out-of-range access is a bus fault."""
 
@@ -80,17 +71,20 @@ class Space:
         return len(self._buf)
 
     def _check(self, offset, length):
-        if (not isinstance(offset, int) or not isinstance(length, int)
-                or offset < 0 or length < 0
-                or offset + length > len(self._buf)):
-            raise region_fault(offset, length, len(self._buf))
+        if not isinstance(offset, int) or not isinstance(length, int):
+            raise AccessDeniedError("region offsets must be integers")
+        if offset < 0 or length < 0 or offset + length > len(self._buf):
+            raise AccessDeniedError(
+                f"access [{offset}, +{length}) outside {len(self._buf)}-byte region")
 
     def read(self, offset, length):
         self._check(offset, length)
         return self._buf[offset:offset + length].tobytes()
 
     def write(self, offset, data):
-        data = bytes(data)
+        # bytes and bytearray go into the region as they are: one copy.
+        if type(data) is not bytes and type(data) is not bytearray:
+            data = bytes(data)
         self._check(offset, len(data))
         self._buf[offset:offset + len(data)] = data
 

@@ -14,12 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .config import SimConfig
-from .enclave import (
-    EnclaveRuntime,
-    EnclaveResetError,
-    region_fault,
-    ta_factory,
-)
+from .enclave import EnclaveRuntime, EnclaveResetError, ta_factory
 from .internal_api import Csprng, SealedStorage, TeeServices
 from .protocol import (
     CM_ALIGNMENT,
@@ -139,16 +134,6 @@ class CmRegion:
         if offset < 0 or length < 0 or offset + length > len(self._buf):
             raise OutOfMemoryError(
                 f"staging access [{offset}, +{length}) out of range")
-
-
-def _flat_bytes(data):
-    """`data` as one run of bytes, as bytes() reads it: a buffer of any
-    format through a view, not a copy; anything else bytes() takes, such
-    as an iterable of ints, converted."""
-    try:
-        return memoryview(data).cast("B")
-    except TypeError:
-        return bytes(data)
 
 
 def _align(offset):
@@ -544,22 +529,17 @@ class Fabric:
             return (record.uuid if taken else None), record.generation
 
     def shm_write(self, slot_index, offset, data):
-        """REE copy into the slot's shared window (costed transfer): the
-        caller's bytes go into the window in one copy, after one bounds
-        check."""
+        """REE copy into the slot's shared window (costed transfer): bytes
+        and bytearray go into the window in one copy, with no staging."""
         record = self._slots[slot_index]
         with record.runtime.lock:
             if record.state is not _TAKEN:
                 raise AccessDeniedError(f"slot {slot_index} is not taken")
             if type(data) is not bytes and type(data) is not bytearray:
-                data = _flat_bytes(data)
-            window, length = record.runtime.window._buf, len(data)
-            if (not isinstance(offset, int) or offset < 0
-                    or offset + length > len(window)):
-                raise region_fault(offset, length, len(window))
-            window[offset:offset + length] = data
-            # Charged after the bounds check: a refused copy is free.
-            self.delay.charge(length)
+                data = bytes(data)
+            # Charged after the window's bounds check: a refused copy is free.
+            record.runtime.window.write(offset, data)
+            self.delay.charge(len(data))
 
     def shm_read(self, slot_index, offset, length):
         """REE copy out of the slot's shared window (costed transfer)."""
@@ -567,12 +547,7 @@ class Fabric:
         with record.runtime.lock:
             if record.state is not _TAKEN:
                 raise AccessDeniedError(f"slot {slot_index} is not taken")
-            window = record.runtime.window._buf
-            if (not isinstance(offset, int) or not isinstance(length, int)
-                    or offset < 0 or length < 0
-                    or offset + length > len(window)):
-                raise region_fault(offset, length, len(window))
-            data = window[offset:offset + length].tobytes()
+            data = record.runtime.window.read(offset, length)
             self.delay.charge(length)
             return data
 
