@@ -25,31 +25,35 @@ _DEMO_SHM_UUID = uuid_mod.UUID("0de30000-0002-4000-8000-000000000002")
 
 
 def _parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file")
-    common.add_argument("--enclaves", type=int, metavar="N",
+    sizing = argparse.ArgumentParser(add_help=False)
+    sizing.add_argument("--config", help="key=value config file")
+    sizing.add_argument("--enclaves", type=int, metavar="N",
                         help="number of enclave slots")
-    common.add_argument("--device", help="device profile name or file")
-    common.add_argument("--seed", type=int, help="deterministic RNG seed")
-    common.add_argument("--storage-dir", help="sealed-storage directory")
-    common.add_argument("--uart-dir",
+    sizing.add_argument("--device", help="device profile name or file")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int,
+                        help="deterministic RNG seed, 0..2**64-1")
+    stored = argparse.ArgumentParser(add_help=False)
+    stored.add_argument("--storage-dir", help="sealed-storage directory")
+    stored.add_argument("--uart-dir",
                         help="mirror enclave logs to this directory")
+    booted = [sizing, seeded, stored]
 
     parser = argparse.ArgumentParser(
         prog="teefab",
         description="Software model of an FPGA fabric that builds TEEs on demand.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("boot", parents=[common],
+    sub.add_parser("boot", parents=booted,
                    help="validate the config and bring the fabric up")
 
-    demo = sub.add_parser("demo", parents=[common],
+    demo = sub.add_parser("demo", parents=booted,
                           help="run a canned trusted application")
     demo.add_argument("name", choices=("increment", "shmem16"))
     demo.add_argument("--value", type=int, default=41,
                       help="input for the increment demo")
 
-    bench = sub.add_parser("bench", parents=[common],
+    bench = sub.add_parser("bench", parents=[seeded],
                            help="time the five fabric scenarios")
     bench.add_argument("--repetitions", type=int, default=DEFAULT_REPETITIONS)
     bench.add_argument("--ns-per-byte", type=int, default=DEFAULT_NS_PER_BYTE,
@@ -57,8 +61,8 @@ def _parser():
     bench.add_argument("--ns-per-op", type=int, default=DEFAULT_NS_PER_OP,
                        help="modelled setup cost per transfer")
 
-    resources = sub.add_parser("resources", parents=[common],
-                               help="hardware cost of an enclave count")
+    sub.add_parser("resources", parents=[sizing],
+                   help="hardware cost of an enclave count")
 
     wallet = sub.add_parser("wallet", help="drive the Bitcoin wallet TA")
     wallet.add_argument("rest", nargs=argparse.REMAINDER,
@@ -66,18 +70,18 @@ def _parser():
     return parser
 
 
+# Each option a command takes, and the config field it overrides.
+_OVERRIDES = (("enclaves", "enclave_count"), ("device", "device_profile"),
+              ("seed", "rng_seed"), ("storage_dir", "storage_dir"),
+              ("uart_dir", "uart_dir"))
+
+
 def _build_config(args):
     config = load_config(args.config) if args.config else SimConfig()
-    if args.enclaves is not None:
-        config.enclave_count = args.enclaves
-    if args.device is not None:
-        config.device_profile = args.device
-    if args.seed is not None:
-        config.rng_seed = args.seed
-    if args.storage_dir is not None:
-        config.storage_dir = args.storage_dir
-    if args.uart_dir is not None:
-        config.uart_dir = args.uart_dir
+    for option, key in _OVERRIDES:
+        value = getattr(args, option, None)
+        if value is not None:
+            setattr(config, key, value)
     return config
 
 
@@ -121,11 +125,11 @@ def _cmd_demo(config, args):
     return 0
 
 
-def _cmd_bench(config, args):
+def _cmd_bench(args):
     report = run_bench(repetitions=args.repetitions,
                        per_byte_ns=args.ns_per_byte,
                        per_op_ns=args.ns_per_op,
-                       seed=config.rng_seed or 0)
+                       seed=args.seed or 0)
     print(report.render_text())
     return 0
 
@@ -144,13 +148,13 @@ def main(argv=None):
             rest = rest[1:]
         return wallet_client.main(rest)
     try:
+        if args.command == "bench":
+            return _cmd_bench(args)
         config = _build_config(args)
         if args.command == "boot":
             return _cmd_boot(config)
         if args.command == "demo":
             return _cmd_demo(config, args)
-        if args.command == "bench":
-            return _cmd_bench(config, args)
         return _cmd_resources(config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import threading
 from enum import IntEnum
-from pathlib import Path
 
 from .protocol import (
     GP_WORDS,
@@ -181,8 +180,6 @@ class Context:
     def _stage(self, ta_uuid, image):
         """(offset, size) of ta_uuid's staged copy; the first staging
         decodes the image in full, the same bytes again are not decoded."""
-        if isinstance(image, (str, Path)):
-            image = Path(image).read_bytes()
         image = bytes(image)
         with self._lock:
             staged = self._staged.get(ta_uuid)

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .protocol import TCM_SIZE, SHM_WINDOW_SIZE
 from .resource_model import get_profile, max_enclaves
 
+# The window and TCM sizes come from protocol.py; a file may not set them.
 _FIXED_KEYS = {"tcm_size", "shm_size"}
 _DEFAULT_HUK_SEED = "teefab-default-device"
+_SEED_MAX = 2**64 - 1  # the RNG takes its seed as eight bytes
 
 
 @dataclass
@@ -26,9 +27,6 @@ class SimConfig:
     huk_seed: str | None = None  # or any string stretched into one
     dma_ns_per_byte: int = 0
     dma_ns_per_op: int = 0
-
-    tcm_size: int = field(default=TCM_SIZE, init=False)
-    shm_size: int = field(default=SHM_WINDOW_SIZE, init=False)
 
     def device(self):
         return get_profile(self.device_profile)
@@ -60,8 +58,11 @@ class SimConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
-        if self.rng_seed is not None and not isinstance(self.rng_seed, int):
-            raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}")
+        if self.rng_seed is not None and (
+                not isinstance(self.rng_seed, int)
+                or not 0 <= self.rng_seed <= _SEED_MAX):
+            raise ValueError(f"rng_seed must be an integer in 0..2**64-1, "
+                             f"got {self.rng_seed!r}")
         return self
 
     def device_key(self):
@@ -83,7 +84,7 @@ def _parse_int(key, value):
 def load_config(path):
     """Parse a key=value config file into a validated SimConfig."""
     config = SimConfig()
-    valid = {f.name for f in fields(SimConfig) if f.init}
+    valid = {f.name for f in fields(SimConfig)}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -95,8 +96,6 @@ def load_config(path):
             raise ValueError(
                 f"{path}:{lineno}: {key} is fixed by the design and cannot "
                 f"be overridden")
-        if key == "device":
-            key = "device_profile"
         if key not in valid:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in ("enclave_count", "rng_seed", "dma_ns_per_byte", "dma_ns_per_op"):

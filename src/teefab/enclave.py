@@ -6,7 +6,6 @@ import threading
 import traceback
 from bisect import insort
 from collections import deque
-from contextlib import nullcontext
 from enum import IntEnum
 
 from .protocol import (
@@ -165,7 +164,7 @@ class MemRef:
         self.length = len(view)
 
     def read(self, at=0, length=None):
-        if length is None:
+        if length is None and isinstance(at, int):
             length = self.length - at
         if not isinstance(at, int) or not isinstance(length, int):
             raise AccessDeniedError("window offsets must be integers")
@@ -226,14 +225,11 @@ class TaParams:
 
     @property
     def memory(self):
-        """The dispatch's MemoryContext (full TCM, granted window slices),
-        built on first read, with grants from the request's own words."""
+        """The dispatch's MemoryContext, built on first read: all of TCM
+        and no window byte, which a TA reaches only through `memref`."""
         if self._mem is None:
-            core, gp = self._core, self._gp
+            core = self._core
             self._mem = MemoryContext(core.tcm, core.window, core._rst.is_set)
-            for i, kind in enumerate(self._kinds):
-                if kind is _MEMREF:
-                    self._mem.grant(gp[2 * i], gp[2 * i + 1])
         return self._mem
 
     def memref(self, index):
@@ -255,9 +251,6 @@ class TaParams:
         if not isinstance(length, int) or not 0 <= length <= WORD_MASK:
             raise BadParametersError(f"length {length!r} is not 32-bit")
         self._words[2 * index + 1] = length
-
-    def words(self):
-        return tuple(self._words)
 
 
 class UartLog:
@@ -290,16 +283,15 @@ class UartLog:
 class TaEnvironment:
     """Trusted-side services handed to a TA instance."""
 
-    def __init__(self, ta_uuid, rng, storage, uart, abort_event,
-                 image_size=0, turnstile=None):
+    def __init__(self, ta_uuid, rng, storage, uart, abort_event, image_size,
+                 turnstile):
         self.uuid = ta_uuid
         self.rng = rng
         self.storage = storage
         self.uart = uart
         self.image_size = image_size
         self._abort_event = abort_event
-        self._step_out = nullcontext if turnstile is None \
-            else turnstile.stepped_out
+        self._step_out = turnstile.stepped_out
 
     def check_abort(self):
         if self._abort_event.is_set():
@@ -435,7 +427,7 @@ class EnclaveRuntime:
     zeroizes once, under the lock, after that request has let go of it.
     """
 
-    def __init__(self, index, services, turnstile=None):
+    def __init__(self, index, services, turnstile):
         self.index = index
         self._services = services
         self._turnstile = turnstile
@@ -589,8 +581,8 @@ class EnclaveRuntime:
                 if self._ta is None:    # the load's first session
                     self._ta = ta_factory(self._ta_kind)(TaEnvironment(
                         self._ta_uuid, *self._services.for_ta(self._ta_uuid),
-                        self.uart, self._rst, image_size=self._image_size,
-                        turnstile=self._turnstile))
+                        self.uart, self._rst, self._image_size,
+                        self._turnstile))
                 context = self._ta.open_session(params)
                 sid = self._next_sid()
                 self._sessions[sid] = context

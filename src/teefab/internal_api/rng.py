@@ -27,9 +27,7 @@ class Csprng:
             return os.urandom(48)
         if isinstance(seed, int):
             return seed.to_bytes(8, "big", signed=False)
-        if isinstance(seed, (bytes, bytearray)):
-            return bytes(seed)
-        raise TypeError(f"seed must be int, bytes, or None, not {type(seed)}")
+        raise TypeError(f"seed must be an int or None, not {type(seed)}")
 
     def _hmac(self, data):
         return hmac.new(self._key, data, hashlib.sha256).digest()

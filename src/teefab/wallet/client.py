@@ -180,7 +180,7 @@ def _parse_args(argv):
                                                "teefab-storage"),
                         help="sealed-storage directory (env TEEFAB_STORAGE)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="deterministic fabric RNG seed")
+                        help="deterministic fabric RNG seed, 0..2**64-1")
     return parser.parse_args(argv)
 
 
@@ -191,9 +191,13 @@ def main(argv=None):
         print("pin must be up to four digits", file=sys.stderr)
         return 2
     pin = int(args.pin)
-
-    fabric = Fabric(SimConfig(enclave_count=1, storage_dir=args.storage_dir,
-                              rng_seed=args.seed))
+    try:
+        fabric = Fabric(SimConfig(enclave_count=1,
+                                  storage_dir=args.storage_dir,
+                                  rng_seed=args.seed))
+    except ValueError as exc:   # the config's check, a seed out of range
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     client = WalletClient(fabric)
     try:
         if args.command_id == CMD_CHECK_EXISTS:

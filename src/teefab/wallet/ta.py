@@ -80,14 +80,17 @@ def _derive_child(record, index):
 
 def _parse_record(blob):
     """(master_sk, chain_code, salt, pin_digest, {index: (point, pkcs8)});
-    ValueError when the blob is not a record."""
+    ValueError when the blob is not a record as `_store_record` seals
+    one, its children in ascending index order below the cap."""
     body = blob[_MASTER_BYTES:]
-    if len(blob) < _MASTER_BYTES or len(body) % _CHILD_ENTRY.size \
-            or len(body) > CHILD_TABLE_CAP * _CHILD_ENTRY.size:
+    if len(blob) < _MASTER_BYTES or len(body) % _CHILD_ENTRY.size:
         raise ValueError("malformed")
     children = {index: (point, pkcs8)
                 for index, point, pkcs8 in _CHILD_ENTRY.iter_unpack(body)}
-    if any(index >= CHILD_TABLE_CAP for index in children):
+    indices = list(children)
+    if (len(indices) * _CHILD_ENTRY.size != len(body)
+            or indices != sorted(indices)
+            or any(index >= CHILD_TABLE_CAP for index in indices)):
         raise ValueError("malformed")
     return blob[:32], blob[32:64], blob[64:80], blob[80:112], children
 

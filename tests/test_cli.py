@@ -154,6 +154,34 @@ def test_wallet_module_runs_without_a_runpy_warning(tmp_path):
     assert run.stdout.strip() == "missing"
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--enclaves", "3"], ["bench", "--config", "sim.conf"],
+    ["bench", "--device", "zu3eg"], ["bench", "--storage-dir", "store"],
+    ["bench", "--uart-dir", "uart"], ["resources", "--seed", "1"],
+    ["resources", "--storage-dir", "store"], ["resources", "--uart-dir", "uart"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_a_command_refuses_an_option_it_has_no_use_for(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["boot", "--seed", "-1"],
+    ["demo", "increment", "--seed", str(2**64)],
+    ["bench", "--repetitions", "1", "--seed", "-1"],
+    ["boot", "--config", "seed.conf"],
+], ids=["boot", "demo", "bench", "config_file"])
+def test_an_out_of_range_seed_is_one_error_line(argv, capsys):
+    Path("seed.conf").write_text("rng_seed = -1\n")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rng_seed must be an integer in " \
+        "0..2**64-1" in err and err.count("\n") == 1
+
+
 def test_unknown_subcommand_exits_with_usage():
     with pytest.raises(SystemExit):
         main(["conjure"])

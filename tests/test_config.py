@@ -5,7 +5,7 @@ import uuid
 import pytest
 
 from teefab.config import SimConfig, load_config
-from teefab.protocol import SHM_WINDOW_SIZE, TCM_SIZE
+from teefab.internal_api import Csprng
 
 
 def write_config(tmp_path, text):
@@ -18,15 +18,13 @@ def test_defaults_validate():
     config = SimConfig().validate()
     assert config.enclave_count == 4
     assert config.device_profile == "zu3eg"
-    assert config.tcm_size == TCM_SIZE
-    assert config.shm_size == SHM_WINDOW_SIZE
 
 
 def test_load_config_full_file(tmp_path):
     path = write_config(tmp_path, (
         "# simulator settings\n"
         "enclave_count = 2\n"
-        "device = zu3eg\n"
+        "device_profile = zu3eg\n"
         "storage_dir = /tmp/teefab-test-store\n"
         "rng_seed = 0x20\n"))
     config = load_config(path)
@@ -57,6 +55,9 @@ def test_fixed_sizes_cannot_be_overridden(tmp_path):
 def test_unknown_keys_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown key"):
         load_config(write_config(tmp_path, "enclaves = 2\n"))
+    # The profile has one name; `device` is no alias of it.
+    with pytest.raises(ValueError, match="unknown key 'device'"):
+        load_config(write_config(tmp_path, "device = zu3eg\n"))
 
 
 def test_malformed_lines_name_position(tmp_path):
@@ -113,6 +114,20 @@ def test_bad_delay_values_rejected():
         SimConfig(dma_ns_per_byte=-1).validate()
     with pytest.raises(ValueError, match="rng_seed must be an integer"):
         SimConfig(rng_seed="seed").validate()
+
+
+def test_the_rng_seed_is_eight_bytes(tmp_path):
+    """The RNG takes its seed as eight bytes: 0..2**64-1 and nothing else,
+    refused here rather than as an OverflowError at boot."""
+    for seed in (0, 2**64 - 1):
+        SimConfig(rng_seed=seed).validate()
+        Csprng(seed=seed)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"rng_seed must be an integer "
+                                             r"in 0\.\.2\*\*64-1"):
+            SimConfig(rng_seed=seed).validate()
+    with pytest.raises(ValueError, match="rng_seed"):
+        load_config(write_config(tmp_path, "rng_seed = -1\n"))
 
 
 def test_tiny_device_warns_below_platform_floor(tmp_path):

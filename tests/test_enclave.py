@@ -17,11 +17,13 @@ from teefab.enclave import (
     EnclaveRuntime,
     MemoryContext,
     Space,
+    TaParams,
     TrustedApp,
     UartLog,
     register_ta_kind,
     ta_factory,
 )
+from teefab.fabric import Turnstile
 from teefab.internal_api.rng import Csprng
 from teefab.internal_api.storage import (
     DeviceKey,
@@ -32,7 +34,9 @@ from teefab.protocol import (
     MAILBOX_WORDS,
     SHM_WINDOW_SIZE,
     TCM_SIZE,
+    WORD_MASK,
     AccessDeniedError,
+    BadParametersError,
     MailboxFrame,
     OperationId,
     ParamKind,
@@ -86,9 +90,9 @@ class ImageSizeTa(TrustedApp):
 
 
 class MemoryTa(TrustedApp):
-    """Reaches `params.memory` on a request that carries no memref.
-    cmd 0: value 0 gets the image magic read from TCM and the number of
-    window accesses refused. cmd 1: polls the window gate until a reset
+    """Reaches `params.memory`, which grants no window byte. cmd 0:
+    value 0 gets the image magic read from TCM and the number of window
+    accesses refused. cmd 1: polls the window gate until a reset
     aborts it, and records the abort; it gives up after five seconds."""
 
     started = threading.Event()
@@ -185,7 +189,7 @@ def services(tmp_path):
 
 @pytest.fixture
 def core(services):
-    runtime = EnclaveRuntime(0, services)
+    runtime = EnclaveRuntime(0, services, Turnstile())
     yield runtime
     runtime.assert_reset()
 
@@ -385,6 +389,18 @@ def test_a_value_only_request_reaches_tcm_and_no_window(core):
                      [(ParamKind.VALUE_INOUT, 0, 0)])
     assert reply.code is ReturnCode.SUCCESS
     assert reply.gp[:2] == (int.from_bytes(b"TEOD", "little"), 3)
+
+
+def test_params_memory_grants_no_window_byte_beside_a_memref(core):
+    """A memref's slice is reached through `memref` alone: the request's
+    MemoryContext still refuses every window access."""
+    boot(core, TA_KIND_MEMORY)
+    sid = open_session(core)
+    reply = exchange(core, OperationId.INVOKE, sid,
+                     [(ParamKind.VALUE_INOUT, 0, 0),
+                      (ParamKind.MEMREF, 0, SHM_WINDOW_SIZE)])
+    assert reply.code is ReturnCode.SUCCESS
+    assert reply.gp[1] == 3
 
 
 def test_a_reset_aborts_a_value_only_request_at_the_window_gate(core):
@@ -616,3 +632,62 @@ def test_space_is_at_most_tcm_sized():
     assert space.read(0, TCM_SIZE) == bytes(TCM_SIZE)
     with pytest.raises(ValueError):
         Space(TCM_SIZE + 1)
+
+
+MEMREF, NONE = ParamKind.MEMREF, ParamKind.NONE
+
+
+def test_ta_params_refuse_the_wrong_kind_and_non_32_bit_words(core):
+    """Each accessor checks the kind it serves, and each word a TA
+    writes back is a 32-bit int; a refusal changes no word."""
+    words = (1, 2, 3, 4, 0, 16, 0, 0)
+    params = TaParams((ParamKind.VALUE_IN, ParamKind.VALUE_INOUT, MEMREF,
+                       NONE), words, core)
+    refused = [
+        lambda: params.value(2), lambda: params.value(3),
+        lambda: params.set_value(0, a=1), lambda: params.set_value(2, a=1),
+        lambda: params.set_value(3, b=1),
+        lambda: params.memref(0), lambda: params.memref(1),
+        lambda: params.memref(3),
+        lambda: params.set_memref_length(1, 4),
+        lambda: params.set_memref_length(3, 4)]
+    for word in (-1, WORD_MASK + 1, 1.0, "1", None):
+        refused.append(lambda word=word: params.set_memref_length(2, word))
+        if word is not None:     # None leaves a word as it is
+            refused.append(lambda word=word: params.set_value(1, a=word))
+            refused.append(lambda word=word: params.set_value(1, b=word))
+    for access in refused:
+        with pytest.raises(BadParametersError):
+            access()
+    assert params._words == list(words)
+    assert params.value(0) == (1, 2) and params.value(1) == (3, 4)
+    params.set_value(1, a=WORD_MASK, b=0)
+    params.set_memref_length(2, WORD_MASK)
+    assert params._words == [1, 2, WORD_MASK, 0, 0, WORD_MASK, 0, 0]
+
+
+def test_a_memref_refuses_offsets_that_are_not_ints(core):
+    core.deassert_reset(uuid_for(TA_KIND_ECHO), TA_KIND_ECHO, 0)
+    core.window.write(0, b"0123456789abcdef")
+    ref = TaParams((MEMREF, NONE, NONE, NONE), (0, 16) + (0,) * 6,
+                   core).memref(0)
+    for access in (lambda: ref.read(1.0), lambda: ref.read("1"),
+                   lambda: ref.read(0, 2.0), lambda: ref.read(0, "2"),
+                   lambda: ref.read(None, 2),
+                   lambda: ref.write(b"x", 1.0), lambda: ref.write(b"x", "1"),
+                   lambda: ref.write(b"x", None)):
+        with pytest.raises(AccessDeniedError,
+                           match="window offsets must be integers"):
+            access()
+    assert core.window.read(0, 16) == b"0123456789abcdef"
+    assert ref.read(10) == b"abcdef" and ref.read(1, 2) == b"12"
+
+
+def test_check_abort_raises_once_rst_is_asserted(core):
+    boot(core, TA_KIND_ECHO)
+    open_session(core)
+    env = core._ta.env
+    env.check_abort()
+    core.assert_reset()
+    with pytest.raises(AbortedError, match="reset asserted"):
+        env.check_abort()

@@ -288,6 +288,32 @@ def test_unregistered_kind_frees_slot(fabric, monkeypatch):
         assert_scrubbed(fabric, slot)
 
 
+def test_a_load_that_fails_after_its_claim_frees_the_slot(fabric,
+                                                          monkeypatch):
+    """A loader DMA that breaks off half way, after the manager claimed a
+    slot: the load is logged ERR_FORMAT on that slot and the slot closed,
+    the error reaches the caller, and the slot is FREE and zeroed."""
+    ta_uuid, image = make_image(TA_KIND_INCREMENT, payload=b"\xa5" * 256)
+    offset, size = fabric.cm_stage(image)
+
+    def broken_dma(runtime, data):
+        runtime.tcm.write(0, data[:len(data) // 2])
+        raise OSError("DMA broke off")
+
+    monkeypatch.setattr(enclave.EnclaveRuntime, "load_image", broken_dma)
+    with pytest.raises(OSError, match="DMA broke off"):
+        fabric.manager_open(ta_uuid, offset, size)
+    failed = [event for event in fabric.events()
+              if event.kind in ("load_status", "close")]
+    assert [(e.kind, e.slot) for e in failed] == [("load_status", 0),
+                                                  ("close", 0)]
+    assert failed[0].fields == {"uuid": ta_uuid,
+                                "status": LoadStatus.ERR_FORMAT}
+    assert fabric.load_count == 0 and fabric.loaded_tas == {}
+    assert_scrubbed(fabric, 0)
+    fabric.audit()
+
+
 def test_fabric_full(fabric):
     open_ta(fabric, TA_KIND_INCREMENT, tag=1)
     open_ta(fabric, TA_KIND_ECHO, tag=2)

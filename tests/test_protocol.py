@@ -8,6 +8,7 @@ from enum import IntEnum
 import pytest
 
 from teefab.enclave import EnclaveRuntime
+from teefab.fabric import Turnstile
 from teefab.protocol import (
     ReplyFrame,
     GP_WORDS,
@@ -366,7 +367,7 @@ def test_frames_compare_by_value_across_the_codec():
 
 @pytest.mark.parametrize("accept", [
     decode_frame, decode_reply,
-    lambda words: EnclaveRuntime(0, services=None).deliver(words)],
+    lambda words: EnclaveRuntime(0, None, Turnstile()).deliver(words)],
     ids=["decode_frame", "decode_reply", "deliver"])
 def test_a_frame_object_is_not_mailbox_words(accept):
     # A frame holds five fields; the mailbox takes the twelve words that

@@ -41,7 +41,9 @@ from teefab.wallet.mnemonic import (
 from teefab.wallet.ta import (
     CHILD_TABLE_CAP,
     CHILDREN_ID,
+    CMD_CHECK_EXISTS,
     CMD_GET_ADDRESS,
+    CMD_SIGN,
     RECORD_ID,
     _parse_record,
 )
@@ -396,6 +398,64 @@ def test_wallet_ta_refuses_a_hardened_index_itself(fabric, wallet):
     assert result.code is ReturnCode.ERROR_BAD_PARAMETERS
 
 
+def _out(session, size):
+    return session.allocate_shared_memory(size, Direction.OUT)
+
+
+def _in(session, data):
+    block = session.allocate_shared_memory(len(data), Direction.IN)
+    block.write(data)
+    return block
+
+
+_CREDENTIALS = (Direction.IN, PIN, 0)
+# What a raw session sends for each refusal that WalletClient's own
+# checks hide: (command, its parameters, the code the TA answers).
+_RAW_REFUSALS = {
+    "p0_not_value_in": lambda s: (CMD_GET_ADDRESS, (
+        Value(Direction.INOUT, PIN, 0), _out(s, 40)),
+        ReturnCode.ERROR_BAD_PARAMETERS),
+    "pin_10000": lambda s: (CMD_GET_ADDRESS, (
+        Value(Direction.IN, 10000, 0), _out(s, 40)),
+        ReturnCode.ERROR_BAD_PARAMETERS),
+    "check_exists_p1_not_value_out": lambda s: (CMD_CHECK_EXISTS, (
+        Value(*_CREDENTIALS), Value(Direction.INOUT)),
+        ReturnCode.ERROR_BAD_PARAMETERS),
+    "value_for_a_memref": lambda s: (CMD_SIGN, (
+        Value(*_CREDENTIALS), Value(Direction.IN, 1, 2), _out(s, 160)),
+        ReturnCode.ERROR_BAD_PARAMETERS),
+    "short_address_block": lambda s: (CMD_GET_ADDRESS, (
+        Value(*_CREDENTIALS), _out(s, 10)),
+        ReturnCode.ERROR_SHORT_BUFFER),
+    "unknown_command": lambda s: (99, (Value(*_CREDENTIALS),),
+                                  ReturnCode.ERROR_BAD_PARAMETERS),
+    "empty_transaction": lambda s: (CMD_SIGN, (
+        Value(*_CREDENTIALS), _in(s, b""), _out(s, 160)),
+        ReturnCode.ERROR_BAD_PARAMETERS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RAW_REFUSALS))
+def test_wallet_ta_refuses_a_raw_request_and_keeps_its_record(
+        fabric, wallet, case):
+    """The TA's own checks on a request sent past WalletClient: each
+    answers its code and leaves the sealed record's bytes as they were."""
+    wallet.restore(PIN, REFERENCE_MNEMONIC)
+    address = wallet.get_address(PIN, 0)   # child 0 is in the record now
+    record = _object_path(fabric, RECORD_ID)
+    sealed = record.read_bytes()
+    with Context(fabric) as ctx:
+        with ctx.open_session(WALLET_UUID, build_wallet_image()) as session:
+            cmd, params, code = _RAW_REFUSALS[case](session)
+            result = session.invoke_command(cmd, Operation(*params))
+    assert result.code is code
+    if code is ReturnCode.ERROR_SHORT_BUFFER:
+        # The length word carries what the address needs.
+        assert result.memref_length(1) == len(address)
+        assert params[1].read() == bytes(10)
+    assert record.read_bytes() == sealed
+
+
 # --- the sealed record --------------------------------------------------------
 
 def _oracle_child(phrase, index):
@@ -640,6 +700,16 @@ def test_cli_refuses_an_oversized_transaction(tmp_path, capsys):
     assert run_cli(tmp_path, "5", "1234", "-a", "0", "00" * 9000) == 1
     assert "error: input of 9000 bytes is over the 8062" \
         in capsys.readouterr().err
+
+
+def test_cli_refuses_an_out_of_range_seed_in_one_line(tmp_path, capsys):
+    store = tmp_path / "seed-store"
+    assert wallet_main(["1", "0000", "--storage-dir", str(store),
+                        "--seed", str(2**64)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: rng_seed must be an integer in 0..2**64-1, " \
+                  f"got {2**64}\n"
+    assert not store.exists()
 
 
 def test_cli_usage_errors(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Property checks at the window's grants, against a set-of-bytes model.
-Through `params.memory`, a window access succeeds exactly when every byte
-it touches lies in the window and is granted. Through a memref, a TA
+Through a MemoryContext, a window access succeeds exactly when every
+byte it touches lies in the window and is granted. Through a memref, a TA
 reads exactly the bytes of the slice its request's words grant, and
 writes only there, or is refused with AccessDeniedError."""
 
@@ -19,6 +19,7 @@ from teefab.enclave import (
     Space,
     TaParams,
 )
+from teefab.fabric import Turnstile
 from teefab.protocol import (
     SHM_WINDOW_SIZE,
     WORD_MASK,
@@ -100,7 +101,7 @@ def memref_requests(draw):
 @given(request=memref_requests())
 def test_a_memref_reads_exactly_its_slice_or_refuses(request):
     offset, length, reported, accesses = request
-    core = EnclaveRuntime(0, None)
+    core = EnclaveRuntime(0, None, Turnstile())
     core.deassert_reset(uuid_mod.UUID(int=1), TA_KIND_ECHO, 0)
     model = bytearray((i * 7 + 3) % 251 for i in range(SHM_WINDOW_SIZE))
     core.window.write(0, model)
