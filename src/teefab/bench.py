@@ -123,6 +123,8 @@ def run_bench(repetitions=DEFAULT_REPETITIONS,
     """Run all five scenarios on a private fabric; returns a BenchReport.
     Without a storage_dir, sealed storage lives in a temporary directory
     that is removed when the run ends."""
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     # Full-size image so a cold load moves a realistic amount of data.
     cold_image = encode_image(TAImage(
         _COLD_UUID, TA_KIND_INCREMENT,

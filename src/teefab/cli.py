@@ -24,6 +24,18 @@ _DEMO_INC_UUID = uuid_mod.UUID("0de30000-0001-4000-8000-000000000001")
 _DEMO_SHM_UUID = uuid_mod.UUID("0de30000-0002-4000-8000-000000000002")
 
 
+def _repetitions(text):
+    """argparse type of `bench --repetitions`: an int of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _parser():
     sizing = argparse.ArgumentParser(add_help=False)
     sizing.add_argument("--config", help="key=value config file")
@@ -55,7 +67,9 @@ def _parser():
 
     bench = sub.add_parser("bench", parents=[seeded],
                            help="time the five fabric scenarios")
-    bench.add_argument("--repetitions", type=int, default=DEFAULT_REPETITIONS)
+    bench.add_argument("--repetitions", type=_repetitions,
+                       default=DEFAULT_REPETITIONS,
+                       help="samples per scenario, at least 1")
     bench.add_argument("--ns-per-byte", type=int, default=DEFAULT_NS_PER_BYTE,
                        help="modelled DMA cost per byte moved")
     bench.add_argument("--ns-per-op", type=int, default=DEFAULT_NS_PER_OP,

@@ -57,6 +57,35 @@ class EnclaveResetError(RuntimeError):
     """A mailbox delivery was cut short by a reset."""
 
 
+class ResetLine:
+    """A core's RST line. `raised` is the line itself, read with no call.
+    The core lowers it by storing False under its slot lock, and nobody
+    waits for that; `pull` raises it and wakes the threads in `wait`, if
+    any wait."""
+
+    def __init__(self):
+        self.raised = True
+        self._lock = threading.Lock()
+        self._pulled = threading.Condition(self._lock)
+        self._sleepers = 0
+
+    def pull(self):
+        with self._lock:
+            self.raised = True
+            if self._sleepers:
+                self._pulled.notify_all()
+
+    def wait(self, timeout):
+        """True once the line is raised, False if `timeout` seconds run
+        out first."""
+        with self._lock:
+            self._sleepers += 1
+            try:
+                return self._pulled.wait_for(lambda: self.raised, timeout)
+            finally:
+                self._sleepers -= 1
+
+
 class Space:
     """Bounds-checked byte region; out-of-range access is a bus fault."""
 
@@ -93,14 +122,15 @@ class Space:
 
 class MemoryContext:
     """Per-dispatch access rights: all of TCM plus granted window slices.
-    `aborted`, when given, returns True once the core's RST is asserted."""
+    `rst`, when given, is the core's `ResetLine`: once it is raised, every
+    access raises AbortedError."""
 
-    def __init__(self, tcm, window, aborted=None):
+    def __init__(self, tcm, window, rst=None):
         self._tcm = tcm
         # The window's bytes: `_gate` checks every access, no Space again.
         self._window = window._buf
         self._grants = []
-        self._aborted = aborted
+        self._rst = rst
 
     def grant(self, offset, length):
         """Admit one window slice for this dispatch."""
@@ -122,7 +152,7 @@ class MemoryContext:
         return cursor >= hi
 
     def _gate(self, offset, length):
-        if self._aborted is not None and self._aborted():
+        if self._rst is not None and self._rst.raised:
             raise AbortedError("reset asserted")
         if not isinstance(offset, int) or not isinstance(length, int):
             raise AccessDeniedError("window offsets must be integers")
@@ -143,12 +173,12 @@ class MemoryContext:
         self._window[offset:offset + len(data)] = data
 
     def tcm_read(self, offset, length):
-        if self._aborted is not None and self._aborted():
+        if self._rst is not None and self._rst.raised:
             raise AbortedError("reset asserted")
         return self._tcm.read(offset, length)
 
     def tcm_write(self, offset, data):
-        if self._aborted is not None and self._aborted():
+        if self._rst is not None and self._rst.raised:
             raise AbortedError("reset asserted")
         self._tcm.write(offset, data)
 
@@ -158,9 +188,9 @@ class MemRef:
     bytes its request's memref words grant, and the core's RST line, so
     an access copies straight from or into the window."""
 
-    def __init__(self, view, aborted):
+    def __init__(self, view, rst):
         self._view = view
-        self._aborted = aborted
+        self._rst = rst
         self.length = len(view)
 
     def read(self, at=0, length=None):
@@ -171,7 +201,7 @@ class MemRef:
         if at < 0 or length < 0 or at + length > self.length:
             raise AccessDeniedError(
                 f"read [{at}, +{length}) outside {self.length}-byte reference")
-        if self._aborted():
+        if self._rst.raised:
             raise AbortedError("reset asserted")
         return self._view[at:at + length].tobytes()
 
@@ -182,7 +212,7 @@ class MemRef:
         if at < 0 or at + len(data) > self.length:
             raise AccessDeniedError(
                 f"write [{at}, +{len(data)}) outside {self.length}-byte reference")
-        if self._aborted():
+        if self._rst.raised:
             raise AbortedError("reset asserted")
         self._view[at:at + len(data)] = data
 
@@ -229,7 +259,7 @@ class TaParams:
         and no window byte, which a TA reaches only through `memref`."""
         if self._mem is None:
             core = self._core
-            self._mem = MemoryContext(core.tcm, core.window, core._rst.is_set)
+            self._mem = MemoryContext(core.tcm, core.window, core._rst)
         return self._mem
 
     def memref(self, index):
@@ -241,7 +271,7 @@ class TaParams:
                 f"parameter {index} is {self._kinds[index].name}, not a memref")
         offset, core = self._gp[2 * index], self._core
         return MemRef(core.window._buf[offset:offset + self._gp[2 * index + 1]],
-                      core._rst.is_set)
+                      core._rst)
 
     def set_memref_length(self, index, length):
         """Report the size a memref actually needs (short-buffer replies)."""
@@ -283,18 +313,18 @@ class UartLog:
 class TaEnvironment:
     """Trusted-side services handed to a TA instance."""
 
-    def __init__(self, ta_uuid, rng, storage, uart, abort_event, image_size,
+    def __init__(self, ta_uuid, rng, storage, uart, rst, image_size,
                  turnstile):
         self.uuid = ta_uuid
         self.rng = rng
         self.storage = storage
         self.uart = uart
         self.image_size = image_size
-        self._abort_event = abort_event
+        self._rst = rst
         self._step_out = turnstile.stepped_out
 
     def check_abort(self):
-        if self._abort_event.is_set():
+        if self._rst.raised:
             raise AbortedError("reset asserted")
 
     def sleep(self, seconds):
@@ -302,7 +332,7 @@ class TaEnvironment:
         steps out of the fabric's turnstile, so other clients do not hand
         it turns it cannot take."""
         with self._step_out():
-            aborted = self._abort_event.wait(seconds)
+            aborted = self._rst.wait(seconds)
         if aborted:
             raise AbortedError("reset asserted")
 
@@ -422,9 +452,10 @@ class EnclaveRuntime:
 
     `lock` is the slot lock: the fabric holds it across a whole request and
     every REE window copy, and the core holds it across the ISR. The RST
-    line is one event that TAs also check or wait on as their abort flag,
-    so assert_reset() aborts a handler in flight at once; the core then
-    zeroizes once, under the lock, after that request has let go of it.
+    line is one `ResetLine` that TAs also check or wait on as their abort
+    flag, so assert_reset() aborts a handler in flight at once; the core
+    then zeroizes once, under the lock, after that request has let go of
+    it. The core reads the line as a plain attribute.
     """
 
     def __init__(self, index, services, turnstile):
@@ -436,14 +467,14 @@ class EnclaveRuntime:
         self.uart = UartLog()
         self.lock = threading.RLock()
         self._mailbox = [0] * MAILBOX_WORDS
-        self._rst = threading.Event()
-        self._rst.set()
+        self._rst = ResetLine()
         self._int = False
         self._reply_serial = 0
         # Set by a TA fault; the fabric then scrubs the slot at once.
         self.faulted = False
         self._ta_uuid = None
         self._ta_kind = None
+        self._ta_factory = None
         self._image_size = 0
         self._ta = None
         self._sessions = {}
@@ -454,7 +485,7 @@ class EnclaveRuntime:
     def load_image(self, data):
         """Loader DMA into TCM; only legal while RST is asserted."""
         with self.lock:
-            if not self._rst.is_set():
+            if not self._rst.raised:
                 raise RuntimeError("DMA into a running enclave")
             self.tcm.write(0, data)
 
@@ -463,23 +494,27 @@ class EnclaveRuntime:
 
         RST goes up before the lock is taken, so a handler in flight aborts
         at once instead of holding the lock to its end; a handler that
-        ignores it is waited out. Raised again under the lock, it holds
-        across the zeroize."""
-        self._rst.set()
+        ignores it is waited out. Raised again under the lock if a
+        deassert lowered it in between, it holds across the zeroize."""
+        rst = self._rst
+        rst.pull()
         with self.lock:
-            self._rst.set()
+            if not rst.raised:
+                rst.pull()
             self._zeroize()
 
-    def deassert_reset(self, ta_uuid, ta_kind, image_size):
+    def deassert_reset(self, ta_uuid, ta_kind, image_size, factory):
         """Release RST and boot the TA the manager checked and loaded:
-        its uuid, its registered ta_kind and the image size that
-        `env.image_size` reports. The core parses nothing in TCM."""
+        its uuid, its ta_kind and the factory registered for it, which
+        the manager looked up, and the image size that `env.image_size`
+        reports. The core parses nothing in TCM."""
         with self.lock:
-            if not self._rst.is_set():
+            if not self._rst.raised:
                 return
-            self._rst.clear()
+            self._rst.raised = False
             self._ta_uuid = ta_uuid
             self._ta_kind = ta_kind
+            self._ta_factory = factory
             self._image_size = image_size
             self.uart.log(f"boot: ta {ta_uuid} kind {ta_kind}")
 
@@ -489,8 +524,9 @@ class EnclaveRuntime:
         if len(words) != MAILBOX_WORDS:
             raise InvalidFrame(f"mailbox holds {MAILBOX_WORDS} words")
         reply = None
+        rst = self._rst
         with self.lock:
-            if self._rst.is_set():
+            if rst.raised:
                 raise EnclaveResetError(f"enclave {self.index} is in reset")
             if self._int:
                 raise RuntimeError(f"enclave {self.index} mailbox is busy")
@@ -504,7 +540,7 @@ class EnclaveRuntime:
                 # An aborted request leaves the zeroize to the resetter,
                 # which takes this lock next.
                 self._int = False
-                if self._rst.is_set():
+                if rst.raised:
                     reply = None
                 elif reply is not None:
                     self._mailbox[:] = reply
@@ -518,7 +554,7 @@ class EnclaveRuntime:
         """Register scan: control lines plus bookkeeping, for tests and CLI.
         It takes no lock, so it reads the lines while a request holds the
         slot."""
-        rst = self._rst.is_set()
+        rst = self._rst.raised
         if self._int:
             state = CoreState.ISR
         else:
@@ -553,6 +589,7 @@ class EnclaveRuntime:
         self.faulted = False
         self._ta_uuid = None
         self._ta_kind = None
+        self._ta_factory = None
         self._image_size = 0
         self._ta = None
         self._sessions.clear()
@@ -579,7 +616,7 @@ class EnclaveRuntime:
         try:
             if frame.operation is _OPEN:
                 if self._ta is None:    # the load's first session
-                    self._ta = ta_factory(self._ta_kind)(TaEnvironment(
+                    self._ta = self._ta_factory(TaEnvironment(
                         self._ta_uuid, *self._services.for_ta(self._ta_uuid),
                         self.uart, self._rst, self._image_size,
                         self._turnstile))

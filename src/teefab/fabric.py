@@ -49,6 +49,7 @@ class SlotState(IntEnum):
 # Members read on every dispatch, bound once: on Python 3.11 each
 # `Enum.MEMBER` read costs several times a module global's.
 _LOADING, _TAKEN = SlotState.LOADING, SlotState.TAKEN
+_CLEANING = SlotState.CLEANING
 _OPEN, _CLOSE = OperationId.OPEN, OperationId.CLOSE
 
 
@@ -310,7 +311,13 @@ class Fabric:
             if uart_dir is not None:
                 runtime.uart.attach_file(Path(uart_dir) / f"enclave{index}.log")
             self._slots.append(EnclaveSlot(index, runtime, self.turnstile))
-        self._manager = threading.Condition()
+        # The manager lock, always taken with `with` on the lock itself; the
+        # condition over it serves only the threads that wait for a slot to
+        # change state, and `_waiting` counts them, so that a change wakes
+        # nobody when nobody waits.
+        self._manager = threading.Lock()
+        self._changed = threading.Condition(self._manager)
+        self._waiting = 0
         self._load_count = 0
         self._events = deque(maxlen=EVENT_CAPACITY)
         self._seq = 0
@@ -339,15 +346,15 @@ class Fabric:
         follow-up OPEN dispatch. Returns (slot_index, fresh_load)."""
         with self._manager:
             while True:
-                record = self._hosting(ta_uuid, _TAKEN)
-                if record is not None:
+                record = self._hosting(ta_uuid)
+                if record is None:
+                    break
+                if record.state is _TAKEN:
                     record.pending += 1
                     self._log("open", record.index, uuid=ta_uuid, warm=True)
                     return record.index, False
-                if self._hosting(ta_uuid, _LOADING) is None:
-                    break
                 # Another caller is loading this TA; join its outcome.
-                self._manager.wait()
+                self._wait()
             if size > MAX_IMAGE_SIZE:
                 self._load_status(ta_uuid, LoadStatus.ERR_SIZE)
                 raise ImageSizeError(
@@ -357,16 +364,20 @@ class Fabric:
             # copies these bytes to TCM, and the core boots from the check.
             data = self.cm.read(cm_addr, size)
             try:
-                image_uuid, ta_kind, total = decode_image_header(data)
+                uuid_bytes, ta_kind, total = decode_image_header(data)
                 if total != size:
                     raise ImageFormatError(
                         f"payload_len {total - IMAGE_HEADER_SIZE} "
                         f"inconsistent with the {size}-byte staged image")
-                if image_uuid != ta_uuid:
+                # Matched as the integer a UUID holds: no UUID is built
+                # for the header unless it is refused.
+                if not (isinstance(ta_uuid, uuid_mod.UUID) and ta_uuid.int
+                        == int.from_bytes(uuid_bytes, "big")):
                     raise ImageFormatError(
-                        f"image uuid {image_uuid} does not match requested "
-                        f"{ta_uuid}")
-                if ta_factory(ta_kind) is None:
+                        f"image uuid {uuid_mod.UUID(bytes=uuid_bytes)} does "
+                        f"not match requested {ta_uuid}")
+                factory = ta_factory(ta_kind)
+                if factory is None:
                     raise ImageFormatError(
                         f"no trusted application registered for ta_kind "
                         f"{ta_kind}")
@@ -377,11 +388,11 @@ class Fabric:
         slot = record.index
         try:
             self._loader_copy(record, data)
-            record.runtime.deassert_reset(ta_uuid, ta_kind, size)
+            record.runtime.deassert_reset(ta_uuid, ta_kind, size, factory)
         except Exception:
             with self._manager:
                 self._load_status(ta_uuid, LoadStatus.ERR_FORMAT, slot)
-                self._begin_scrub(record)
+                record.state = _CLEANING
             self._scrub(record)
             raise
         # Committed under the slot lock too, which `slot_load` reads under.
@@ -391,7 +402,8 @@ class Fabric:
             record.pending = 1
             self._load_count += 1
             self._load_status(ta_uuid, LoadStatus.LOADED, slot)
-            self._manager.notify_all()
+            if self._waiting:
+                self._changed.notify_all()
         self._log("open", slot, uuid=ta_uuid, warm=False)
         return slot, True
 
@@ -399,13 +411,24 @@ class Fabric:
         """Log the outcome of the load of ta_uuid."""
         self._log("load_status", slot, uuid=ta_uuid, status=status)
 
-    def _hosting(self, ta_uuid, state):
-        """The record in `state` for ta_uuid, or None. Caller holds the
-        manager lock."""
+    def _hosting(self, ta_uuid):
+        """The record LOADING or TAKEN for ta_uuid, or None; no uuid is
+        claimed on two slots. Caller holds the manager lock."""
         for record in self._slots:
-            if record.state is state and record.uuid == ta_uuid:
+            state = record.state
+            if ((state is _TAKEN or state is _LOADING)
+                    and record.uuid == ta_uuid):
                 return record
         return None
+
+    def _wait(self, timeout=None):
+        """Wait for a slot to change state, counted in `_waiting` while it
+        waits. Caller holds the manager lock."""
+        self._waiting += 1
+        try:
+            self._changed.wait(timeout)
+        finally:
+            self._waiting -= 1
 
     def _acquire_free_slot(self, ta_uuid):
         """Claim the lowest-index free slot for loading ta_uuid; waits out
@@ -417,10 +440,10 @@ class Fabric:
                     record.state = _LOADING
                     record.uuid = ta_uuid
                     return record
-            if not any(r.state is SlotState.CLEANING for r in self._slots):
+            if not any(r.state is _CLEANING for r in self._slots):
                 self._load_status(ta_uuid, LoadStatus.ERR_FULL)
                 raise OutOfEnclavesError("no free enclave slot")
-            self._manager.wait()
+            self._wait()
 
     def _loader_copy(self, record, data):
         """Loader agent DMA: the staged bytes land at TCM offset 0."""
@@ -435,11 +458,11 @@ class Fabric:
         or teardown already under way is waited out first."""
         record = self._slots[slot_index]
         with self._manager:
-            while record.state in (SlotState.LOADING, SlotState.CLEANING):
-                self._manager.wait()
+            while record.state is _LOADING or record.state is _CLEANING:
+                self._wait()
             if record.state is SlotState.FREE:
                 return
-            self._begin_scrub(record)
+            record.state = _CLEANING
         self._scrub(record)
 
     def release_pending(self, slot_index):
@@ -460,12 +483,8 @@ class Fabric:
             if record.state is not _TAKEN or (not record.runtime.faulted and (
                     record.pending or record.runtime.session_count)):
                 return
-            self._begin_scrub(record)
+            record.state = _CLEANING
         self._scrub(record)
-
-    def _begin_scrub(self, record):
-        """TAKEN or LOADING -> CLEANING; caller holds the manager lock."""
-        record.state = SlotState.CLEANING
 
     def _scrub(self, record):
         """CLEANING -> FREE on the calling thread. The reset aborts a
@@ -478,7 +497,8 @@ class Fabric:
             record.state = SlotState.FREE
             record.uuid = None
             record.pending = 0
-            self._manager.notify_all()
+            if self._waiting:
+                self._changed.notify_all()
         self._log("close", record.index)
 
     # ---- communication agent ----
@@ -622,11 +642,11 @@ class Fabric:
         frees the slot, so this only waits out those still in progress."""
         deadline = time.monotonic() + timeout
         with self._manager:
-            while any(r.state is SlotState.CLEANING for r in self._slots):
+            while any(r.state is _CLEANING for r in self._slots):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise TimeoutError("cleanup did not drain")
-                self._manager.wait(remaining)
+                self._wait(remaining)
 
     def shutdown(self):
         """Tear every slot down through `manager_close`, so each ends FREE,

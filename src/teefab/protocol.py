@@ -315,9 +315,6 @@ class ReplyFrame(NamedTuple):
     gp: tuple
     cmd_id: int = 0
 
-    def kinds(self):
-        return unpack_param_types(self.param_type)
-
     def param_words(self, index):
         return self.gp[2 * index], self.gp[2 * index + 1]
 
@@ -414,7 +411,9 @@ _IMAGE_HEADER = struct.Struct("<4sI16sII")
 
 
 def decode_image_header(buf):
-    """(uuid, ta_kind, total_bytes) of the image at the front of a buffer.
+    """(uuid_bytes, ta_kind, total_bytes) of the image at the front of a
+    buffer; uuid_bytes are the 16 bytes of the uuid field, from which a
+    caller builds a UUID only if it needs one.
 
     Checks the magic, the version, the size cap and that payload_len fits
     the buffer, in one unpack; copies no payload, so a memoryview of a
@@ -435,7 +434,7 @@ def decode_image_header(buf):
     if total > len(buf):
         raise ImageFormatError(
             f"payload_len {payload_len} runs past the {len(buf)}-byte buffer")
-    return uuid_mod.UUID(bytes=uuid_bytes), ta_kind, total
+    return uuid_bytes, ta_kind, total
 
 
 def decode_image_prefix(buf):
@@ -444,8 +443,9 @@ def decode_image_prefix(buf):
     Returns (image, consumed_bytes): the image followed by zero fill, as
     an enclave's private memory holds it, parses to the image alone.
     """
-    ta_uuid, ta_kind, total = decode_image_header(buf)
-    return TAImage(ta_uuid, ta_kind, bytes(buf[IMAGE_HEADER_SIZE:total])), total
+    uuid_bytes, ta_kind, total = decode_image_header(buf)
+    return TAImage(uuid_mod.UUID(bytes=uuid_bytes), ta_kind,
+                   bytes(buf[IMAGE_HEADER_SIZE:total])), total
 
 
 def decode_image(buf):
@@ -453,12 +453,13 @@ def decode_image(buf):
     buf = bytes(buf)
     if len(buf) > MAX_IMAGE_SIZE:
         raise ImageSizeError(f"image is {len(buf)} bytes, cap is {MAX_IMAGE_SIZE}")
-    ta_uuid, ta_kind, total = decode_image_header(buf)
+    uuid_bytes, ta_kind, total = decode_image_header(buf)
     if total != len(buf):
         raise ImageFormatError(
             f"payload_len {total - IMAGE_HEADER_SIZE} inconsistent with "
             f"{len(buf) - IMAGE_HEADER_SIZE} payload bytes")
-    return TAImage(ta_uuid, ta_kind, buf[IMAGE_HEADER_SIZE:])
+    return TAImage(uuid_mod.UUID(bytes=uuid_bytes), ta_kind,
+                   buf[IMAGE_HEADER_SIZE:])
 
 
 _CODE_ERRORS = {

@@ -14,6 +14,7 @@ except ModuleNotFoundError:     # Python 3.10: pytest's own TOML reader
     import tomli as tomllib
 
 import teefab
+from teefab.bench import run_bench
 from teefab.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -180,6 +181,26 @@ def test_an_out_of_range_seed_is_one_error_line(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "rng_seed must be an integer in " \
         "0..2**64-1" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("count", ["0", "-3", "x"])
+def test_bench_refuses_a_repetition_count_below_one(count, capsys):
+    """A usage error naming the option, before any scenario runs."""
+    with pytest.raises(SystemExit) as info:
+        main(["bench", "--repetitions", count])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --repetitions: " + (
+        f"invalid int value: '{count}'" if count == "x"
+        else f"must be at least 1, got {count}") in err
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_run_bench_refuses_a_repetition_count_below_one(count, tmp_path):
+    with pytest.raises(ValueError, match="repetitions must be at least 1"):
+        run_bench(repetitions=count, per_byte_ns=0, per_op_ns=0,
+                  storage_dir=str(tmp_path / "bench-store"))
+    assert not (tmp_path / "bench-store").exists()
 
 
 def test_unknown_subcommand_exits_with_usage():

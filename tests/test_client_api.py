@@ -1,6 +1,7 @@
 """Untrusted-side API: contexts, sessions, operations, shared memory."""
 
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -115,9 +116,10 @@ def test_a_warm_request_stays_within_its_frame_budget(context):
 
 def test_a_cold_open_stays_within_its_frame_budget(fabric, context):
     """A cold open of a 32-byte image, one increment and the close that
-    scrubs the slot enter at most 123 frames: the manager parses the
-    header once and boots the core from that parse, and no frame packs
-    the parameter kinds of an OPEN or CLOSE by hand."""
+    scrubs the slot enter at most 121 frames: the manager parses the
+    header once, looks the TA kind's factory up once and boots the core
+    from that parse and that factory, and no frame packs the parameter
+    kinds of an OPEN or CLOSE by hand."""
     ta_uuid, image = make_image(TA_KIND_INCREMENT)
 
     def cold_round():
@@ -128,8 +130,82 @@ def test_a_cold_open_stays_within_its_frame_budget(fabric, context):
     cold_round()            # warm-up: the image is staged, lazy uses done
     loads = fabric.load_count
     entered = _frames_entered(cold_round)
-    assert len(entered) <= 123, entered
+    assert len(entered) <= 121, entered
     assert len(image) == 32 and fabric.load_count == loads + 1
+
+
+class CountingLock:
+    """A lock that counts how often it is taken, however it is taken:
+    `with`, `acquire`, or a `threading.Condition` built over it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.holds = 0
+
+    def acquire(self, blocking=True, timeout=-1):
+        self.holds += 1
+        return self._lock.acquire(blocking, timeout)
+
+    def release(self):
+        self._lock.release()
+
+    def __enter__(self):
+        self.acquire()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.release()
+
+
+def _record_calls(monkeypatch, calls, cls, names):
+    """Wrap methods of a standard-library class so that each call made
+    while the test runs is recorded as "Class.method"."""
+    for name in names:
+        method = getattr(cls, name)
+
+        def spy(self, *args, _method=method, _name=f"{cls.__name__}.{name}",
+                **kwargs):
+            calls.append(_name)
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, spy)
+
+
+def test_a_lone_round_takes_the_manager_lock_five_times_and_wakes_nobody(
+        fabric, context, monkeypatch):
+    """With no other thread about, a cold round (open, one increment,
+    close) takes the manager lock at most 5 times and calls no
+    `Condition.notify`/`notify_all` or `wait`: only a waiting thread is
+    woken. Neither it nor a warm increment calls a `threading.Event`
+    method, as the core reads its RST line as a plain attribute, and a
+    warm increment does not take the manager lock at all. Counted by
+    spies, not by frames, so the figures hold on every Python version."""
+    ta_uuid, image = make_image(TA_KIND_INCREMENT)
+
+    def cold_round():
+        with context.open_session(ta_uuid, image) as session:
+            assert session.invoke_command(
+                0, Operation(Value(Direction.INOUT, 41))).value(0) == (42, 0)
+
+    cold_round()            # warm-up: the image is staged, lazy uses done
+    warm = open_ta(context, TA_KIND_INCREMENT, tag=1)
+    manager = CountingLock()
+    monkeypatch.setattr(fabric, "_manager", manager)
+    monkeypatch.setattr(fabric, "_changed", threading.Condition(manager))
+    calls = []
+    _record_calls(monkeypatch, calls, threading.Condition,
+                  ("notify", "notify_all", "wait", "wait_for"))
+    _record_calls(monkeypatch, calls, threading.Event,
+                  ("is_set", "set", "clear", "wait"))
+    loads = fabric.load_count
+    manager.holds = 0
+    cold_round()
+    assert manager.holds <= 5 and calls == []
+    assert fabric.load_count == loads + 1
+    manager.holds = 0
+    assert warm.invoke_command(
+        0, Operation(Value(Direction.INOUT, 1))).value(0) == (2, 0)
+    assert manager.holds == 0 and calls == []
 
 
 def test_open_and_close_frames_pack_no_kinds_by_hand(context, monkeypatch):

@@ -204,10 +204,10 @@ def image_for(kind, tag=0, payload=b""):
 
 def boot(core, kind, payload=b""):
     """Load an image and boot it as the manager does, with the uuid,
-    ta_kind and size it checked; returns the image."""
+    ta_kind, factory and size it checked; returns the image."""
     image = image_for(kind, payload=payload)
     core.load_image(image)
-    core.deassert_reset(uuid_for(kind), kind, len(image))
+    core.deassert_reset(uuid_for(kind), kind, len(image), ta_factory(kind))
     return image
 
 
@@ -667,7 +667,8 @@ def test_ta_params_refuse_the_wrong_kind_and_non_32_bit_words(core):
 
 
 def test_a_memref_refuses_offsets_that_are_not_ints(core):
-    core.deassert_reset(uuid_for(TA_KIND_ECHO), TA_KIND_ECHO, 0)
+    core.deassert_reset(uuid_for(TA_KIND_ECHO), TA_KIND_ECHO, 0,
+                        ta_factory(TA_KIND_ECHO))
     core.window.write(0, b"0123456789abcdef")
     ref = TaParams((MEMREF, NONE, NONE, NONE), (0, 16) + (0,) * 6,
                    core).memref(0)

@@ -472,6 +472,43 @@ def test_concurrent_cold_loads_log_their_own_uuid(fabric):
     fabric.audit()
 
 
+def test_an_open_that_joins_a_load_is_woken_when_it_commits(fabric):
+    """A second open of a TA being loaded waits for that load, and the
+    load's commit wakes it: only a change that finds a waiter notifies,
+    and one that finds a waiter does."""
+    ta_uuid, image = make_image(TA_KIND_INCREMENT)
+    offset, size = fabric.cm_stage(image)
+    copying, release = threading.Event(), threading.Event()
+    runtime = fabric.slot_runtime(0)
+    load_image = runtime.load_image
+
+    def held_load_image(data):
+        copying.set()
+        release.wait(5.0)
+        load_image(data)
+
+    runtime.load_image = held_load_image
+    opened = []
+    threads = [threading.Thread(target=lambda: opened.append(
+        fabric.manager_open(ta_uuid, offset, size))) for _ in range(2)]
+    threads[0].start()
+    assert copying.wait(5.0)
+    threads[1].start()
+    deadline = time.monotonic() + 5.0
+    while fabric._waiting != 1 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert fabric._waiting == 1 and opened == []
+    release.set()
+    for thread in threads:
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+    assert opened == [(0, True), (0, False)] and fabric._waiting == 0
+    fabric.release_pending(0)
+    fabric.release_pending(0)
+    fabric.wait_idle()
+    assert fabric.slot_snapshot()[0]["state"] == "FREE"
+
+
 def test_open_session_leaves_the_retain_to_the_open_reply(fabric,
                                                           monkeypatch):
     """The reply to an OPEN drops that open's retain in the fabric, so the
@@ -644,6 +681,54 @@ def test_event_log_keeps_the_newest_records(fabric):
         range(total - EVENT_CAPACITY + 1, total + 1))
     assert all(event.kind == "dispatch" for event in events)
     assert not fabric.events("boot") and not fabric.events("open")
+
+
+def test_concurrent_cold_rounds_keep_the_log_in_order(fabric_factory):
+    """Eight clients do cold rounds on one four-slot fabric and read the
+    log after each round, while the others log and the log overflows.
+    Every snapshot is oldest first and numbered with no gap after its
+    oldest record, as a record is numbered and kept in one step."""
+    fabric = fabric_factory(enclave_count=4)
+    clients, rounds = 8, 250
+    ready = threading.Barrier(clients)
+    failures = []
+
+    def client(tag):
+        ta_uuid, image = make_image(TA_KIND_INCREMENT, tag=tag)
+        try:
+            with Context(fabric) as ctx:
+                ready.wait()
+                for _ in range(rounds):
+                    try:
+                        with ctx.open_session(ta_uuid, image) as session:
+                            session.invoke_command(
+                                0, Operation(Value(Direction.INOUT, tag)))
+                    except OutOfEnclavesError:
+                        pass
+                    seqs = [event.seq for event in fabric.events()]
+                    breaks = [pair for pair in zip(seqs, seqs[1:])
+                              if pair[1] != pair[0] + 1]
+                    if breaks:
+                        failures.append(breaks)
+        except Exception as exc:
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # many more switches between records
+    try:
+        threads = [threading.Thread(target=client, args=(tag,))
+                   for tag in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures[:1]
+    events = fabric.events()
+    assert len(events) == EVENT_CAPACITY and events[0].seq > 1
+    fabric.audit()
 
 
 def test_uart_files_written(fabric_factory, tmp_path):

@@ -69,12 +69,13 @@ def staged_bytes(draw):
 @given(buf=staged_bytes())
 def test_header_parse_refuses_or_covers_bytes_that_re_encode(buf):
     try:
-        ta_uuid, ta_kind, total = decode_image_header(buf)
+        uuid_bytes, ta_kind, total = decode_image_header(buf)
     except (ImageFormatError, ImageSizeError):
         return
     assert total <= min(len(buf), MAX_IMAGE_SIZE)
-    assert encode_image(TAImage(
-        ta_uuid, ta_kind, buf[IMAGE_HEADER_SIZE:total])) == bytes(buf[:total])
+    image = TAImage(uuid_mod.UUID(bytes=uuid_bytes), ta_kind,
+                    buf[IMAGE_HEADER_SIZE:total])
+    assert encode_image(image) == bytes(buf[:total])
 
 
 @seed(0x7EEFAB)

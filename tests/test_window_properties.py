@@ -18,6 +18,7 @@ from teefab.enclave import (
     MemoryContext,
     Space,
     TaParams,
+    ta_factory,
 )
 from teefab.fabric import Turnstile
 from teefab.protocol import (
@@ -102,7 +103,8 @@ def memref_requests(draw):
 def test_a_memref_reads_exactly_its_slice_or_refuses(request):
     offset, length, reported, accesses = request
     core = EnclaveRuntime(0, None, Turnstile())
-    core.deassert_reset(uuid_mod.UUID(int=1), TA_KIND_ECHO, 0)
+    core.deassert_reset(uuid_mod.UUID(int=1), TA_KIND_ECHO, 0,
+                        ta_factory(TA_KIND_ECHO))
     model = bytearray((i * 7 + 3) % 251 for i in range(SHM_WINDOW_SIZE))
     core.window.write(0, model)
     params = TaParams((MEMREF, NONE, NONE, NONE),
