@@ -18,7 +18,6 @@ from .enclave import TA_KIND_INCREMENT, TA_KIND_SHMEM16
 from .fabric import Fabric
 from .protocol import TAImage, encode_image
 from .resource_model import get_profile, render_report
-from .wallet import client as wallet_client
 
 _DEMO_INC_UUID = uuid_mod.UUID("0de30000-0001-4000-8000-000000000001")
 _DEMO_SHM_UUID = uuid_mod.UUID("0de30000-0002-4000-8000-000000000002")
@@ -160,7 +159,8 @@ def main(argv=None):
         rest = args.rest
         if rest and rest[0] == "--":
             rest = rest[1:]
-        return wallet_client.main(rest)
+        from .wallet.client import main as wallet_main
+        return wallet_main(rest)
     try:
         if args.command == "bench":
             return _cmd_bench(args)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import threading
-import traceback
 from bisect import insort
 from collections import deque
 from enum import IntEnum
@@ -285,16 +284,22 @@ class TaParams:
 
 class UartLog:
     """Debug console for one enclave: the last UART_CAPACITY lines in
-    memory, every line in the attached file."""
+    memory, every line in the attached file.
+
+    The file is opened at the first line after `attach_file` or `close`
+    and stays open, line-buffered, so each line is in it once `log`
+    returns; `close` closes it, and a later line opens it again."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._lines = deque(maxlen=UART_CAPACITY)
         self._path = None
+        self._sink = None
 
     def attach_file(self, path):
         """Mirror every line into a plain-text log file."""
         with self._lock:
+            self._close()
             self._path = path
 
     def log(self, line):
@@ -302,8 +307,19 @@ class UartLog:
         with self._lock:
             self._lines.append(line)
             if self._path is not None:
-                with open(self._path, "a") as sink:
-                    sink.write(line + "\n")
+                if self._sink is None:
+                    self._sink = open(self._path, "a", buffering=1)
+                self._sink.write(line + "\n")
+
+    def close(self):
+        """Close the attached file, if it is open."""
+        with self._lock:
+            self._close()
+
+    def _close(self):
+        if self._sink is not None:
+            self._sink.close()
+            self._sink = None
 
     def lines(self):
         with self._lock:
@@ -646,6 +662,7 @@ class EnclaveRuntime:
             if frame.operation is _OPEN:
                 session_out = 0
         except Exception:
+            import traceback    # on the fault path only
             self.uart.log("isr: ta fault:\n" + traceback.format_exc().rstrip())
             self.faulted = True
             code = ReturnCode.ERROR_GENERIC

@@ -653,7 +653,8 @@ class Fabric:
         its core held in reset and zeroized. A TA in flight is aborted,
         and its core zeroizes once the request lets go of the slot lock;
         a TA that ignores the abort blocks this, as it blocks
-        manager_close."""
+        manager_close. Each core's UART file is closed after its slot."""
         for record in self._slots:
             self.manager_close(record.index)
+            record.runtime.uart.close()
         self._log("shutdown", None)

@@ -26,16 +26,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-from cryptography.hazmat.primitives.hashes import SHA256
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-
 from ..protocol import (
     AccessDeniedError,
     BadParametersError,
     ItemNotFoundError,
 )
+from .crypto import openssl
 
 SEALED_MAGIC = b"SEL1"
 NONCE_LEN = 12
@@ -70,8 +66,9 @@ class DeviceKey:
     def sealing_key(self, ta_uuid):
         """The per-TA sealing key: HKDF-SHA256 (RFC 5869) of the device key,
         salted with KDF_LABEL, with the TA's uuid as info."""
-        return HKDF(SHA256(), 32, salt=KDF_LABEL,
-                    info=ta_uuid.bytes).derive(self._key)
+        lib = openssl()
+        return lib.HKDF(lib.SHA256(), 32, salt=KDF_LABEL,
+                        info=ta_uuid.bytes).derive(self._key)
 
     def __repr__(self):
         return "DeviceKey(<hidden>)"
@@ -99,7 +96,7 @@ class SealedStorage:
     def sealer(self, ta_uuid):
         """The AES-GCM cipher that seals ta_uuid's objects; the one place a
         sealing key is derived."""
-        return AESGCM(self._device_key.sealing_key(ta_uuid))
+        return openssl().AESGCM(self._device_key.sealing_key(ta_uuid))
 
     def _locate(self, ta_uuid, object_id):
         """(canonical id, id digest, object directory, object file): the
@@ -163,7 +160,7 @@ class SealedStorage:
             cipher = self.sealer(ta_uuid)
         try:
             return cipher.decrypt(nonce, blob[_HEADER.size:], blob[:_HEADER.size])
-        except InvalidTag:
+        except openssl().exceptions.InvalidTag:
             raise TamperedObjectError("sealed blob failed authentication") from None
 
     def delete(self, ta_uuid, object_id):

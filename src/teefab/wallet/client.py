@@ -11,6 +11,7 @@ from ..client_api import Context, Direction, Operation, Value
 from ..config import SimConfig
 from ..fabric import Fabric
 from ..protocol import SHM_WINDOW_SIZE, ReturnCode, TAImage, TeeError, encode_image
+from . import TA_KIND_WALLET
 from .hd import HARDENED_BIT
 from .ta import (
     CMD_CHECK_EXISTS,
@@ -20,7 +21,6 @@ from .ta import (
     CMD_RESTORE,
     CMD_SIGN,
     PIN_MAX,
-    TA_KIND_WALLET,
 )
 
 WALLET_UUID = uuid_mod.UUID("9f1c6e04-3d2a-4b8e-9a57-0c11b2a4f7d3")

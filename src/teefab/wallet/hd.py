@@ -19,16 +19,6 @@ class DerivationError(ValueError):
 
 # --- digest helpers ----------------------------------------------------------
 
-try:
-    hashlib.new("ripemd160")
-except ValueError:
-    raise ImportError(
-        "teefab needs RIPEMD-160 from hashlib for wallet addresses, and this "
-        "Python's OpenSSL does not offer it (OpenSSL 3.0.0 to 3.0.6 keep it "
-        "in the legacy provider only; 3.0.7 and later have it by default)"
-    ) from None
-
-
 def ripemd160(message):
     """RIPEMD-160 digest of message bytes."""
     return hashlib.new("ripemd160", bytes(message)).digest()

@@ -6,6 +6,8 @@ import hashlib
 import unicodedata
 from importlib import resources
 
+from ..internal_api.crypto import openssl
+
 _WORD_COUNT = 2048
 _ENTROPY_SIZES = (16, 20, 24, 28, 32)
 _PHRASE_SIZES = (12, 15, 18, 21, 24)
@@ -86,12 +88,9 @@ def mnemonic_to_seed(mnemonic, passphrase=""):
     """Phrase -> 64-byte wallet seed (PBKDF2-HMAC-SHA512, 2048 rounds)."""
     # cryptography's PBKDF2 runs on the OpenSSL it bundles, which gave the
     # same bytes in about three quarters of the time of hashlib's on a
-    # system OpenSSL 3.0 (2-core x86-64); imported on first use, as
-    # internal_api.crypto imports key serialization.
-    from cryptography.hazmat.primitives.hashes import SHA512
-    from cryptography.hazmat.primitives.kdf.pbkdf2 import PBKDF2HMAC
-
+    # system OpenSSL 3.0 (2-core x86-64).
+    lib = openssl()
     phrase = normalize_mnemonic(mnemonic)
     salt = "mnemonic" + unicodedata.normalize("NFKD", passphrase)
-    return PBKDF2HMAC(SHA512(), 64, salt.encode(), 2048).derive(
+    return lib.PBKDF2HMAC(lib.SHA512(), 64, salt.encode(), 2048).derive(
         phrase.encode())

@@ -6,7 +6,7 @@ import hashlib
 import struct
 from hmac import compare_digest
 
-from ..enclave import TrustedApp, register_ta_kind
+from ..enclave import TrustedApp
 # derive_public_key is not called here; perfbench wraps it by name with
 # ecdsa_sign, derive_hardened, master_from_seed and mnemonic_to_seed.
 from ..internal_api.crypto import (  # noqa: F401
@@ -39,8 +39,6 @@ from .mnemonic import (
     mnemonic_to_seed,
     normalize_mnemonic,
 )
-
-TA_KIND_WALLET = 16
 
 CMD_CHECK_EXISTS = 1
 CMD_GENERATE = 2
@@ -277,6 +275,3 @@ class WalletTa(TrustedApp):
         point, _pkcs8 = self._child(record, pin, index)
         address = p2pkh_address(point)
         self._memref_out(params, 1, address.encode())
-
-
-register_ta_kind(TA_KIND_WALLET, WalletTa)

@@ -239,6 +239,10 @@ def test_uart_keeps_the_newest_lines_and_files_all(tmp_path):
         uart.log(line)
     assert uart.lines() == tuple(lines[10:])
     assert path.read_text().splitlines() == lines
+    uart.close()
+    uart.log("after close")
+    uart.close()
+    assert path.read_text().splitlines() == lines + ["after close"]
 
 
 def test_increment_round_trip(core):

@@ -739,6 +739,35 @@ def test_uart_files_written(fabric_factory, tmp_path):
     assert log.exists() and "boot: ta" in log.read_text()
 
 
+def test_a_uart_file_opens_once_for_many_cold_loads(fabric_factory, tmp_path,
+                                                     monkeypatch):
+    """A core's UART file is opened at its first line and kept open, every
+    line in it as it is logged, until shutdown closes it."""
+    sinks = []
+
+    def spy(*args, **kwargs):
+        sinks.append(open(*args, **kwargs))
+        return sinks[-1]
+
+    monkeypatch.setattr(enclave, "open", spy, raising=False)
+    uart_dir = tmp_path / "uart"
+    fabric = fabric_factory(enclave_count=1, uart_dir=str(uart_dir))
+    log = uart_dir / "enclave0.log"
+    ta_uuid, image = make_image(TA_KIND_INCREMENT)
+    with Context(fabric) as ctx:
+        for value in range(50):
+            with ctx.open_session(ta_uuid, image) as session:
+                result = session.invoke_command(
+                    0, Operation(Value(Direction.INOUT, value)))
+                assert result.value(0)[0] == value + 1
+            assert tuple(log.read_text().splitlines()) \
+                == fabric.slot_runtime(0).uart.lines()
+    assert fabric.load_count == 50 and len(sinks) == 1
+    assert log.read_text().count("boot: ta") == 50
+    fabric.shutdown()
+    assert sinks[0].closed
+
+
 def test_cm_region_alloc_cycle():
     cm = CmRegion(capacity=4096)
     a = cm.alloc(100)

@@ -1,12 +1,17 @@
 """Wallet stack: mnemonic codec, HD derivation, the TA, client and CLI."""
 
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import oracle_hd
+import teefab
 from teefab.client_api import Context, Direction, Operation, Value
 from teefab.internal_api import SealedStorage, crypto
 from teefab.protocol import SHM_WINDOW_SIZE, AccessDeniedError, ReturnCode
@@ -614,13 +619,14 @@ def test_children_match_the_oracle_across_restores(wallet, monkeypatch):
     _assert_children_match(wallet, REFERENCE_MNEMONIC, indices)
     wallet.restore(PIN, REFERENCE_MNEMONIC)
     calls = []
-    derive = crypto.ec.derive_private_key
+    ec = crypto.openssl().ec
+    derive = ec.derive_private_key
 
     def spy(*args):
         calls.append(args)
         return derive(*args)
 
-    monkeypatch.setattr(crypto.ec, "derive_private_key", spy)
+    monkeypatch.setattr(ec, "derive_private_key", spy)
     _assert_children_match(wallet, REFERENCE_MNEMONIC, indices[:3])
     assert calls == []
     wallet.restore(PIN, OTHER_MNEMONIC)
@@ -629,13 +635,14 @@ def test_children_match_the_oracle_across_restores(wallet, monkeypatch):
 
 def test_a_stored_child_needs_no_derivation(wallet, monkeypatch):
     calls = []
-    derive = crypto.ec.derive_private_key
+    ec = crypto.openssl().ec
+    derive = ec.derive_private_key
 
     def spy(*args):
         calls.append(args)
         return derive(*args)
 
-    monkeypatch.setattr(crypto.ec, "derive_private_key", spy)
+    monkeypatch.setattr(ec, "derive_private_key", spy)
     wallet.restore(PIN, REFERENCE_MNEMONIC)
     first = wallet.get_address(PIN, 5), wallet.sign(PIN, 5, DEMO_RAW_TX)
     assert calls
@@ -720,3 +727,88 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert run_cli(tmp_path, "5", "1234", "-a", "zero") == 2
     with pytest.raises(SystemExit):
         run_cli(tmp_path, "9", "1234")
+
+
+# --- what a fresh interpreter loads ------------------------------------------
+
+def _run_fresh(script, *args):
+    """Run `script` in a new interpreter that imports this checkout's teefab;
+    its standard output."""
+    src = str(Path(teefab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else os.pathsep.join((src, path)))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True,
+        text=True, timeout=60, check=True).stdout
+
+
+_INCREMENT_THEN_WALLET_SCRIPT = """
+import json, sys, uuid
+import teefab
+from teefab import Context, Direction, Fabric, Operation, SimConfig, Value
+from teefab.enclave import TA_KIND_INCREMENT
+from teefab.protocol import TAImage, encode_image
+
+fabric = Fabric(SimConfig(enclave_count=1, storage_dir=sys.argv[1],
+                          rng_seed=7))
+context = Context(fabric)
+ta_uuid = uuid.UUID(int=1, version=4)
+session = context.open_session(
+    ta_uuid, encode_image(TAImage(ta_uuid, TA_KIND_INCREMENT)))
+value = session.invoke_command(
+    0, Operation(Value(Direction.INOUT, 41))).value(0)[0]
+session.close()
+loaded = sorted(name for name in sys.modules
+                if name.split(".")[0] == "cryptography"
+                or name in ("teefab.wallet.ta", "teefab.wallet.mnemonic"))
+
+from teefab.wallet import WalletClient
+from teefab.wallet.client import DEMO_RAW_TX
+
+wallet = WalletClient(fabric)
+wallet.restore(1234, sys.argv[2])
+print(json.dumps({"value": value, "loaded": loaded,
+                  "address0": wallet.get_address(1234, 0),
+                  "signature_hex": wallet.sign(1234, 1, DEMO_RAW_TX)}))
+wallet.close()
+context.close()
+fabric.shutdown()
+"""
+
+
+def test_a_fabric_that_never_opens_the_wallet_loads_no_crypto(tmp_path):
+    """`import teefab`, a boot and a cold increment round load neither
+    `cryptography` nor the wallet TA's code; the wallet loads them at its
+    first use in the same process and gives the reference results."""
+    result = json.loads(_run_fresh(_INCREMENT_THEN_WALLET_SCRIPT,
+                                   str(tmp_path), REFERENCE_MNEMONIC))
+    assert result == {"value": 42, "loaded": [],
+                      "address0": VECTORS["address0"],
+                      "signature_hex": VECTORS["signature_hex"]}
+
+
+_NO_RIPEMD_SCRIPT = """
+import hashlib
+
+new = hashlib.new
+
+def without_ripemd(name, *args, **kwargs):
+    if name.lower() == "ripemd160":
+        raise ValueError(f"unsupported hash type {name}")
+    return new(name, *args, **kwargs)
+
+hashlib.new = without_ripemd
+try:
+    import teefab.wallet
+except ImportError as exc:
+    print(f"ImportError: {exc}")
+else:
+    print("imported")
+"""
+
+
+def test_importing_the_wallet_fails_without_ripemd160():
+    out = _run_fresh(_NO_RIPEMD_SCRIPT)
+    assert out.startswith("ImportError: teefab needs RIPEMD-160 from hashlib")
+    assert "3.0.7 and later have it by default" in out
