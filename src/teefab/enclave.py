@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import threading
-from bisect import insort
 from collections import deque
 from enum import IntEnum
 
@@ -120,64 +119,39 @@ class Space:
 
 
 class MemoryContext:
-    """Per-dispatch access rights: all of TCM plus granted window slices.
-    `rst`, when given, is the core's `ResetLine`: once it is raised, every
-    access raises AbortedError."""
+    """Per-dispatch access rights: all of TCM and no window byte, which a
+    TA reaches only through `TaParams.memref`. `rst` is the core's
+    `ResetLine`: once it is raised, every access raises AbortedError."""
 
-    def __init__(self, tcm, window, rst=None):
+    def __init__(self, tcm, rst):
         self._tcm = tcm
-        # The window's bytes: `_gate` checks every access, no Space again.
-        self._window = window._buf
-        self._grants = []
         self._rst = rst
 
-    def grant(self, offset, length):
-        """Admit one window slice for this dispatch."""
-        if offset < 0 or length < 0 or offset + length > len(self._window):
-            raise AccessDeniedError(
-                f"grant [{offset}, +{length}) outside the shared window")
-        if length:
-            insort(self._grants, (offset, offset + length))
-
-    def _covered(self, lo, hi):
-        """True when [lo, hi) lies inside the union of grants."""
-        cursor = lo
-        for start, end in self._grants:
-            if start > cursor:
-                break
-            cursor = max(cursor, end)
-            if cursor >= hi:
-                return True
-        return cursor >= hi
-
     def _gate(self, offset, length):
-        if self._rst is not None and self._rst.raised:
+        """Refuse every window byte; an empty access inside the window
+        passes, reaching nothing."""
+        if self._rst.raised:
             raise AbortedError("reset asserted")
         if not isinstance(offset, int) or not isinstance(length, int):
             raise AccessDeniedError("window offsets must be integers")
-        if offset < 0 or length < 0 or offset + length > len(self._window):
+        if length or not 0 <= offset <= SHM_WINDOW_SIZE:
             raise AccessDeniedError(
-                f"access [{offset}, +{length}) outside the shared window")
-        if length and not self._covered(offset, offset + length):
-            raise AccessDeniedError(
-                f"access [{offset}, +{length}) outside granted slices")
+                f"access [{offset}, +{length}) outside any memref")
 
     def window_read(self, offset, length):
         self._gate(offset, length)
-        return self._window[offset:offset + length].tobytes()
+        return b""
 
     def window_write(self, offset, data):
-        data = bytes(data)
-        self._gate(offset, len(data))
-        self._window[offset:offset + len(data)] = data
+        self._gate(offset, len(bytes(data)))
 
     def tcm_read(self, offset, length):
-        if self._rst is not None and self._rst.raised:
+        if self._rst.raised:
             raise AbortedError("reset asserted")
         return self._tcm.read(offset, length)
 
     def tcm_write(self, offset, data):
-        if self._rst is not None and self._rst.raised:
+        if self._rst.raised:
             raise AbortedError("reset asserted")
         self._tcm.write(offset, data)
 
@@ -258,7 +232,7 @@ class TaParams:
         and no window byte, which a TA reaches only through `memref`."""
         if self._mem is None:
             core = self._core
-            self._mem = MemoryContext(core.tcm, core.window, core._rst)
+            self._mem = MemoryContext(core.tcm, core._rst)
         return self._mem
 
     def memref(self, index):
@@ -284,23 +258,17 @@ class TaParams:
 
 class UartLog:
     """Debug console for one enclave: the last UART_CAPACITY lines in
-    memory, every line in the attached file.
+    memory, and every line in the file at `path`, if one is given.
 
-    The file is opened at the first line after `attach_file` or `close`
-    and stays open, line-buffered, so each line is in it once `log`
-    returns; `close` closes it, and a later line opens it again."""
+    The file is opened at the first line and stays open, line-buffered,
+    so each line is in it once `log` returns; `close` closes it, and a
+    later line opens it again."""
 
-    def __init__(self):
+    def __init__(self, path=None):
         self._lock = threading.Lock()
         self._lines = deque(maxlen=UART_CAPACITY)
-        self._path = None
+        self._path = path
         self._sink = None
-
-    def attach_file(self, path):
-        """Mirror every line into a plain-text log file."""
-        with self._lock:
-            self._close()
-            self._path = path
 
     def log(self, line):
         line = str(line)
@@ -312,14 +280,11 @@ class UartLog:
                 self._sink.write(line + "\n")
 
     def close(self):
-        """Close the attached file, if it is open."""
+        """Close the file, if it is open."""
         with self._lock:
-            self._close()
-
-    def _close(self):
-        if self._sink is not None:
-            self._sink.close()
-            self._sink = None
+            if self._sink is not None:
+                self._sink.close()
+                self._sink = None
 
     def lines(self):
         with self._lock:
@@ -474,13 +439,13 @@ class EnclaveRuntime:
     it. The core reads the line as a plain attribute.
     """
 
-    def __init__(self, index, services, turnstile):
+    def __init__(self, index, services, turnstile, uart_path=None):
         self.index = index
         self._services = services
         self._turnstile = turnstile
         self.tcm = Space(TCM_SIZE)
         self.window = Space(SHM_WINDOW_SIZE)
-        self.uart = UartLog()
+        self.uart = UartLog(uart_path)
         self.lock = threading.RLock()
         self._mailbox = [0] * MAILBOX_WORDS
         self._rst = ResetLine()

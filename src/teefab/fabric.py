@@ -307,9 +307,11 @@ class Fabric:
         self.turnstile = Turnstile()
         self._slots = []
         for index in range(self.config.enclave_count):
-            runtime = EnclaveRuntime(index, self.services, self.turnstile)
+            uart_path = None
             if uart_dir is not None:
-                runtime.uart.attach_file(Path(uart_dir) / f"enclave{index}.log")
+                uart_path = Path(uart_dir) / f"enclave{index}.log"
+            runtime = EnclaveRuntime(index, self.services, self.turnstile,
+                                     uart_path)
             self._slots.append(EnclaveSlot(index, runtime, self.turnstile))
         # The manager lock, always taken with `with` on the lock itself; the
         # condition over it serves only the threads that wait for a slot to

@@ -1,7 +1,8 @@
 """Deterministic CSPRNG for the trusted side.
 
 HMAC-SHA256 generate/update construction: seedable so tests and demos can
-pin every random choice, reseeded from host entropy when no seed is given.
+pin every random choice, seeded from host entropy when no seed is given.
+A TA draws from it and cannot feed it.
 """
 
 import hmac
@@ -40,7 +41,10 @@ class Csprng:
             self._value = self._hmac(self._value)
 
     def random_bytes(self, count):
-        """Return count fresh bytes; count == 0 yields b''."""
+        """Return count fresh bytes; count == 0 yields b''. A count that
+        is not a non-negative int is refused before the state moves."""
+        if not isinstance(count, int):
+            raise TypeError(f"count must be an int, not {type(count).__name__}")
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         with self._lock:
@@ -50,8 +54,3 @@ class Csprng:
                 out += self._value
             self._update()
             return bytes(out[:count])
-
-    def reseed(self, data):
-        """Fold caller-provided entropy into the state."""
-        with self._lock:
-            self._update(bytes(data))

@@ -249,8 +249,12 @@ class MailboxFrame(NamedTuple):
             if gp:
                 raise InvalidFrame("gp words are implied by (kind, a, b) triples")
             kinds, gp = (), []
-            for entry in params:
-                kind, word_a, word_b = entry
+            for index, entry in enumerate(params):
+                try:
+                    kind, word_a, word_b = entry
+                except (TypeError, ValueError):
+                    raise InvalidFrame(f"parameter {index} is not a "
+                                       f"(kind, a, b) triple: {entry!r}") from None
                 kinds += (kind,)
                 gp += [word_a, word_b]
         gp = tuple(gp)

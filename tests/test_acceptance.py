@@ -22,8 +22,8 @@ from teefab.enclave import (
     TA_KIND_INCREMENT,
     TA_KIND_PROBE,
     TA_KIND_SHMEM16,
-    MemoryContext,
-    Space,
+    TrustedApp,
+    register_ta_kind,
 )
 from teefab.fabric import Fabric
 from teefab.internal_api.crypto import (
@@ -129,6 +129,37 @@ WALLET_VECTORS = {
 }
 
 PIN = 1234
+
+TA_KIND_GATE = 237
+
+
+class GateTa(TrustedApp):
+    """Makes the accesses queued in `accesses`, each a (target, at, size,
+    data) tuple: through `params.memref(target)`, or through
+    `params.memory`'s window methods when target is None; a data of None
+    reads. Each outcome goes to `outcomes`: the bytes read, None for a
+    write, or "denied"."""
+
+    accesses = []
+    outcomes = []
+
+    def invoke_command(self, session, cmd_id, params):
+        mem = params.memory
+        for target, at, size, data in GateTa.accesses:
+            try:
+                if target is None:
+                    outcome = (mem.window_read(at, size) if data is None
+                               else mem.window_write(at, data))
+                else:
+                    ref = params.memref(target)
+                    outcome = (ref.read(at, size) if data is None
+                               else ref.write(data, at))
+            except AccessDeniedError:
+                outcome = "denied"
+            GateTa.outcomes.append(outcome)
+
+
+register_ta_kind(TA_KIND_GATE, GateTa)
 
 
 @pytest.fixture(scope="module")
@@ -260,51 +291,53 @@ def test_06_last_close_scrubs_the_slot(fabric_factory):
 
 
 def test_07_grants_mailboxes_and_sealing_isolate(fabric):
-    # (a) 10000 randomized accesses against the per-dispatch grant gate:
-    # accesses inside the granted union land, everything else is refused
-    # and mutates nothing.
+    # (a) 10000 randomized accesses through the memrefs of requests with
+    # random, overlapping MEMREF grants: an access inside its reference
+    # lands, everything else is refused and mutates nothing. Each request's
+    # `params.memory` refuses every window byte.
     rng = random.Random(0x07)
-    window_size = 512
-    for _ in range(200):
-        window = Space(window_size)
-        mem = MemoryContext(Space(64), window)
-        shadow = bytearray(window_size)
-        spans = []
-        for _ in range(rng.randrange(0, 4)):
-            offset = rng.randrange(0, window_size)
-            length = rng.randrange(0, window_size - offset + 1)
-            mem.grant(offset, length)
-            spans.append((offset, offset + length))
-
-        def granted(lo, hi):
-            cursor = lo
-            for start, end in sorted(spans):
-                if start > cursor:
-                    break
-                cursor = max(cursor, end)
-            return cursor >= hi
-
-        for _ in range(50):
-            offset = rng.randrange(0, window_size + 8)
-            length = rng.randrange(0, 64)
-            data = bytes(rng.getrandbits(8) for _ in range(length))
-            inside = (offset + length <= window_size
-                      and (length == 0 or granted(offset, offset + length)))
-            if rng.getrandbits(1):
-                if inside:
-                    mem.window_write(offset, data)
-                    shadow[offset:offset + length] = data
-                else:
-                    with pytest.raises(AccessDeniedError):
-                        mem.window_write(offset, data)
-            else:
-                if inside:
-                    assert mem.window_read(offset, length) \
-                        == bytes(shadow[offset:offset + length])
-                else:
-                    with pytest.raises(AccessDeniedError):
-                        mem.window_read(offset, length)
-        assert window.read(0, window_size) == bytes(shadow)
+    span = 512
+    with Context(fabric) as context:
+        with open_ta(context, TA_KIND_GATE) as gate:
+            slot = gate.slot_index
+            shadow = bytearray(fabric.shm_read(slot, 0, SHM_WINDOW_SIZE))
+            for _ in range(200):
+                grants = []
+                for _ in range(rng.randrange(1, 5)):
+                    offset = rng.randrange(0, span)
+                    grants.append(
+                        (offset, rng.randrange(0, span - offset + 1)))
+                GateTa.accesses, GateTa.outcomes = [], []
+                expected = []
+                for _ in range(50):
+                    target = rng.randrange(len(grants))
+                    base, length = grants[target]
+                    at = rng.randrange(-2, length + 8)
+                    size = rng.randrange(0, 64)
+                    inside = at >= 0 and at + size <= length
+                    data = None
+                    if rng.getrandbits(1):
+                        data = bytes(rng.getrandbits(8) for _ in range(size))
+                        expected.append(None if inside else "denied")
+                        if inside:
+                            shadow[base + at:base + at + size] = data
+                    else:
+                        expected.append(
+                            bytes(shadow[base + at:base + at + size])
+                            if inside else "denied")
+                    GateTa.accesses.append((target, at, size, data))
+                offset = rng.randrange(0, SHM_WINDOW_SIZE)
+                size = rng.randrange(1, SHM_WINDOW_SIZE - offset + 1)
+                GateTa.accesses += [(None, offset, size, None),
+                                    (None, offset, size, bytes(size))]
+                expected += ["denied", "denied"]
+                reply = fabric.comm_dispatch(slot, MailboxFrame.build(
+                    OperationId.INVOKE, gate.session_id,
+                    [(ParamKind.MEMREF, offset, length)
+                     for offset, length in grants]))
+                assert reply.code is ReturnCode.SUCCESS
+                assert GateTa.outcomes == expected
+                assert fabric.shm_read(slot, 0, SHM_WINDOW_SIZE) == shadow
 
     # (b) Traffic on one slot never touches the other slot's mailbox.
     with Context(fabric) as context:

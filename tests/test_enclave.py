@@ -15,7 +15,6 @@ from teefab.enclave import (
     AbortedError,
     EnclaveResetError,
     EnclaveRuntime,
-    MemoryContext,
     Space,
     TaParams,
     TrustedApp,
@@ -231,9 +230,8 @@ def test_boot_and_uart(core):
 
 
 def test_uart_keeps_the_newest_lines_and_files_all(tmp_path):
-    uart = UartLog()
     path = tmp_path / "enclave0.log"
-    uart.attach_file(path)
+    uart = UartLog(path)
     lines = [f"line {n}" for n in range(UART_CAPACITY + 10)]
     for line in lines:
         uart.log(line)
@@ -393,6 +391,9 @@ def test_a_value_only_request_reaches_tcm_and_no_window(core):
                      [(ParamKind.VALUE_INOUT, 0, 0)])
     assert reply.code is ReturnCode.SUCCESS
     assert reply.gp[:2] == (int.from_bytes(b"TEOD", "little"), 3)
+    mem = TaParams((ParamKind.NONE,) * 4, (0,) * 8, core).memory
+    mem.tcm_write(0, b"tcm is always reachable")
+    assert mem.tcm_read(0, 3) == b"tcm"
 
 
 def test_params_memory_grants_no_window_byte_beside_a_memref(core):
@@ -588,32 +589,6 @@ def test_echo_reverses_large_and_offset_blocks(core, offset, length):
     assert core.window.read(0, offset) == window[:offset]
     end = offset + length
     assert core.window.read(end, SHM_WINDOW_SIZE - end) == window[end:]
-
-
-def test_memory_context_grants():
-    mem = MemoryContext(Space(256), Space(256))
-    mem.grant(16, 32)
-    mem.grant(48, 16)
-    assert mem.window_read(16, 48) == bytes(48)
-    mem.window_write(40, b"ok")
-    with pytest.raises(AccessDeniedError):
-        mem.window_read(0, 8)
-    with pytest.raises(AccessDeniedError):
-        mem.window_read(60, 8)
-    with pytest.raises(AccessDeniedError):
-        mem.window_write(63, b"xx")
-    with pytest.raises(AccessDeniedError):
-        mem.grant(250, 10)
-    mem.tcm_write(0, b"tcm is always reachable")
-    assert mem.tcm_read(0, 3) == b"tcm"
-
-
-def test_memory_context_zero_length_edges():
-    mem = MemoryContext(Space(64), Space(64))
-    assert mem.window_read(0, 0) == b""
-    mem.grant(10, 0)
-    with pytest.raises(AccessDeniedError):
-        mem.window_read(10, 1)
 
 
 def test_space_bounds():

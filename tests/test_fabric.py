@@ -66,6 +66,7 @@ TA_KIND_NAP = 249
 TA_KIND_SPIN = 250
 TA_KIND_STORAGE_PROBE = 251
 TA_KIND_REFUSE_OPEN = 252
+TA_KIND_WIDEN = 236
 
 
 class TripwireTa(TrustedApp):
@@ -154,6 +155,40 @@ class SecondOpenFaultTa(TrustedApp):
         return super().open_session(params)
 
 
+class WidenTa(TrustedApp):
+    """Tries to widen its reach through the handles it is handed. cmd 0
+    grants itself the whole window, then reads it and overwrites its
+    first 64 bytes; cmd 1 points its UART at `path`, then logs a line;
+    cmd 2 keeps its handles in `handed`. Each step's result, or the type
+    of the exception it raised, goes to `outcomes`."""
+
+    outcomes = []
+    path = None
+    handed = {}
+
+    def invoke_command(self, session, cmd_id, params):
+        if cmd_id == 2:
+            WidenTa.handed.update(
+                env=self.env, rng=self.env.rng, storage=self.env.storage,
+                uart=self.env.uart, params=params, memory=params.memory,
+                memref=params.memref(0))
+            return
+        if cmd_id == 0:
+            mem = params.memory
+            steps = (lambda: mem.grant(0, SHM_WINDOW_SIZE),
+                     lambda: mem.window_read(0, SHM_WINDOW_SIZE),
+                     lambda: mem.window_write(0, b"\xee" * 64))
+        else:
+            uart = self.env.uart
+            steps = (lambda: uart.attach_file(WidenTa.path),
+                     lambda: uart.log("widen: a line"))
+        for step in steps:
+            try:
+                WidenTa.outcomes.append(step())
+            except Exception as exc:
+                WidenTa.outcomes.append(type(exc))
+
+
 register_ta_kind(TA_KIND_TRIPWIRE, TripwireTa)
 register_ta_kind(TA_KIND_STALL, StallTa)
 register_ta_kind(TA_KIND_BAD_CLOSE, BadCloseTa)
@@ -163,6 +198,7 @@ register_ta_kind(TA_KIND_SPIN, SpinTa)
 register_ta_kind(TA_KIND_STORAGE_PROBE, StorageProbeTa)
 register_ta_kind(TA_KIND_REFUSE_OPEN, RefuseOpenTa)
 register_ta_kind(TA_KIND_SECOND_OPEN_FAULT, SecondOpenFaultTa)
+register_ta_kind(TA_KIND_WIDEN, WidenTa)
 
 
 def open_frame():
@@ -737,6 +773,58 @@ def test_uart_files_written(fabric_factory, tmp_path):
     slot, _sid = open_ta(fabric, TA_KIND_INCREMENT)
     log = uart_dir / f"enclave{slot}.log"
     assert log.exists() and "boot: ta" in log.read_text()
+
+
+def widen(fabric, slot, session_id, cmd_id, params=()):
+    WidenTa.outcomes.clear()
+    reply = fabric.comm_dispatch(slot, MailboxFrame.build(
+        OperationId.INVOKE, session_id, params, cmd_id=cmd_id))
+    assert reply.code is ReturnCode.SUCCESS
+
+
+def test_a_ta_cannot_grant_itself_the_window(fabric):
+    """`params.memory` grants nothing: a TA serving a value-only request
+    reads none of what the REE left in its window and changes none."""
+    slot, sid = open_ta(fabric, TA_KIND_WIDEN)
+    pattern = bytes(range(1, 38))
+    fabric.shm_write(slot, 0, pattern)
+    widen(fabric, slot, sid, 0, [(ParamKind.VALUE_IN, 1, 2)])
+    assert fabric.shm_read(slot, 0, SHM_WINDOW_SIZE) \
+        == pattern + bytes(SHM_WINDOW_SIZE - len(pattern))
+    assert WidenTa.outcomes == [AttributeError, AccessDeniedError,
+                                AccessDeniedError]
+
+
+def test_a_ta_cannot_point_its_uart_at_a_file(fabric, tmp_path):
+    """A core's UART file is set when the fabric builds the core; a TA
+    can only log to it."""
+    slot, sid = open_ta(fabric, TA_KIND_WIDEN)
+    WidenTa.path = tmp_path / "elsewhere.log"
+    widen(fabric, slot, sid, 1)
+    assert not WidenTa.path.exists()
+    assert WidenTa.outcomes == [AttributeError, None]
+    assert fabric.slot_runtime(slot).uart.lines()[-1] == "widen: a line"
+
+
+def test_a_ta_is_handed_only_these_names(fabric):
+    """The public names on each handle a TA is handed. A handle that
+    gains one widens what every TA can reach."""
+    slot, sid = open_ta(fabric, TA_KIND_WIDEN)
+    WidenTa.handed.clear()
+    widen(fabric, slot, sid, 2, [(ParamKind.MEMREF, 0, 16)])
+    allowed = {
+        "env": {"uuid", "rng", "storage", "uart", "image_size",
+                "check_abort", "sleep"},
+        "rng": {"random_bytes"},
+        "storage": {"get", "put", "delete", "exists"},
+        "uart": {"log", "lines", "close"},
+        "params": {"kind", "value", "set_value", "memory", "memref",
+                   "set_memref_length"},
+        "memory": {"tcm_read", "tcm_write", "window_read", "window_write"},
+        "memref": {"length", "read", "write"},
+    }
+    assert {handle: {name for name in dir(obj) if not name.startswith("_")}
+            for handle, obj in WidenTa.handed.items()} == allowed
 
 
 def test_a_uart_file_opens_once_for_many_cold_loads(fabric_factory, tmp_path,

@@ -191,10 +191,18 @@ def test_csprng_determinism_and_reseed():
     assert a.random_bytes(16) == b.random_bytes(16)
     c = Csprng(seed=8)
     assert Csprng(seed=7).random_bytes(32) != c.random_bytes(32)
-    d = Csprng(seed=7)
-    d.reseed(b"fresh entropy")
-    assert d.random_bytes(32) != Csprng(seed=7).random_bytes(32)
+    # With no seed it draws its seed from the host; nothing feeds it later.
+    assert Csprng().random_bytes(32) != Csprng().random_bytes(32)
+    assert not hasattr(Csprng(seed=7), "reseed")
     assert len(Csprng().random_bytes(33)) == 33
+
+
+@pytest.mark.parametrize("count", [2.5, "8", None, -1])
+def test_csprng_refuses_a_bad_count_before_its_state_moves(count):
+    rng = Csprng(seed=7)
+    with pytest.raises((TypeError, ValueError)):
+        rng.random_bytes(count)
+    assert rng.random_bytes(32) == Csprng(seed=7).random_bytes(32)
 
 
 def test_sealed_storage_round_trip(tmp_path):

@@ -96,6 +96,15 @@ def test_build_rejects_both_triples_and_flat_gp():
                            [(ParamKind.VALUE_IN, 1, 2)], gp=[1, 2])
 
 
+@pytest.mark.parametrize("params, index", [
+    ([(ParamKind.VALUE_IN, 1)], 0),
+    ([(ParamKind.VALUE_IN, 1, 2), 5], 1),
+])
+def test_build_names_an_entry_that_is_no_triple(params, index):
+    with pytest.raises(InvalidFrame, match=f"parameter {index} is not a"):
+        MailboxFrame.build(OperationId.INVOKE, 1, params)
+
+
 def test_memref_bounds_validation():
     ok = MailboxFrame.build(OperationId.INVOKE, 1,
                             [(ParamKind.MEMREF, SHM_WINDOW_SIZE - 8, 8)])

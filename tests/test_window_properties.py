@@ -1,8 +1,7 @@
-"""Property checks at the window's grants, against a set-of-bytes model.
-Through a MemoryContext, a window access succeeds exactly when every
-byte it touches lies in the window and is granted. Through a memref, a TA
-reads exactly the bytes of the slice its request's words grant, and
-writes only there, or is refused with AccessDeniedError."""
+"""Property check at the window's grants, against a byte model. A memref
+is a TA's only path into the window: through it, a TA reads exactly the
+bytes of the slice its request's words grant, and writes only there, or
+is refused with AccessDeniedError."""
 
 import uuid as uuid_mod
 
@@ -15,8 +14,6 @@ from hypothesis import given, seed, settings, strategies as st
 from teefab.enclave import (
     TA_KIND_ECHO,
     EnclaveRuntime,
-    MemoryContext,
-    Space,
     TaParams,
     ta_factory,
 )
@@ -28,56 +25,11 @@ from teefab.protocol import (
     ParamKind,
 )
 
-# Small, so that grants meet, overlap and leave gaps.
-WINDOW = 48
 NONE, MEMREF = ParamKind.NONE, ParamKind.MEMREF
 
 
 def _fits(offset, length, size):
     return 0 <= offset and 0 <= length and offset + length <= size
-
-
-spans = st.tuples(st.integers(-2, WINDOW + 2), st.integers(-2, 24))
-
-
-@seed(0x7EEFAB)
-@settings(database=None, deadline=None, max_examples=200)
-@given(grants=st.lists(spans, max_size=5),
-       accesses=st.lists(st.tuples(spans, st.booleans()), min_size=1,
-                         max_size=8))
-def test_a_window_access_succeeds_exactly_when_every_byte_is_granted(
-        grants, accesses):
-    window = Space(WINDOW)
-    window.write(0, bytes(range(1, WINDOW + 1)))
-    mem = MemoryContext(Space(8), window)
-    granted = set()
-    for offset, length in grants:
-        try:
-            mem.grant(offset, length)
-        except AccessDeniedError:
-            assert not _fits(offset, length, WINDOW)
-        else:
-            assert _fits(offset, length, WINDOW)
-            granted.update(range(offset, offset + length))
-    model = bytearray(window.read(0, WINDOW))
-    for serial, ((offset, length), write) in enumerate(accesses):
-        if write:
-            length = max(length, 0)
-        allowed = _fits(offset, length, WINDOW) and granted.issuperset(
-            range(offset, offset + length))
-        try:
-            if write:
-                data = bytes([0x80 + serial]) * length
-                mem.window_write(offset, data)
-                model[offset:offset + length] = data
-            else:
-                assert mem.window_read(offset, length) == \
-                    model[offset:offset + length]
-        except AccessDeniedError:
-            assert not allowed
-        else:
-            assert allowed
-    assert window.read(0, WINDOW) == model
 
 
 @st.composite
