@@ -6,8 +6,8 @@ import statistics
 import tempfile
 import uuid as uuid_mod
 from contextlib import ExitStack
-from dataclasses import dataclass, field
 from time import thread_time_ns
+from types import SimpleNamespace
 
 from .client_api import Context, Direction, Operation, Value
 from .config import SimConfig
@@ -27,12 +27,12 @@ _INC_UUID = uuid_mod.UUID("beac0000-0001-4000-8000-000000000001")
 _SHM_UUID = uuid_mod.UUID("beac0000-0002-4000-8000-000000000002")
 
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(SimpleNamespace):
     """Raw samples for one scenario."""
 
-    name: str
-    samples_ns: list = field(default_factory=list)
+    def __init__(self, name, samples_ns=None):
+        super().__init__(name=name, samples_ns=[] if samples_ns is None
+                         else samples_ns)
 
     @property
     def count(self):
@@ -51,12 +51,11 @@ class ScenarioResult:
         return max(self.samples_ns)
 
 
-@dataclass
-class BenchReport:
+class BenchReport(SimpleNamespace):
     """All scenario results plus the two headline ratios."""
 
-    results: dict
-    repetitions: int
+    def __init__(self, results, repetitions):
+        super().__init__(results=results, repetitions=repetitions)
 
     @property
     def cold_over_warm(self):

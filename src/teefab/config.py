@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 from .resource_model import get_profile, max_enclaves
 
@@ -13,20 +13,29 @@ _FIXED_KEYS = {"tcm_size", "shm_size"}
 _DEFAULT_HUK_SEED = "teefab-default-device"
 _SEED_MAX = 2**64 - 1  # the RNG takes its seed as eight bytes
 
+# Every field and its default; a config file may set exactly these keys.
+_DEFAULTS = {
+    "enclave_count": 4,
+    "device_profile": "zu3eg",
+    "storage_dir": "teefab-storage",
+    "uart_dir": None,
+    "rng_seed": None,
+    "huk": None,       # 64 hex chars, the device secret itself
+    "huk_seed": None,  # or any string stretched into one
+    "dma_ns_per_byte": 0,
+    "dma_ns_per_op": 0,
+}
 
-@dataclass
-class SimConfig:
-    """Everything a fabric boot needs; sizes are fixed by the design."""
 
-    enclave_count: int = 4
-    device_profile: str = "zu3eg"
-    storage_dir: str = "teefab-storage"
-    uart_dir: str | None = None
-    rng_seed: int | None = None
-    huk: str | None = None       # 64 hex chars, the device secret itself
-    huk_seed: str | None = None  # or any string stretched into one
-    dma_ns_per_byte: int = 0
-    dma_ns_per_op: int = 0
+class SimConfig(SimpleNamespace):
+    """Everything a fabric boot needs; sizes are fixed by the design.
+    Takes any field of _DEFAULTS as a keyword; compares by field."""
+
+    def __init__(self, **fields):
+        unknown = sorted(fields.keys() - _DEFAULTS.keys())
+        if unknown:
+            raise TypeError(f"SimConfig() got unexpected keywords {unknown}")
+        super().__init__(**{**_DEFAULTS, **fields})
 
     def device(self):
         return get_profile(self.device_profile)
@@ -84,7 +93,6 @@ def _parse_int(key, value):
 def load_config(path):
     """Parse a key=value config file into a validated SimConfig."""
     config = SimConfig()
-    valid = {f.name for f in fields(SimConfig)}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -96,7 +104,7 @@ def load_config(path):
             raise ValueError(
                 f"{path}:{lineno}: {key} is fixed by the design and cannot "
                 f"be overridden")
-        if key not in valid:
+        if key not in _DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in ("enclave_count", "rng_seed", "dma_ns_per_byte", "dma_ns_per_op"):
             setattr(config, key, _parse_int(key, value))

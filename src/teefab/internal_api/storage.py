@@ -22,9 +22,9 @@ import struct
 import tempfile
 import threading
 import uuid as uuid_mod
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 from ..protocol import (
     AccessDeniedError,
@@ -205,12 +205,11 @@ class TaStorage:
         return self._storage.exists(self._uuid, object_id)
 
 
-@dataclass
-class TeeServices:
+class TeeServices(SimpleNamespace):
     """Trusted-side service bundle a fabric wires into its enclaves."""
 
-    rng: object
-    storage: SealedStorage
+    def __init__(self, rng, storage):
+        super().__init__(rng=rng, storage=storage)
 
     def for_ta(self, ta_uuid):
         if not isinstance(ta_uuid, uuid_mod.UUID):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 import uuid as uuid_mod
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -244,7 +244,10 @@ class MailboxFrame(NamedTuple):
     @classmethod
     def build(cls, operation, session_id, params=(), gp=(), cmd_id=0):
         """Construct from a kind list or from (kind, a, b) triples."""
-        kinds = params = tuple(params)
+        try:
+            kinds = params = tuple(params)
+        except TypeError:
+            raise InvalidFrame(f"params must be iterable, got {params!r}") from None
         if params and isinstance(params[0], (tuple, list)):
             if gp:
                 raise InvalidFrame("gp words are implied by (kind, a, b) triples")
@@ -257,7 +260,10 @@ class MailboxFrame(NamedTuple):
                                        f"(kind, a, b) triple: {entry!r}") from None
                 kinds += (kind,)
                 gp += [word_a, word_b]
-        gp = tuple(gp)
+        try:
+            gp = tuple(gp)
+        except TypeError:
+            raise InvalidFrame(f"gp must be iterable, got {gp!r}") from None
         if len(gp) > GP_WORDS:
             raise InvalidFrame(f"at most {GP_WORDS} gp words, got {len(gp)}")
         gp += (0,) * (GP_WORDS - len(gp))
@@ -374,8 +380,7 @@ def bytes_to_words(data):
     return struct.unpack(f"<{len(data) // 4}I", data)
 
 
-@dataclass(frozen=True)
-class TAImage:
+class TAImage(namedtuple("TAImage", "uuid ta_kind payload", defaults=(b"",))):
     """Loadable trusted-application container.
 
     Header (32 bytes): magic "TEOD", version, uuid, ta_kind, payload_len,
@@ -385,9 +390,7 @@ class TAImage:
     read it.  Total size never exceeds the private memory (64 KiB).
     """
 
-    uuid: uuid_mod.UUID
-    ta_kind: int
-    payload: bytes = b""
+    __slots__ = ()
 
     @property
     def size(self):

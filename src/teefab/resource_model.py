@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 RESOURCES = ("lut", "lutram", "ff", "bram", "dsp", "io", "bufg")
@@ -14,17 +14,10 @@ class InvalidEnclaveCount(ValueError):
     """n < 1 makes no sense for a utilization query."""
 
 
-@dataclass(frozen=True)
-class ResourceVector:
+class ResourceVector(namedtuple("ResourceVector", RESOURCES)):
     """Per-class resource counts for one design point or device."""
 
-    lut: int
-    lutram: int
-    ff: int
-    bram: int
-    dsp: int
-    io: int
-    bufg: int
+    __slots__ = ()
 
     def get(self, name):
         return getattr(self, name)
@@ -37,10 +30,8 @@ class ResourceVector:
         return all(self.get(r) <= capacity.get(r) for r in FIT_RESOURCES)
 
 
-@dataclass(frozen=True)
-class DeviceProfile:
-    name: str
-    capacity: ResourceVector
+class DeviceProfile(namedtuple("DeviceProfile", "name capacity")):
+    __slots__ = ()
 
 
 ZU3EG = DeviceProfile("zu3eg", ResourceVector(

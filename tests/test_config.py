@@ -1,9 +1,11 @@
 """Configuration parsing and validation."""
 
+import argparse
 import uuid
 
 import pytest
 
+from teefab.cli import _build_config
 from teefab.config import SimConfig, load_config
 from teefab.internal_api import Csprng
 
@@ -18,6 +20,38 @@ def test_defaults_validate():
     config = SimConfig().validate()
     assert config.enclave_count == 4
     assert config.device_profile == "zu3eg"
+
+
+def test_a_config_keeps_its_defaults_and_takes_only_its_fields():
+    assert vars(SimConfig()) == {
+        "enclave_count": 4, "device_profile": "zu3eg",
+        "storage_dir": "teefab-storage", "uart_dir": None, "rng_seed": None,
+        "huk": None, "huk_seed": None, "dma_ns_per_byte": 0,
+        "dma_ns_per_op": 0}
+    assert SimConfig(rng_seed=3) == SimConfig(rng_seed=3) != SimConfig()
+    with pytest.raises(TypeError, match="bogus"):
+        SimConfig(bogus=1)
+
+
+def test_a_config_field_can_be_set_after_it_is_made(tmp_path):
+    """`load_config` and the command line's overrides set fields one by
+    one on a made config."""
+    config = SimConfig()
+    config.storage_dir = str(tmp_path)
+    assert config == SimConfig(storage_dir=str(tmp_path))
+    args = argparse.Namespace(config=write_config(tmp_path, "rng_seed = 9\n"),
+                              enclaves=2, seed=None, storage_dir="store")
+    assert _build_config(args) == SimConfig(enclave_count=2, rng_seed=9,
+                                            storage_dir="store")
+    # Every field is a key a config file may set.
+    samples = {"enclave_count": "2", "device_profile": "zu3eg",
+               "storage_dir": "s", "uart_dir": "u", "rng_seed": "9",
+               "huk": "ab" * 32, "huk_seed": "x", "dma_ns_per_byte": "1",
+               "dma_ns_per_op": "1"}
+    assert samples.keys() == vars(SimConfig()).keys()
+    for key, value in samples.items():
+        config = load_config(write_config(tmp_path, f"{key} = {value}\n"))
+        assert str(getattr(config, key)) == value
 
 
 def test_load_config_full_file(tmp_path):

@@ -105,6 +105,12 @@ def test_build_names_an_entry_that_is_no_triple(params, index):
         MailboxFrame.build(OperationId.INVOKE, 1, params)
 
 
+@pytest.mark.parametrize("argument", ["params", "gp"])
+def test_build_names_a_params_or_gp_that_is_not_iterable(argument):
+    with pytest.raises(InvalidFrame, match=f"{argument} must be iterable"):
+        MailboxFrame.build(OperationId.INVOKE, 1, **{argument: 5})
+
+
 def test_memref_bounds_validation():
     ok = MailboxFrame.build(OperationId.INVOKE, 1,
                             [(ParamKind.MEMREF, SHM_WINDOW_SIZE - 8, 8)])
@@ -159,6 +165,20 @@ def test_image_round_trip_and_caps():
                              bytes(MAX_IMAGE_SIZE - IMAGE_HEADER_SIZE + 1)))
     with pytest.raises(ImageSizeError):
         decode_image(raw + bytes(MAX_IMAGE_SIZE))
+
+
+def test_an_image_is_a_frozen_record_that_compares_by_field():
+    ta_uuid = uuid_mod.UUID(int=77)
+    image = TAImage(ta_uuid, 3, b"payload here")
+    assert decode_image(encode_image(image)) == image
+    twin = TAImage(uuid=ta_uuid, ta_kind=3, payload=b"payload here")
+    assert twin == image and hash(twin) == hash(image)
+    assert image != TAImage(ta_uuid, 3) and TAImage(ta_uuid, 3).payload == b""
+    assert image.size == IMAGE_HEADER_SIZE + 12
+    for name in ("uuid", "ta_kind", "payload", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(image, name, None)
+    assert image == (ta_uuid, 3, b"payload here")
 
 
 def test_image_prefix_tolerates_trailing_zero_fill():

@@ -134,3 +134,18 @@ def test_measured_table_is_monotone():
     for resource in FIT_RESOURCES:
         column = [MEASURED[n].get(resource) for n in sorted(MEASURED)]
         assert column == sorted(column)
+
+
+def test_vectors_and_profiles_are_frozen_records_that_compare_by_field():
+    counts = ResourceVector(**MEASURED[1].as_dict())
+    assert counts == MEASURED[1] and hash(counts) == hash(MEASURED[1])
+    assert counts != MEASURED[2] and counts.get("bram") == 34
+    assert counts.fits(ZU3EG.capacity) and not ZU3EG.capacity.fits(counts)
+    profile = DeviceProfile("zu3eg", ResourceVector(**ZU3EG.capacity.as_dict()))
+    assert profile == ZU3EG and hash(profile) == hash(ZU3EG)
+    assert DeviceProfile("other", ZU3EG.capacity) != ZU3EG
+    for record, name in ((counts, "lut"), (counts, "extra"),
+                         (profile, "name"), (profile, "capacity")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+    assert counts.lut == 9845 and profile.name == "zu3eg"

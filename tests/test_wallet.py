@@ -743,9 +743,8 @@ def _run_fresh(script, *args):
         text=True, timeout=60, check=True).stdout
 
 
-_INCREMENT_THEN_WALLET_SCRIPT = """
+_COLD_INCREMENT_SCRIPT = """
 import json, sys, uuid
-import teefab
 from teefab import Context, Direction, Fabric, Operation, SimConfig, Value
 from teefab.enclave import TA_KIND_INCREMENT
 from teefab.protocol import TAImage, encode_image
@@ -759,6 +758,9 @@ session = context.open_session(
 value = session.invoke_command(
     0, Operation(Value(Direction.INOUT, 41))).value(0)[0]
 session.close()
+"""
+
+_INCREMENT_THEN_WALLET_SCRIPT = _COLD_INCREMENT_SCRIPT + """
 loaded = sorted(name for name in sys.modules
                 if name.split(".")[0] == "cryptography"
                 or name in ("teefab.wallet.ta", "teefab.wallet.mnemonic"))
@@ -786,6 +788,30 @@ def test_a_fabric_that_never_opens_the_wallet_loads_no_crypto(tmp_path):
     assert result == {"value": 42, "loaded": [],
                       "address0": VECTORS["address0"],
                       "signature_hex": VECTORS["signature_hex"]}
+
+
+# What `import teefab` once loaded through `dataclasses`.
+_INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+_BOOT_ONLY_SCRIPT = """
+import sys
+before = set(sys.modules)
+import teefab, teefab.cli
+""" + _COLD_INCREMENT_SCRIPT + """
+context.close()
+fabric.shutdown()
+print(json.dumps({"value": value,
+                  "added": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_import_boot_and_a_cold_round_load_no_introspection(tmp_path):
+    """`import teefab` and `teefab.cli`, a boot and a cold increment round
+    load none of the standard library's introspection modules. Modules
+    the interpreter had loaded before `import teefab` do not count."""
+    result = json.loads(_run_fresh(_BOOT_ONLY_SCRIPT, str(tmp_path)))
+    assert result["value"] == 42
+    assert [name for name in _INTROSPECTION if name in result["added"]] == []
 
 
 _NO_RIPEMD_SCRIPT = """
