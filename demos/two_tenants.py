@@ -11,9 +11,13 @@ import uuid
 
 from teefab.client_api import Context, Direction, Operation, Value
 from teefab.config import SimConfig
-from teefab.enclave import TA_KIND_ECHO, TA_KIND_INCREMENT
 from teefab.fabric import Fabric
-from teefab.protocol import TAImage, encode_image
+from teefab.protocol import (
+    TA_KIND_ECHO,
+    TA_KIND_INCREMENT,
+    TAImage,
+    encode_image,
+)
 
 INC_UUID = uuid.UUID("0d203afe-0001-4000-8000-00000000000a")
 ECHO_UUID = uuid.UUID("0d203afe-0002-4000-8000-00000000000b")

@@ -11,9 +11,15 @@ from types import SimpleNamespace
 
 from .client_api import Context, Direction, Operation, Value
 from .config import SimConfig
-from .enclave import TA_KIND_INCREMENT, TA_KIND_SHMEM16
 from .fabric import Fabric
-from .protocol import IMAGE_HEADER_SIZE, MAX_IMAGE_SIZE, TAImage, encode_image
+from .protocol import (
+    IMAGE_HEADER_SIZE,
+    MAX_IMAGE_SIZE,
+    TA_KIND_INCREMENT,
+    TA_KIND_SHMEM16,
+    TAImage,
+    encode_image,
+)
 
 DEFAULT_REPETITIONS = 100
 DEFAULT_NS_PER_BYTE = 1000

@@ -6,17 +6,10 @@ import argparse
 import sys
 import uuid as uuid_mod
 
-from .bench import (
-    DEFAULT_NS_PER_BYTE,
-    DEFAULT_NS_PER_OP,
-    DEFAULT_REPETITIONS,
-    run_bench,
-)
 from .client_api import Context, Direction, Operation, Value
 from .config import SimConfig, load_config
-from .enclave import TA_KIND_INCREMENT, TA_KIND_SHMEM16
 from .fabric import Fabric
-from .protocol import TAImage, encode_image
+from .protocol import TA_KIND_INCREMENT, TA_KIND_SHMEM16, TAImage, encode_image
 from .resource_model import get_profile, render_report
 
 _DEMO_INC_UUID = uuid_mod.UUID("0de30000-0001-4000-8000-000000000001")
@@ -64,14 +57,15 @@ def _parser():
     demo.add_argument("--value", type=int, default=41,
                       help="input for the increment demo")
 
+    # No default here: an option left out takes run_bench's own, so only
+    # `teefab bench` imports the bench.
     bench = sub.add_parser("bench", parents=[seeded],
                            help="time the five fabric scenarios")
     bench.add_argument("--repetitions", type=_repetitions,
-                       default=DEFAULT_REPETITIONS,
                        help="samples per scenario, at least 1")
-    bench.add_argument("--ns-per-byte", type=int, default=DEFAULT_NS_PER_BYTE,
+    bench.add_argument("--ns-per-byte", type=int,
                        help="modelled DMA cost per byte moved")
-    bench.add_argument("--ns-per-op", type=int, default=DEFAULT_NS_PER_OP,
+    bench.add_argument("--ns-per-op", type=int,
                        help="modelled setup cost per transfer")
 
     sub.add_parser("resources", parents=[sizing],
@@ -139,10 +133,11 @@ def _cmd_demo(config, args):
 
 
 def _cmd_bench(args):
-    report = run_bench(repetitions=args.repetitions,
-                       per_byte_ns=args.ns_per_byte,
-                       per_op_ns=args.ns_per_op,
-                       seed=args.seed or 0)
+    from .bench import run_bench
+    given = {"repetitions": args.repetitions, "per_byte_ns": args.ns_per_byte,
+             "per_op_ns": args.ns_per_op}
+    report = run_bench(seed=args.seed or 0, **{
+        name: value for name, value in given.items() if value is not None})
     print(report.render_text())
     return 0
 

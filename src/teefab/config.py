@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import warnings
-from pathlib import Path
 from types import SimpleNamespace
 
-from .resource_model import get_profile, max_enclaves
+from .resource_model import get_profile, max_enclaves, read_key_values
 
 # The window and TCM sizes come from protocol.py; a file may not set them.
 _FIXED_KEYS = {"tcm_size", "shm_size"}
@@ -93,13 +92,7 @@ def _parse_int(key, value):
 def load_config(path):
     """Parse a key=value config file into a validated SimConfig."""
     config = SimConfig()
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for lineno, key, value in read_key_values(path):
         if key in _FIXED_KEYS:
             raise ValueError(
                 f"{path}:{lineno}: {key} is fixed by the design and cannot "

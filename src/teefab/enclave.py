@@ -11,6 +11,10 @@ from .protocol import (
     MAILBOX_WORDS,
     TCM_SIZE,
     SHM_WINDOW_SIZE,
+    TA_KIND_ECHO,
+    TA_KIND_INCREMENT,
+    TA_KIND_PROBE,
+    TA_KIND_SHMEM16,
     OperationId,
     ParamKind,
     ReturnCode,
@@ -23,11 +27,6 @@ from .protocol import (
     decode_frame,
     encode_reply,
 )
-
-TA_KIND_INCREMENT = 1
-TA_KIND_SHMEM16 = 2
-TA_KIND_ECHO = 3
-TA_KIND_PROBE = 4
 
 UART_CAPACITY = 1024
 
@@ -620,25 +619,40 @@ class EnclaveRuntime:
                 if not self._sessions:
                     ta.destroy()
                     self._ta = None
-        except AbortedError:
-            raise
-        except TeeError as exc:
-            code = exc.code
-            if frame.operation is _OPEN:
-                session_out = 0
-        except Exception:
-            import traceback    # on the fault path only
-            self.uart.log("isr: ta fault:\n" + traceback.format_exc().rstrip())
-            self.faulted = True
-            code = ReturnCode.ERROR_GENERIC
+        except BaseException as exc:
+            code = self._failure(exc)
             if frame.operation is _OPEN:
                 session_out = 0
         if (frame.operation is _OPEN and code is not _SUCCESS
                 and not self._sessions and self._ta is not None):
             # Balance the instance created for a rejected first open.
+            ta, self._ta = self._ta, None
             try:
-                self._ta.destroy()
-            finally:
-                self._ta = None
+                ta.destroy()
+            except BaseException as exc:
+                code = self._failure(exc)
         return encode_reply(
             (code, session_out, frame.param_type, params._words, frame.cmd_id))
+
+    def _failure(self, exc):
+        """The reply code for `exc`, which a TA raised, called in the
+        block that caught it. An AbortedError goes on up to `deliver`. A
+        TeeError whose code is a ReturnCode error replies that code.
+        Anything else is a fault: its traceback goes to the UART, the core
+        is marked faulted, so that the fabric scrubs the slot, and the
+        reply is ERROR_GENERIC; a KeyboardInterrupt then goes on up, and
+        the fabric settles the slot on its way out."""
+        if isinstance(exc, AbortedError):
+            raise exc
+        try:
+            code = exc.code if isinstance(exc, TeeError) else None
+        except Exception:   # a code the TA made unreadable: a fault
+            code = None
+        if type(code) is ReturnCode and code is not _SUCCESS:
+            return code
+        import traceback    # on the fault path only
+        self.uart.log("isr: ta fault:\n" + traceback.format_exc().rstrip())
+        self.faulted = True
+        if isinstance(exc, KeyboardInterrupt):
+            raise exc
+        return ReturnCode.ERROR_GENERIC

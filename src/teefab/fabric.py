@@ -515,24 +515,31 @@ class Fabric:
             words = encode_frame(frame)
             start = time.perf_counter_ns()
             self.delay.charge(_MAILBOX_BYTES)
+            reply = None
             try:
                 reply_words = runtime.deliver(words)
+                self.delay.charge(_MAILBOX_BYTES)
+                reply = decode_reply(reply_words)
             except EnclaveResetError:
                 raise AccessDeniedError(
                     f"slot {slot_index} was reset mid-request") from None
-            self.delay.charge(_MAILBOX_BYTES)
-            reply = decode_reply(reply_words)
-            self._log("dispatch", slot_index, op=frame.operation,
-                      cmd=frame.cmd_id, code=reply.code,
-                      dur_ns=time.perf_counter_ns() - start)
-            # Under the slot lock, so the slot still holds the load that
-            # answered. A faulted core is scrubbed at once, which ends every
-            # session on the slot; a CLOSE frees the slot at its last one.
-            if runtime.faulted or frame.operation is _CLOSE:
-                self._maybe_cleanup(record)
-            elif frame.operation is _OPEN:
-                # The reply ends this open's retain, whatever its code.
-                self._maybe_cleanup(record, release=True)
+            finally:
+                # On every exit, a reply or an exception: the code is None
+                # when no reply came back.
+                self._log("dispatch", slot_index, op=frame.operation,
+                          cmd=frame.cmd_id,
+                          code=None if reply is None else reply.code,
+                          dur_ns=time.perf_counter_ns() - start)
+                # Under the slot lock, so the slot still holds the load
+                # that answered. A faulted core is scrubbed at once, which
+                # ends every session on the slot; a CLOSE frees the slot
+                # at its last one.
+                if runtime.faulted or frame.operation is _CLOSE:
+                    self._maybe_cleanup(record)
+                elif frame.operation is _OPEN:
+                    # The exchange ends this open's retain, whatever its
+                    # outcome.
+                    self._maybe_cleanup(record, release=True)
         return reply
 
     def exchange(self, slot_index):

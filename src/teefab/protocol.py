@@ -28,6 +28,13 @@ IMAGE_VERSION = 1
 IMAGE_HEADER_SIZE = 32        # magic + version + uuid + kind + payload_len
 MAX_IMAGE_SIZE = TCM_SIZE
 
+# The image header's ta_kind of each built-in TA, which enclave.py
+# registers; the wallet's is TA_KIND_WALLET in teefab.wallet.
+TA_KIND_INCREMENT = 1
+TA_KIND_SHMEM16 = 2
+TA_KIND_ECHO = 3
+TA_KIND_PROBE = 4
+
 GP_WORDS = 8                  # general-purpose payload words per frame
 PARAM_SLOTS = 4               # logical parameters, two gp words each
 

@@ -127,17 +127,24 @@ def render_report(n_enclaves, device=ZU3EG):
     return "\n".join(lines)
 
 
-def load_profile(path):
-    """Read a device profile from a key=value file (name + 7 capacities)."""
-    fields = {}
-    for raw in Path(path).read_text().splitlines():
+def read_key_values(path):
+    """Yield (line number, key, value) for each `key = value` line of a
+    file: `#` starts a comment, blank lines are skipped, and any other
+    line raises ValueError naming `path:line`."""
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"bad profile line: {raw!r}")
+            raise ValueError(
+                f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        fields[key] = value
+        yield lineno, key, value
+
+
+def load_profile(path):
+    """Read a device profile from a key=value file (name + 7 capacities)."""
+    fields = {key: value for _lineno, key, value in read_key_values(path)}
     try:
         name = fields.pop("name")
         capacity = ResourceVector(**{r: int(fields.pop(r)) for r in RESOURCES})

@@ -1,8 +1,9 @@
 """Bitcoin wallet workload: trusted application, REE client, key tooling.
 
-Importing the package registers the wallet's ta_kind and nothing more: the
-TA's module, with its word list and key code, loads where a core builds the
-wallet on its first OPEN, and the client loads at its first use.
+Importing the package registers the wallet's ta_kind and defines the
+wallet's wire contract, which the TA and the REE client both import from
+here. The TA's module, with its word list and key code, loads where a core
+builds the wallet on its first OPEN, and the client loads at its first use.
 """
 
 import hashlib
@@ -20,6 +21,17 @@ except ValueError:
 
 TA_KIND_WALLET = 16
 
+# The wallet's wire contract: the command ids, the largest pin, and the
+# bit that marks a hardened child, which bounds a child index from above.
+CMD_CHECK_EXISTS = 1
+CMD_GENERATE = 2
+CMD_RESTORE = 3
+CMD_DELETE = 4
+CMD_SIGN = 5
+CMD_GET_ADDRESS = 6
+PIN_MAX = 9999
+HARDENED_BIT = 0x80000000
+
 
 def _wallet_ta(env):
     from .ta import WalletTa
@@ -30,21 +42,14 @@ register_ta_kind(TA_KIND_WALLET, _wallet_ta)
 
 _CLIENT_NAMES = frozenset(
     {"WALLET_UUID", "WalletClient", "WalletError", "build_wallet_image"})
-_TA_NAMES = frozenset(
-    {"CMD_CHECK_EXISTS", "CMD_DELETE", "CMD_GENERATE", "CMD_GET_ADDRESS",
-     "CMD_RESTORE", "CMD_SIGN", "WalletTa"})
 
 
 def __getattr__(name):
-    # `client` and `ta` load on first use: `python -m teefab.wallet.client`
-    # runs the client once, as __main__, not after an import of the
-    # package, and a fabric that never opens the wallet never loads `ta`.
+    # `client` loads on first use: `python -m teefab.wallet.client` runs
+    # the client once, as __main__, not after an import of the package.
     if name in _CLIENT_NAMES:
         from . import client
         return getattr(client, name)
-    if name in _TA_NAMES:
-        from . import ta
-        return getattr(ta, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -55,10 +60,11 @@ __all__ = [
     "CMD_GET_ADDRESS",
     "CMD_RESTORE",
     "CMD_SIGN",
+    "HARDENED_BIT",
+    "PIN_MAX",
     "TA_KIND_WALLET",
     "WALLET_UUID",
     "WalletClient",
     "WalletError",
-    "WalletTa",
     "build_wallet_image",
 ]

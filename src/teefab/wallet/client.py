@@ -11,16 +11,16 @@ from ..client_api import Context, Direction, Operation, Value
 from ..config import SimConfig
 from ..fabric import Fabric
 from ..protocol import SHM_WINDOW_SIZE, ReturnCode, TAImage, TeeError, encode_image
-from . import TA_KIND_WALLET
-from .hd import HARDENED_BIT
-from .ta import (
+from . import (
     CMD_CHECK_EXISTS,
     CMD_DELETE,
     CMD_GENERATE,
     CMD_GET_ADDRESS,
     CMD_RESTORE,
     CMD_SIGN,
+    HARDENED_BIT,
     PIN_MAX,
+    TA_KIND_WALLET,
 )
 
 WALLET_UUID = uuid_mod.UUID("9f1c6e04-3d2a-4b8e-9a57-0c11b2a4f7d3")

@@ -6,8 +6,7 @@ import hashlib
 import struct
 
 from ..internal_api.crypto import ORDER_N, derive_public_key, hmac_digest
-
-HARDENED_BIT = 0x80000000
+from . import HARDENED_BIT
 
 _B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 _B58_INDEX = {char: value for value, char in enumerate(_B58_ALPHABET)}

@@ -25,8 +25,17 @@ from ..protocol import (
     ShortBufferError,
     TeeError,
 )
-from .hd import (
+from . import (
+    CMD_CHECK_EXISTS,
+    CMD_DELETE,
+    CMD_GENERATE,
+    CMD_GET_ADDRESS,
+    CMD_RESTORE,
+    CMD_SIGN,
     HARDENED_BIT,
+    PIN_MAX,
+)
+from .hd import (
     derive_hardened,
     master_from_seed,
     p2pkh_address,
@@ -40,19 +49,11 @@ from .mnemonic import (
     normalize_mnemonic,
 )
 
-CMD_CHECK_EXISTS = 1
-CMD_GENERATE = 2
-CMD_RESTORE = 3
-CMD_DELETE = 4
-CMD_SIGN = 5
-CMD_GET_ADDRESS = 6
-
 RECORD_ID = b"master"
 _ENTROPY_BYTES = 16
 _SALT_BYTES = 16
 _MASTER_BYTES = 32 + 32 + _SALT_BYTES + 32
 _SIGHASH_ALL = b"\x01"
-PIN_MAX = 9999
 
 # After the master come the hardened children already derived from it,
 # each as (index, compressed point, PKCS8), in the same sealed record.

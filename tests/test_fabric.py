@@ -67,6 +67,12 @@ TA_KIND_SPIN = 250
 TA_KIND_STORAGE_PROBE = 251
 TA_KIND_REFUSE_OPEN = 252
 TA_KIND_WIDEN = 236
+TA_KIND_EXIT_ON_OPEN = 230
+TA_KIND_EXIT_ON_INVOKE = 231
+TA_KIND_ODD_CODE = 232
+TA_KIND_REFUSE_THEN_BAD_DESTROY = 233
+TA_KIND_INTERRUPT = 234
+TA_KIND_UNREADABLE_CODE = 235
 
 
 class TripwireTa(TrustedApp):
@@ -141,6 +147,62 @@ class RefuseOpenTa(TrustedApp):
         raise AccessDeniedError("no sessions here")
 
 
+class ExitOnOpenTa(TrustedApp):
+    """Raises SystemExit, which is no Exception, from open_session."""
+
+    def open_session(self, params):
+        raise SystemExit("exit in open")
+
+
+class ExitOnInvokeTa(TrustedApp):
+    """Raises SystemExit from invoke_command."""
+
+    def invoke_command(self, session, cmd_id, params):
+        raise SystemExit("exit in invoke")
+
+
+class OddCodeError(TeeError):
+    """A TeeError whose code is no ReturnCode."""
+
+    code = 42
+
+
+class OddCodeTa(TrustedApp):
+    """Refuses every session with an OddCodeError."""
+
+    def open_session(self, params):
+        raise OddCodeError("odd code")
+
+
+class UnreadableCodeError(TeeError):
+    """A TeeError whose code raises when it is read."""
+
+    @property
+    def code(self):
+        raise RuntimeError("code unreadable")
+
+
+class UnreadableCodeTa(TrustedApp):
+    """Refuses every session with an UnreadableCodeError."""
+
+    def open_session(self, params):
+        raise UnreadableCodeError("unreadable code")
+
+
+class RefuseThenBadDestroyTa(RefuseOpenTa):
+    """Refuses every session, then faults in the destroy that follows."""
+
+    def destroy(self):
+        raise ValueError("destroy fault")
+
+
+class InterruptTa(TrustedApp):
+    """Raises KeyboardInterrupt from invoke_command."""
+
+    def invoke_command(self, session, cmd_id, params):
+        raise KeyboardInterrupt
+
+
 class SecondOpenFaultTa(TrustedApp):
     """Opens one session per load, then faults on the next open."""
 
@@ -199,6 +261,12 @@ register_ta_kind(TA_KIND_STORAGE_PROBE, StorageProbeTa)
 register_ta_kind(TA_KIND_REFUSE_OPEN, RefuseOpenTa)
 register_ta_kind(TA_KIND_SECOND_OPEN_FAULT, SecondOpenFaultTa)
 register_ta_kind(TA_KIND_WIDEN, WidenTa)
+register_ta_kind(TA_KIND_EXIT_ON_OPEN, ExitOnOpenTa)
+register_ta_kind(TA_KIND_EXIT_ON_INVOKE, ExitOnInvokeTa)
+register_ta_kind(TA_KIND_ODD_CODE, OddCodeTa)
+register_ta_kind(TA_KIND_REFUSE_THEN_BAD_DESTROY, RefuseThenBadDestroyTa)
+register_ta_kind(TA_KIND_INTERRUPT, InterruptTa)
+register_ta_kind(TA_KIND_UNREADABLE_CODE, UnreadableCodeTa)
 
 
 def open_frame():
@@ -997,6 +1065,81 @@ def test_close_that_faults_still_frees_the_slot(fabric, kind):
         assert_scrubbed(fabric, session.slot_index)
         assert not fabric.loaded_tas
         fabric.audit()
+
+
+def assert_faulted_and_freed(fabric, slot, raised):
+    """The slot a TA faulted on is free and zeroed, its fault and the
+    name of what it raised are on the core's UART, and the reply that
+    ended the request is in the log."""
+    assert_scrubbed(fabric, slot)
+    assert fabric.slot_snapshot()[slot]["pending"] == 0
+    assert not fabric.loaded_tas
+    fabric.audit()
+    fault = [line for line in fabric.slot_runtime(slot).uart.lines()
+             if line.startswith("isr: ta fault:")]
+    assert len(fault) == 1 and raised in fault[0]
+    dispatch = fabric.events("dispatch")[-1]
+    assert dispatch.slot == slot
+    assert dispatch.fields["code"] is ReturnCode.ERROR_GENERIC
+
+
+@pytest.mark.parametrize("kind, raised", [
+    (TA_KIND_EXIT_ON_OPEN, "SystemExit: exit in open"),
+    (TA_KIND_ODD_CODE, "OddCodeError: odd code"),
+    (TA_KIND_UNREADABLE_CODE, "UnreadableCodeError: unreadable code"),
+    (TA_KIND_REFUSE_THEN_BAD_DESTROY, "ValueError: destroy fault"),
+], ids=["system_exit", "code_42", "unreadable_code", "bad_destroy"])
+def test_an_open_that_raises_anything_is_refused_and_frees_its_slot(
+        fabric, kind, raised):
+    """Whatever a TA raises in a first OPEN, or in the destroy after it
+    refused one, reaches the client as a refusal with ERROR_GENERIC, not
+    as the exception itself or an undecodable reply, and the slot is
+    scrubbed rather than left TAKEN with a pending open."""
+    ta_uuid, image = make_image(kind, payload=b"\xa5" * 600)
+    with Context(fabric) as ctx:
+        with pytest.raises(TeeError) as refused:
+            ctx.open_session(ta_uuid, image)
+        assert type(refused.value) is TeeError
+        assert refused.value.code is ReturnCode.ERROR_GENERIC
+        assert_faulted_and_freed(fabric, 0, raised)
+        with ctx.open_session(*make_image(TA_KIND_INCREMENT)) as session:
+            assert session.slot_index == 0
+    fabric.audit()
+
+
+def test_an_invoke_that_raises_system_exit_faults_and_scrubs_the_slot(
+        fabric):
+    ta_uuid, image = make_image(TA_KIND_EXIT_ON_INVOKE, payload=b"\xa5" * 600)
+    with Context(fabric) as ctx:
+        session = ctx.open_session(ta_uuid, image)
+        fabric.shm_write(session.slot_index, 0, b"\x5a" * 64)
+        assert session.invoke_command(0).code is ReturnCode.ERROR_GENERIC
+        assert_faulted_and_freed(fabric, session.slot_index,
+                                 "SystemExit: exit in invoke")
+        with pytest.raises(AccessDeniedError):
+            session.invoke_command(0)
+        session.close()
+    fabric.audit()
+
+
+def test_a_keyboard_interrupt_in_a_ta_goes_up_once_the_slot_is_scrubbed(
+        fabric):
+    """A KeyboardInterrupt is the one exception of a TA that reaches the
+    client as it is; the fabric scrubs the slot before it lets it go."""
+    ta_uuid, image = make_image(TA_KIND_INTERRUPT, payload=b"\xa5" * 600)
+    with Context(fabric) as ctx:
+        session = ctx.open_session(ta_uuid, image)
+        fabric.shm_write(session.slot_index, 0, b"\x5a" * 64)
+        with pytest.raises(KeyboardInterrupt):
+            session.invoke_command(0)
+        assert_scrubbed(fabric, session.slot_index)
+        assert not fabric.loaded_tas
+        fabric.audit()
+        dispatch = fabric.events("dispatch")[-1]
+        assert dispatch.slot == session.slot_index
+        assert dispatch.fields["code"] is None
+        session.close()
+    fabric.audit()
 
 
 def test_shutdown_aborts_a_dispatch_in_flight(fabric):

@@ -113,7 +113,8 @@ def test_load_profile_rejects_bad_files(tmp_path):
         load_profile(negative)
     garbled = tmp_path / "garbled.profile"
     garbled.write_text("name small\n")
-    with pytest.raises(ValueError, match="bad profile line"):
+    with pytest.raises(ValueError,
+                       match="garbled.profile:1: expected key=value"):
         load_profile(garbled)
 
 
