@@ -20,7 +20,7 @@ from .protocol import (
     encode_image,
 )
 
-from . import wallet  # noqa: F401  - registers the wallet TA kind
+from . import wallet  # noqa: F401  - checks for RIPEMD-160 at import
 
 __version__ = "1.0.0"
 

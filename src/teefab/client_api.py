@@ -82,7 +82,6 @@ class SharedMemory:
         self.length = length
         self.direction = _direction(direction)
         self.buffer = bytearray(length)
-        self.returned_length = None
 
     def write(self, data, at=0):
         data = bytes(data)
@@ -292,12 +291,12 @@ class Session:
                                      else bytes(block.length))
             reply = fabric.comm_dispatch(slot, frame)
             for index, block in shared:
-                returned = block.returned_length = reply.gp[2 * index + 1]
                 if (reply.code is _SUCCESS
                         and block.direction in _COPIED_OUT
                         and block.length):
                     data = fabric.shm_read(slot, block.offset,
-                                           min(returned, block.length))
+                                           min(reply.gp[2 * index + 1],
+                                               block.length))
                     block.buffer[:len(data)] = data
         return InvokeResult(reply, kinds)
 

@@ -9,7 +9,6 @@ from .resource_model import get_profile, max_enclaves, read_key_values
 
 # The window and TCM sizes come from protocol.py; a file may not set them.
 _FIXED_KEYS = {"tcm_size", "shm_size"}
-_DEFAULT_HUK_SEED = "teefab-default-device"
 _SEED_MAX = 2**64 - 1  # the RNG takes its seed as eight bytes
 
 # Every field and its default; a config file may set exactly these keys.
@@ -19,8 +18,7 @@ _DEFAULTS = {
     "storage_dir": "teefab-storage",
     "uart_dir": None,
     "rng_seed": None,
-    "huk": None,       # 64 hex chars, the device secret itself
-    "huk_seed": None,  # or any string stretched into one
+    "huk_seed": "teefab-default-device",  # stretched into the device secret
     "dma_ns_per_byte": 0,
     "dma_ns_per_op": 0,
 }
@@ -56,12 +54,9 @@ class SimConfig(SimpleNamespace):
                 f"device {device.name} fits only {ceiling} enclave(s); the "
                 f"platform floor is two concurrently hosted TAs",
                 stacklevel=2)
-        if self.huk is not None and self.huk_seed is not None:
-            raise ValueError("set huk or huk_seed, not both")
-        if self.huk is not None:
-            raw = self.huk.strip()
-            if len(raw) != 64 or any(c not in "0123456789abcdefABCDEF" for c in raw):
-                raise ValueError("huk must be exactly 64 hex characters")
+        if not isinstance(self.huk_seed, str):
+            raise ValueError(
+                f"huk_seed must be a string, got {self.huk_seed!r}")
         for name in ("dma_ns_per_byte", "dma_ns_per_op"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
@@ -76,10 +71,7 @@ class SimConfig(SimpleNamespace):
     def device_key(self):
         """The device secret this config denotes, already wrapped."""
         from .internal_api import DeviceKey
-        if self.huk is not None:
-            return DeviceKey(bytes.fromhex(self.huk.strip()))
-        seed = self.huk_seed if self.huk_seed is not None else _DEFAULT_HUK_SEED
-        return DeviceKey.from_seed(seed)
+        return DeviceKey.from_seed(self.huk_seed)
 
 
 def _parse_int(key, value):

@@ -15,6 +15,7 @@ from .protocol import (
     TA_KIND_INCREMENT,
     TA_KIND_PROBE,
     TA_KIND_SHMEM16,
+    TA_KIND_WALLET,
     OperationId,
     ParamKind,
     ReturnCode,
@@ -410,10 +411,18 @@ class ProbeTa(TrustedApp):
                          b=tcm.count(self.SENTINEL) & WORD_MASK)
 
 
+def _wallet_ta(env):
+    # The wallet TA's modules load where a core builds it, at its first
+    # OPEN, under the slot lock.
+    from .wallet.ta import WalletTa
+    return WalletTa(env)
+
+
 register_ta_kind(TA_KIND_INCREMENT, IncrementTa)
 register_ta_kind(TA_KIND_SHMEM16, Shmem16Ta)
 register_ta_kind(TA_KIND_ECHO, EchoTa)
 register_ta_kind(TA_KIND_PROBE, ProbeTa)
+register_ta_kind(TA_KIND_WALLET, _wallet_ta)
 
 
 class EnclaveRuntime:

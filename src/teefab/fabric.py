@@ -282,11 +282,19 @@ class EnclaveSlot:
         self.index = index
         self.runtime = runtime
         self.exchange = _Exchange(runtime.lock, turnstile)
-        self.tcm_base = f"tcm{index}"
         self.state = SlotState.FREE
         self.uuid = None
         self.generation = 0  # completed loads; binds sessions to one load
         self.pending = 0
+
+
+class _Slots(dict):
+    """Slot index -> EnclaveSlot. Every entry point looks its slot up
+    here, so an index that names no slot (-1, one past the end, "0") is
+    refused in one place; a hit runs no Python code."""
+
+    def __missing__(self, index):
+        raise AccessDeniedError(f"no slot {index!r}")
 
 
 class Fabric:
@@ -305,14 +313,14 @@ class Fabric:
         if uart_dir is not None:
             Path(uart_dir).mkdir(parents=True, exist_ok=True)
         self.turnstile = Turnstile()
-        self._slots = []
+        self._slots = _Slots()
         for index in range(self.config.enclave_count):
             uart_path = None
             if uart_dir is not None:
                 uart_path = Path(uart_dir) / f"enclave{index}.log"
             runtime = EnclaveRuntime(index, self.services, self.turnstile,
                                      uart_path)
-            self._slots.append(EnclaveSlot(index, runtime, self.turnstile))
+            self._slots[index] = EnclaveSlot(index, runtime, self.turnstile)
         # The manager lock, always taken with `with` on the lock itself; the
         # condition over it serves only the threads that wait for a slot to
         # change state, and `_waiting` counts them, so that a change wakes
@@ -416,7 +424,7 @@ class Fabric:
     def _hosting(self, ta_uuid):
         """The record LOADING or TAKEN for ta_uuid, or None; no uuid is
         claimed on two slots. Caller holds the manager lock."""
-        for record in self._slots:
+        for record in self._slots.values():
             state = record.state
             if ((state is _TAKEN or state is _LOADING)
                     and record.uuid == ta_uuid):
@@ -437,12 +445,12 @@ class Fabric:
         in-flight cleanups before declaring the fabric full. Caller holds
         the manager lock."""
         while True:
-            for record in self._slots:
+            for record in self._slots.values():
                 if record.state is SlotState.FREE:
                     record.state = _LOADING
                     record.uuid = ta_uuid
                     return record
-            if not any(r.state is _CLEANING for r in self._slots):
+            if not any(r.state is _CLEANING for r in self._slots.values()):
                 self._load_status(ta_uuid, LoadStatus.ERR_FULL)
                 raise OutOfEnclavesError("no free enclave slot")
             self._wait()
@@ -608,18 +616,19 @@ class Fabric:
     def loaded_tas(self):
         """{uuid: slot index} of the TAs the slots host now."""
         with self._manager:
-            return {r.uuid: r.index for r in self._slots if r.state is _TAKEN}
+            return {r.uuid: r.index for r in self._slots.values()
+                    if r.state is _TAKEN}
 
     def slot_snapshot(self):
         with self._manager:
             return [{
                 "slot": r.index,
-                "tcm_base": r.tcm_base,
+                "tcm_base": f"tcm{r.index}",
                 "state": r.state.name,
                 "uuid": None if r.uuid is None else str(r.uuid),
                 "sessions": r.runtime.session_count,
                 "pending": r.pending,
-            } for r in self._slots]
+            } for r in self._slots.values()]
 
     def slot_runtime(self, slot_index):
         return self._slots[slot_index].runtime
@@ -633,11 +642,11 @@ class Fabric:
         has a uuid and a session or a pending open. A TA that ignores the
         abort and holds its slot blocks the audit."""
         with self._manager:
-            claimed = [r.uuid for r in self._slots
+            claimed = [r.uuid for r in self._slots.values()
                        if r.state in (_LOADING, _TAKEN)]
         if len(set(claimed)) != len(claimed):
             raise AssertionError(f"a TA is on two slots: {claimed}")
-        for record in self._slots:
+        for record in self._slots.values():
             with record.runtime.lock, self._manager:
                 if record.state is _TAKEN and (record.uuid is None or not (
                         record.pending or record.runtime.session_count)):
@@ -651,7 +660,7 @@ class Fabric:
         frees the slot, so this only waits out those still in progress."""
         deadline = time.monotonic() + timeout
         with self._manager:
-            while any(r.state is _CLEANING for r in self._slots):
+            while any(r.state is _CLEANING for r in self._slots.values()):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise TimeoutError("cleanup did not drain")
@@ -663,7 +672,7 @@ class Fabric:
         and its core zeroizes once the request lets go of the slot lock;
         a TA that ignores the abort blocks this, as it blocks
         manager_close. Each core's UART file is closed after its slot."""
-        for record in self._slots:
+        for record in self._slots.values():
             self.manager_close(record.index)
             record.runtime.uart.close()
         self._log("shutdown", None)

@@ -59,9 +59,14 @@ class DeviceKey:
 
     @classmethod
     def from_seed(cls, seed):
+        """The key stretched from a str or bytes seed, and no other type:
+        `bytes(5)` is five zero bytes, so 5 would share their key."""
         if isinstance(seed, str):
             seed = seed.encode()
-        return cls(hashlib.sha256(bytes(seed)).digest())
+        elif not isinstance(seed, bytes):
+            raise TypeError(
+                f"a device seed is str or bytes, not {type(seed).__name__}")
+        return cls(hashlib.sha256(seed).digest())
 
     def sealing_key(self, ta_uuid):
         """The per-TA sealing key: HKDF-SHA256 (RFC 5869) of the device key,

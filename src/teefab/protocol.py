@@ -28,12 +28,12 @@ IMAGE_VERSION = 1
 IMAGE_HEADER_SIZE = 32        # magic + version + uuid + kind + payload_len
 MAX_IMAGE_SIZE = TCM_SIZE
 
-# The image header's ta_kind of each built-in TA, which enclave.py
-# registers; the wallet's is TA_KIND_WALLET in teefab.wallet.
+# The image header's ta_kind of each TA that enclave.py registers.
 TA_KIND_INCREMENT = 1
 TA_KIND_SHMEM16 = 2
 TA_KIND_ECHO = 3
 TA_KIND_PROBE = 4
+TA_KIND_WALLET = 16
 
 GP_WORDS = 8                  # general-purpose payload words per frame
 PARAM_SLOTS = 4               # logical parameters, two gp words each
@@ -288,10 +288,6 @@ class MailboxFrame(NamedTuple):
     def kinds(self):
         return unpack_param_types(self.param_type)
 
-    def param_words(self, index):
-        """The (2i, 2i+1) gp word pair of logical parameter index."""
-        return self.gp[2 * index], self.gp[2 * index + 1]
-
     def validate(self):
         """Check the operation, the gp word count, param_type and each
         memref's bounds. That every word is 32-bit is checked where the
@@ -331,9 +327,6 @@ class ReplyFrame(NamedTuple):
     param_type: int
     gp: tuple
     cmd_id: int = 0
-
-    def param_words(self, index):
-        return self.gp[2 * index], self.gp[2 * index + 1]
 
 
 def encode_frame(frame):
@@ -379,12 +372,6 @@ def decode_reply(words):
 def words_to_bytes(words):
     """Serialize mailbox words little-endian for bit-exact comparison."""
     return struct.pack(f"<{len(words)}I", *words)
-
-
-def bytes_to_words(data):
-    if len(data) % 4:
-        raise InvalidFrame(f"byte length {len(data)} not word aligned")
-    return struct.unpack(f"<{len(data) // 4}I", data)
 
 
 class TAImage(namedtuple("TAImage", "uuid ta_kind payload", defaults=(b"",))):

@@ -79,32 +79,14 @@ def fits(n_enclaves, device=ZU3EG):
     return counts.fits(device.capacity)
 
 
-def _ceiling_for(resource, device):
-    """Largest n whose usage of one resource stays within capacity."""
-    cap = device.capacity.get(resource)
-    best = 0
-    for n in sorted(MEASURED):
-        if MEASURED[n].get(resource) <= cap:
-            best = n
-    if best < 4:
-        return best
-    step = DELTA.get(resource)
-    if step == 0:
-        return None  # design-constant: never binds
-    return 4 + (cap - MEASURED[4].get(resource)) // step
-
-
 def max_enclaves(device=ZU3EG):
-    """(largest fitting enclave count, the resource that fails next)."""
-    ceilings = {}
-    for resource in FIT_RESOURCES:
-        ceiling = _ceiling_for(resource, device)
-        if ceiling is not None:
-            ceilings[resource] = ceiling
-    count = min(ceilings.values())
-    # The binding resource is the one most oversubscribed at count+1.
+    """(largest fitting enclave count, the resource that fails next): the
+    fit resource most oversubscribed one enclave past the count."""
+    count = 0
+    while fits(count + 1, device):
+        count += 1
     over, _ = utilization(count + 1, device)
-    binding = max((r for r in ceilings if ceilings[r] == count),
+    binding = max(FIT_RESOURCES,
                   key=lambda r: over.get(r) / device.capacity.get(r))
     return count, binding
 

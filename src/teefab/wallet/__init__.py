@@ -1,14 +1,15 @@
 """Bitcoin wallet workload: trusted application, REE client, key tooling.
 
-Importing the package registers the wallet's ta_kind and defines the
-wallet's wire contract, which the TA and the REE client both import from
-here. The TA's module, with its word list and key code, loads where a core
-builds the wallet on its first OPEN, and the client loads at its first use.
+The package defines the wallet's wire contract, which the TA and the REE
+client both import from here, and imports no trusted module. The core
+registers the wallet's ta_kind and loads the TA's module, with its word
+list and key code, when it builds the wallet on its first OPEN; the
+client loads at its first use.
 """
 
 import hashlib
 
-from ..enclave import register_ta_kind
+from ..protocol import TA_KIND_WALLET
 
 try:
     hashlib.new("ripemd160")
@@ -18,8 +19,6 @@ except ValueError:
         "Python's OpenSSL does not offer it (OpenSSL 3.0.0 to 3.0.6 keep it "
         "in the legacy provider only; 3.0.7 and later have it by default)"
     ) from None
-
-TA_KIND_WALLET = 16
 
 # The wallet's wire contract: the command ids, the largest pin, and the
 # bit that marks a hardened child, which bounds a child index from above.
@@ -31,14 +30,6 @@ CMD_SIGN = 5
 CMD_GET_ADDRESS = 6
 PIN_MAX = 9999
 HARDENED_BIT = 0x80000000
-
-
-def _wallet_ta(env):
-    from .ta import WalletTa
-    return WalletTa(env)
-
-
-register_ta_kind(TA_KIND_WALLET, _wallet_ta)
 
 _CLIENT_NAMES = frozenset(
     {"WALLET_UUID", "WalletClient", "WalletError", "build_wallet_image"})

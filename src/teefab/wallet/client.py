@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import uuid as uuid_mod
 
@@ -123,8 +122,8 @@ class WalletClient:
         with self._open(pin) as session:
             block = session.allocate_shared_memory(_MNEMONIC_BUFFER,
                                                    Direction.OUT)
-            self._invoke(session, CMD_GENERATE, pin, 0, [block])
-            return block.read(length=block.returned_length).decode()
+            result = self._invoke(session, CMD_GENERATE, pin, 0, [block])
+            return block.read(length=result.memref_length(1)).decode()
 
     def restore(self, pin, mnemonic):
         """Replace the wallet with one derived from a backup phrase."""
@@ -149,16 +148,18 @@ class WalletClient:
             tx_block.write(raw_tx)
             sig_block = session.allocate_shared_memory(_SIGNATURE_BUFFER,
                                                        Direction.OUT)
-            self._invoke(session, CMD_SIGN, pin, index, [tx_block, sig_block])
-            return sig_block.read(length=sig_block.returned_length).decode()
+            result = self._invoke(session, CMD_SIGN, pin, index,
+                                  [tx_block, sig_block])
+            return sig_block.read(length=result.memref_length(2)).decode()
 
     def get_address(self, pin, index=0):
         """P2PKH address of hardened child `index`."""
         with self._open(pin, index) as session:
             block = session.allocate_shared_memory(_ADDRESS_BUFFER,
                                                    Direction.OUT)
-            self._invoke(session, CMD_GET_ADDRESS, pin, index, [block])
-            return block.read(length=block.returned_length).decode()
+            result = self._invoke(session, CMD_GET_ADDRESS, pin, index,
+                                  [block])
+            return block.read(length=result.memref_length(1)).decode()
 
 
 def _parse_args(argv):
@@ -175,10 +176,8 @@ def _parse_args(argv):
     parser.add_argument("pin", help="4-digit wallet pin")
     parser.add_argument("-a", "--args", nargs="*", default=[],
                         help="command arguments (phrase words, index, tx hex)")
-    parser.add_argument("--storage-dir",
-                        default=os.environ.get("TEEFAB_STORAGE",
-                                               "teefab-storage"),
-                        help="sealed-storage directory (env TEEFAB_STORAGE)")
+    parser.add_argument("--storage-dir", default="teefab-storage",
+                        help="sealed-storage directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="deterministic fabric RNG seed, 0..2**64-1")
     return parser.parse_args(argv)

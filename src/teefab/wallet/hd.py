@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import struct
 
-from ..internal_api.crypto import ORDER_N, derive_public_key, hmac_digest
+from ..internal_api.crypto import ORDER_N, hmac_digest
 from . import HARDENED_BIT
 
 _B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
@@ -97,8 +97,3 @@ def derive_hardened(parent_sk, parent_cc, index):
 def p2pkh_address(public_key):
     """Compressed public key -> pay-to-pubkey-hash address string."""
     return base58check_encode(b"\x00" + hash160(public_key))
-
-
-def address_for_key(secret_key):
-    """Secret key -> its compressed-key P2PKH address."""
-    return p2pkh_address(derive_public_key(secret_key))

@@ -7,7 +7,7 @@ import pytest
 
 from teefab.cli import _build_config
 from teefab.config import SimConfig, load_config
-from teefab.internal_api import Csprng
+from teefab.internal_api import Csprng, DeviceKey
 
 
 def write_config(tmp_path, text):
@@ -26,7 +26,7 @@ def test_a_config_keeps_its_defaults_and_takes_only_its_fields():
     assert vars(SimConfig()) == {
         "enclave_count": 4, "device_profile": "zu3eg",
         "storage_dir": "teefab-storage", "uart_dir": None, "rng_seed": None,
-        "huk": None, "huk_seed": None, "dma_ns_per_byte": 0,
+        "huk_seed": "teefab-default-device", "dma_ns_per_byte": 0,
         "dma_ns_per_op": 0}
     assert SimConfig(rng_seed=3) == SimConfig(rng_seed=3) != SimConfig()
     with pytest.raises(TypeError, match="bogus"):
@@ -46,7 +46,7 @@ def test_a_config_field_can_be_set_after_it_is_made(tmp_path):
     # Every field is a key a config file may set.
     samples = {"enclave_count": "2", "device_profile": "zu3eg",
                "storage_dir": "s", "uart_dir": "u", "rng_seed": "9",
-               "huk": "ab" * 32, "huk_seed": "x", "dma_ns_per_byte": "1",
+               "huk_seed": "x", "dma_ns_per_byte": "1",
                "dma_ns_per_op": "1"}
     assert samples.keys() == vars(SimConfig()).keys()
     for key, value in samples.items():
@@ -92,6 +92,12 @@ def test_unknown_keys_rejected(tmp_path):
     # The profile has one name; `device` is no alias of it.
     with pytest.raises(ValueError, match="unknown key 'device'"):
         load_config(write_config(tmp_path, "device = zu3eg\n"))
+    # `huk_seed` is the one form of the device secret; `huk` is no key.
+    with pytest.raises(ValueError, match="unknown key 'huk'"):
+        load_config(write_config(
+            tmp_path, f"huk = {'ab' * 32}\nhuk_seed = unit-test\n"))
+    with pytest.raises(TypeError, match="huk"):
+        SimConfig(huk="ab" * 32)
 
 
 def test_malformed_lines_name_position(tmp_path):
@@ -114,28 +120,26 @@ def test_validate_enclave_count_bounds():
     assert SimConfig(enclave_count=6).validate().enclave_count == 6
 
 
-def test_validate_huk_shape():
-    SimConfig(huk="ab" * 32).validate()
-    with pytest.raises(ValueError, match="64 hex characters"):
-        SimConfig(huk="abc").validate()
-    with pytest.raises(ValueError, match="64 hex characters"):
-        SimConfig(huk="zz" * 32).validate()
-
-
-def test_huk_and_huk_seed_together_rejected(tmp_path):
-    with pytest.raises(ValueError, match="huk or huk_seed"):
-        SimConfig(huk="ab" * 32, huk_seed="unit-test").validate()
-    with pytest.raises(ValueError, match="huk or huk_seed"):
-        load_config(write_config(
-            tmp_path, f"huk = {'ab' * 32}\nhuk_seed = unit-test\n"))
+def test_a_device_seed_is_a_string():
+    """`bytes(seed)` would give 5 the key of five zero bytes, 0 the key of
+    "", and take a list: a config refuses any seed but a str, and the
+    device key any but a str or bytes."""
+    for seed in (5, 0, [1, 2], None, b"bytes"):
+        with pytest.raises(ValueError, match="huk_seed must be a string"):
+            SimConfig(huk_seed=seed).validate()
+    for seed in (5, 0, [1, 2], None, bytearray(b"x")):
+        with pytest.raises(TypeError, match="str or bytes"):
+            DeviceKey.from_seed(seed)
+    unit = uuid.UUID(int=1)
+    assert DeviceKey.from_seed(b"\0" * 5).sealing_key(unit) \
+        != DeviceKey.from_seed("5").sealing_key(unit)
+    assert DeviceKey.from_seed("").sealing_key(unit) \
+        == DeviceKey.from_seed(b"").sealing_key(unit)
 
 
 def test_device_key_sources():
-    explicit = SimConfig(huk="ab" * 32).validate().device_key()
     seeded = SimConfig(huk_seed="unit-test").validate().device_key()
     default = SimConfig().validate().device_key()
-    assert explicit.sealing_key(uuid.UUID(int=1)) \
-        != seeded.sealing_key(uuid.UUID(int=1))
     assert default.sealing_key(uuid.UUID(int=1)) \
         != seeded.sealing_key(uuid.UUID(int=1))
     again = SimConfig(huk_seed="unit-test").validate().device_key()

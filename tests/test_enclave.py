@@ -249,10 +249,10 @@ def test_increment_round_trip(core):
     reply = exchange(core, OperationId.INVOKE, sid,
                      [(ParamKind.VALUE_INOUT, 41, 0)])
     assert reply.code is ReturnCode.SUCCESS
-    assert reply.param_words(0)[0] == 42
+    assert reply.gp[0] == 42
     reply = exchange(core, OperationId.INVOKE, sid,
                      [(ParamKind.VALUE_INOUT, 0xFFFFFFFF, 0)])
-    assert reply.param_words(0)[0] == 0
+    assert reply.gp[0] == 0
     assert exchange(core, OperationId.CLOSE, sid).code is ReturnCode.SUCCESS
 
 
@@ -323,7 +323,7 @@ def test_probe_sees_no_predecessor_bytes(core):
     sid = open_session(core)
     reply = exchange(core, OperationId.INVOKE, sid,
                      [(ParamKind.VALUE_OUT, 0, 0)])
-    nonzero_beyond_image, sentinel_count = reply.param_words(0)
+    nonzero_beyond_image, sentinel_count = reply.gp[0:2]
     assert (nonzero_beyond_image, sentinel_count) == (0, 0)
 
 
@@ -333,7 +333,7 @@ def test_boot_reports_the_image_size_to_the_ta(core, payload_len):
     sid = open_session(core)
     reply = exchange(core, OperationId.INVOKE, sid,
                      [(ParamKind.VALUE_OUT, 0, 0)])
-    assert reply.param_words(0)[0] == len(image)
+    assert reply.gp[0] == len(image)
 
 
 def test_probe_scans_past_its_own_payload(core):
@@ -343,11 +343,11 @@ def test_probe_scans_past_its_own_payload(core):
     sid = open_session(core)
     reply = exchange(core, OperationId.INVOKE, sid,
                      [(ParamKind.VALUE_OUT, 0, 0)])
-    assert reply.param_words(0) == (0, 0)
+    assert reply.gp[0:2] == (0, 0)
     core.tcm.write(TCM_SIZE - 1, b"\x01")
     reply = exchange(core, OperationId.INVOKE, sid,
                      [(ParamKind.VALUE_OUT, 0, 0)])
-    assert reply.param_words(0) == (1, 0)
+    assert reply.gp[0:2] == (1, 0)
 
 
 def test_fault_containment(core):
@@ -457,7 +457,7 @@ def test_a_raised_length_word_reaches_no_byte_past_the_grant(core):
     ReachTa.probes.clear()
     reply = exchange(core, OperationId.INVOKE, sid, [GRANT], cmd_id=0)
     assert reply.code is ReturnCode.SUCCESS
-    assert reply.param_words(0) == (GRANT_AT, 64)   # what the TA reported
+    assert reply.gp[0:2] == (GRANT_AT, 64)   # what the TA reported
     assert ReachTa.probes == [PROBED]
     assert core.window.read(0, SHM_WINDOW_SIZE) == _window_after_probe()
 
@@ -534,7 +534,7 @@ def test_malformed_frame_words(core, monkeypatch):
     assert bodies == []
     # The same frame without the damage reaches the TA body.
     reply = decode_reply(core.deliver(good))
-    assert reply.code is ReturnCode.SUCCESS and reply.param_words(0) == (42, 0)
+    assert reply.code is ReturnCode.SUCCESS and reply.gp[0:2] == (42, 0)
     assert len(bodies) == 1
 
 
@@ -548,7 +548,7 @@ def test_shmem16_writes_window(core):
     reply = exchange(core, OperationId.INVOKE, sid,
                      [(ParamKind.MEMREF, 32, 16)])
     assert reply.code is ReturnCode.SUCCESS
-    assert reply.param_words(0) == (32, 16)
+    assert reply.gp[0:2] == (32, 16)
     assert core.window.read(32, 16) == bytes(range(16))
 
 
@@ -559,7 +559,7 @@ def test_echo_copies_value_pair(core):
                      [(ParamKind.VALUE_IN, 5, 6), (ParamKind.VALUE_OUT, 0, 0)],
                      cmd_id=0)
     assert reply.code is ReturnCode.SUCCESS
-    assert reply.param_words(1) == (5, 6)
+    assert reply.gp[2:4] == (5, 6)
 
 
 def test_echo_reverses_memref(core):

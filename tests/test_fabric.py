@@ -440,6 +440,35 @@ def test_close_frees_slot_async(fabric):
     fabric.audit()
 
 
+@pytest.mark.parametrize("index", [-1, -2, 2, "0"],
+                         ids=["minus_one", "minus_two", "past_end", "text"])
+def test_an_index_that_names_no_slot_is_refused(fabric, index):
+    """On two slots, -2 would alias slot 0 and 2 would raise IndexError:
+    each entry point refuses any index but 0 and 1, and slot 0 keeps its
+    session."""
+    slot, sid = open_ta(fabric, TA_KIND_INCREMENT)
+    assert slot == 0
+    invoke = MailboxFrame.build(OperationId.INVOKE, sid,
+                                [(ParamKind.VALUE_INOUT, 7, 0)])
+    calls = {
+        "manager_close": lambda: fabric.manager_close(index),
+        "release_pending": lambda: fabric.release_pending(index),
+        "comm_dispatch": lambda: fabric.comm_dispatch(index, invoke),
+        "exchange": lambda: fabric.exchange(index),
+        "slot_load": lambda: fabric.slot_load(index),
+        "shm_write": lambda: fabric.shm_write(index, 0, b"abcd"),
+        "shm_read": lambda: fabric.shm_read(index, 0, 4),
+        "slot_runtime": lambda: fabric.slot_runtime(index),
+    }
+    for name, call in calls.items():
+        with pytest.raises(AccessDeniedError, match="no slot"):
+            call()
+    row = fabric.slot_snapshot()[0]
+    assert row["state"] == "TAKEN" and row["sessions"] == 1
+    assert fabric.comm_dispatch(0, invoke).gp[0] == 8
+    fabric.audit()
+
+
 def test_release_pending_without_open(fabric):
     ta_uuid, image = make_image(TA_KIND_INCREMENT)
     offset, size = fabric.cm_stage(image)

@@ -21,14 +21,14 @@ _HOMES = {
         "CMD_SIGN", "CMD_GET_ADDRESS", "PIN_MAX", "HARDENED_BIT")},
     **{name: "protocol.py" for name in (
         "TA_KIND_INCREMENT", "TA_KIND_SHMEM16", "TA_KIND_ECHO",
-        "TA_KIND_PROBE")},
+        "TA_KIND_PROBE", "TA_KIND_WALLET")},
 }
 
 # Code on the REE side of the mailbox, and the trusted modules it must
 # not import, each with everything under it.
 _REE_FILES = (
     "src/teefab/client_api.py", "src/teefab/bench.py", "src/teefab/cli.py",
-    "src/teefab/wallet/client.py",
+    "src/teefab/wallet/__init__.py", "src/teefab/wallet/client.py",
     *sorted(path.relative_to(_REPO).as_posix()
             for path in (_REPO / "demos").glob("*.py")))
 _TRUSTED = ("teefab.enclave", "teefab.internal_api", "teefab.wallet.ta",
@@ -76,6 +76,15 @@ def test_each_wire_constant_is_assigned_once_in_its_home():
             if name in found:
                 found[name].append(path.relative_to(_SRC).as_posix())
     assert found == {name: [home] for name, home in _HOMES.items()}
+
+
+def test_only_the_core_registers_ta_kinds():
+    callers = {
+        path.relative_to(_SRC).as_posix() for path in _SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "register_ta_kind"}
+    assert callers == {"enclave.py"}
 
 
 @pytest.mark.parametrize("name", _REE_FILES)

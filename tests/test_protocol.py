@@ -26,7 +26,6 @@ from teefab.protocol import (
     ParamKind,
     ReturnCode,
     TAImage,
-    bytes_to_words,
     decode_frame,
     decode_image,
     decode_image_prefix,
@@ -75,7 +74,6 @@ def test_frame_layout_is_twelve_words_little_endian():
     assert len(raw) == 48
     assert struct.unpack("<12I", raw) == tuple(words)
     assert words[0] == 2 and words[1] == 0xDEAD and words[11] == 42
-    assert bytes_to_words(raw) == tuple(words)
 
 
 def test_frame_param_words_ownership():
@@ -84,9 +82,9 @@ def test_frame_param_words_ownership():
         [(ParamKind.VALUE_IN, 10, 11), (ParamKind.VALUE_OUT, 0, 0),
          (ParamKind.MEMREF, 64, 16), (ParamKind.VALUE_INOUT, 30, 31)],
         cmd_id=9)
-    assert frame.param_words(0) == (10, 11)
-    assert frame.param_words(2) == (64, 16)
-    assert frame.param_words(3) == (30, 31)
+    assert frame.gp[0:2] == (10, 11)
+    assert frame.gp[4:6] == (64, 16)
+    assert frame.gp[6:8] == (30, 31)
     assert frame.kinds()[2] is ParamKind.MEMREF
 
 
@@ -140,7 +138,7 @@ def test_reply_round_trip():
     decoded = decode_reply(encode_reply(reply))
     assert decoded.code is ReturnCode.ERROR_SHORT_BUFFER
     assert decoded.session_id == 3
-    assert decoded.param_words(0) == (0, 16)
+    assert decoded.gp[0:2] == (0, 16)
 
 
 def test_error_for_code_maps_every_failure():

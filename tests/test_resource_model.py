@@ -61,6 +61,26 @@ def test_fit_scan_matches_ceiling():
     assert over.get(binding) > ZU3EG.capacity.get(binding)
 
 
+@pytest.mark.parametrize("limits, ceiling", [
+    ({"lut": 30000}, (5, "lut")),
+    ({"lutram": 1000}, (2, "lutram")),
+    ({"ff": 35000}, (5, "ff")),
+    ({"bram": 110}, (3, "bram")),
+    ({"dsp": 20}, (6, "dsp")),
+    # Both run out at the first enclave; bram is twice over, lut 9% over.
+    ({"lut": 9000, "bram": 17}, (0, "bram")),
+], ids=["lut", "lutram", "ff", "bram", "dsp", "none_fits"])
+def test_the_ceiling_names_the_resource_that_binds_first(limits, ceiling):
+    """Every fit resource but the ones limited is plentiful."""
+    capacity = {**dict.fromkeys(FIT_RESOURCES, 10 ** 6), "io": 100,
+                "bufg": 100, **limits}
+    device = DeviceProfile("limited", ResourceVector(**capacity))
+    assert max_enclaves(device) == ceiling
+    count, _ = ceiling
+    assert not fits(count + 1, device)
+    assert count == 0 or fits(count, device)
+
+
 def test_io_and_bufg_never_bind():
     tight = DeviceProfile("tight", ResourceVector(
         lut=10 ** 9, lutram=10 ** 9, ff=10 ** 9, bram=10 ** 9, dsp=10 ** 9,
