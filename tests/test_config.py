@@ -92,10 +92,16 @@ def test_unknown_keys_rejected(tmp_path):
     # The profile has one name; `device` is no alias of it.
     with pytest.raises(ValueError, match="unknown key 'device'"):
         load_config(write_config(tmp_path, "device = zu3eg\n"))
-    # `huk_seed` is the one form of the device secret; `huk` is no key.
+
+
+def test_huk_and_huk_seed_together_rejected(tmp_path):
+    # `huk_seed` is the one form of the device secret; `huk` is no key, so
+    # a config that sets it beside `huk_seed` is refused, in a file or not.
     with pytest.raises(ValueError, match="unknown key 'huk'"):
         load_config(write_config(
             tmp_path, f"huk = {'ab' * 32}\nhuk_seed = unit-test\n"))
+    with pytest.raises(TypeError, match="huk"):
+        SimConfig(huk="ab" * 32, huk_seed="unit-test")
     with pytest.raises(TypeError, match="huk"):
         SimConfig(huk="ab" * 32)
 
