@@ -67,9 +67,10 @@ class Value:
             self.direction = _DIRECTIONS[direction]
         except (KeyError, TypeError):
             self.direction = Direction(direction)
-        for word in (a, b):
-            if not isinstance(word, int) or not 0 <= word <= WORD_MASK:
-                raise BadParametersError(f"value word {word!r} is not 32-bit")
+        if not isinstance(a, int) or not 0 <= a <= WORD_MASK:
+            raise BadParametersError(f"value word {a!r} is not 32-bit")
+        if not isinstance(b, int) or not 0 <= b <= WORD_MASK:
+            raise BadParametersError(f"value word {b!r} is not 32-bit")
         self.a = a
         self.b = b
 
@@ -85,17 +86,18 @@ class SharedMemory:
 
     def write(self, data, at=0):
         data = bytes(data)
-        if at < 0 or at + len(data) > self.length:
+        if not isinstance(at, int) or at < 0 or at + len(data) > self.length:
             raise BadParametersError(
-                f"write [{at}, +{len(data)}) outside {self.length}-byte block")
+                f"write [{at!r}, +{len(data)}) outside {self.length}-byte block")
         self.buffer[at:at + len(data)] = data
 
     def read(self, at=0, length=None):
-        if length is None:
+        if length is None and isinstance(at, int):
             length = self.length - at
-        if at < 0 or length < 0 or at + length > self.length:
+        if (not isinstance(at, int) or not isinstance(length, int) or at < 0
+                or length < 0 or at + length > self.length):
             raise BadParametersError(
-                f"read [{at}, +{length}) outside {self.length}-byte block")
+                f"read [{at!r}, +{length!r}) outside {self.length}-byte block")
         return bytes(self.buffer[at:at + length])
 
 
@@ -112,26 +114,8 @@ class Operation:
                     f"parameter must be Value or SharedMemory, got {param!r}")
         self.params = list(params) + [None] * (PARAM_SLOTS - len(params))
 
-    def _marshal(self):
-        """One walk over the parameters: (kinds, gp words, shared), where
-        shared pairs each SharedMemory with its index. OUT value words
-        travel as zeros."""
-        kinds, words, shared = [], [], []
-        for index, param in enumerate(self.params):
-            if param is None:
-                kinds.append(_NONE)
-                words += (0, 0)
-            elif isinstance(param, Value):
-                kinds.append(_VALUE_KINDS[param.direction])
-                if param.direction is _OUT:
-                    words += (0, 0)
-                else:
-                    words += (param.a, param.b)
-            else:
-                kinds.append(_MEMREF)
-                words += (param.offset, param.length)
-                shared.append((index, param))
-        return kinds, words, shared
+
+_NO_OPERATION = Operation()     # what a bare invoke sends; never mutated
 
 
 class InvokeResult:
@@ -149,6 +133,8 @@ class InvokeResult:
 
     def value(self, index):
         """(a, b) words of an output-capable value parameter."""
+        if not isinstance(index, int) or not 0 <= index < PARAM_SLOTS:
+            raise BadParametersError(f"no parameter {index!r}")
         if self._kinds[index] not in _OUTPUT_VALUES:
             raise BadParametersError(
                 f"parameter {index} is {self._kinds[index].name}, not an "
@@ -157,6 +143,8 @@ class InvokeResult:
 
     def memref_length(self, index):
         """The length word the TA left on a memref (short-buffer reporting)."""
+        if not isinstance(index, int) or not 0 <= index < PARAM_SLOTS:
+            raise BadParametersError(f"no parameter {index!r}")
         if self._kinds[index] is not _MEMREF:
             raise BadParametersError(
                 f"parameter {index} is {self._kinds[index].name}, not a memref")
@@ -199,9 +187,8 @@ class Context:
         last_error = None
         for _ in range(_OPEN_RETRIES):
             slot, _fresh = self.fabric.manager_open(ta_uuid, cm_addr, size)
-            with self.fabric.exchange(slot):
-                hosted, generation = self.fabric.slot_load(slot)
-                if hosted != ta_uuid:
+            with self.fabric.exchange(slot) as (hosted, generation):
+                if hosted is not ta_uuid and hosted != ta_uuid:
                     # Torn down (and maybe reloaded) since the lookup; the
                     # teardown dropped this open's retain with the load.
                     last_error = AccessDeniedError(
@@ -245,8 +232,8 @@ class Session:
         self.uuid = ta_uuid
         self.slot_index = slot_index
         self.session_id = session_id
-        # `fabric.slot_load` while the slot hosts the load this session was
-        # opened on; a reloaded core numbers its sessions from 1 again.
+        # What `exchange` yields while the slot hosts this session's load;
+        # a reloaded core numbers its sessions from 1 again.
         self._load = (ta_uuid, generation)
         self._exchange = context.fabric.exchange(slot_index)
         self._shm_cursor = 0
@@ -270,16 +257,31 @@ class Session:
         return block
 
     def invoke_command(self, cmd_id, operation=None):
-        """Marshal, copy shared buffers in, dispatch, copy back out."""
+        """Marshal in one walk over the parameters (OUT value words travel
+        as zeros), copy shared buffers in, dispatch, copy back out."""
         if not self.session_id:
             raise BadParametersError("session is closed")
-        kinds, words, shared = (operation or Operation())._marshal()
+        kinds, words, shared = [], [], []
+        for index, param in enumerate((operation or _NO_OPERATION).params):
+            if param is None:
+                kinds.append(_NONE)
+                words += (0, 0)
+            elif isinstance(param, Value):
+                kinds.append(_VALUE_KINDS[param.direction])
+                if param.direction is _OUT:
+                    words += (0, 0)
+                else:
+                    words += (param.a, param.b)
+            else:
+                kinds.append(_MEMREF)
+                words += (param.offset, param.length)
+                shared.append((index, param))
         frame = MailboxFrame.build(_INVOKE, self.session_id,
                                    kinds, gp=words, cmd_id=cmd_id)
         fabric = self.context.fabric
         slot = self.slot_index
-        with self._exchange:
-            if fabric.slot_load(slot) != self._load:
+        with self._exchange as load:
+            if load != self._load:
                 raise AccessDeniedError(
                     f"slot {slot} no longer hosts the load "
                     f"session {self.session_id} was opened on")
@@ -306,11 +308,10 @@ class Session:
         if not self.session_id:
             return
         frame = MailboxFrame.build(_CLOSE, self.session_id)
-        fabric = self.context.fabric
-        with self._exchange:
-            if fabric.slot_load(self.slot_index) == self._load:
+        with self._exchange as load:
+            if load == self._load:
                 try:
-                    fabric.comm_dispatch(self.slot_index, frame)
+                    self.context.fabric.comm_dispatch(self.slot_index, frame)
                 except AccessDeniedError:
                     pass  # torn down under way: the session is gone
         self.session_id = 0

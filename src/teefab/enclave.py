@@ -219,12 +219,14 @@ class TaParams:
         if self._kinds[index] not in _WRITABLE:
             raise BadParametersError(
                 f"parameter {index} is {self._kinds[index].name}, not writable")
-        for slot, word in ((2 * index, a), (2 * index + 1, b)):
-            if word is None:
-                continue
-            if not isinstance(word, int) or not 0 <= word <= WORD_MASK:
-                raise BadParametersError(f"value word {word!r} is not 32-bit")
-            self._words[slot] = word
+        if a is not None:
+            if not isinstance(a, int) or not 0 <= a <= WORD_MASK:
+                raise BadParametersError(f"value word {a!r} is not 32-bit")
+            self._words[2 * index] = a
+        if b is not None:
+            if not isinstance(b, int) or not 0 <= b <= WORD_MASK:
+                raise BadParametersError(f"value word {b!r} is not 32-bit")
+            self._words[2 * index + 1] = b
 
     @property
     def memory(self):
@@ -508,8 +510,9 @@ class EnclaveRuntime:
             self.uart.log(f"boot: ta {ta_uuid} kind {ta_kind}")
 
     def deliver(self, words):
-        """Place a request, ring INT and run the ISR on this thread; the
-        ISR's `decode_frame` converts and checks the words."""
+        """Place a request, ring INT and serve it in the ISR on this thread;
+        returns the 12 reply words. The ISR checks the words once, in
+        `decode_frame`, and encodes the reply from its fields."""
         if len(words) != MAILBOX_WORDS:
             raise InvalidFrame(f"mailbox holds {MAILBOX_WORDS} words")
         reply = None
@@ -522,7 +525,56 @@ class EnclaveRuntime:
             self._mailbox[:] = words
             self._int = True
             try:
-                reply = self._dispatch(words)
+                frame = decode_frame(words)
+                params = TaParams(_KINDS_BY_WORD[frame.param_type], frame.gp,
+                                  self)
+                code = _SUCCESS
+                session_out = frame.session_id
+                try:
+                    if frame.operation is _OPEN:
+                        if self._ta is None:    # the load's first session
+                            self._ta = self._ta_factory(TaEnvironment(
+                                self._ta_uuid,
+                                *self._services.for_ta(self._ta_uuid),
+                                self.uart, self._rst, self._image_size,
+                                self._turnstile))
+                        context = self._ta.open_session(params)
+                        self._last_sid = session_out = (
+                            (self._last_sid + 1) & WORD_MASK or 1)
+                        self._sessions[session_out] = context
+                    elif frame.session_id not in self._sessions:
+                        raise BadParametersError(
+                            f"no session {frame.session_id}")
+                    elif frame.operation is _INVOKE:
+                        # The core holds its TA while any session is open.
+                        self._ta.invoke_command(
+                            self._sessions[frame.session_id], frame.cmd_id,
+                            params)
+                    else:
+                        self._ta.close_session(
+                            self._sessions.pop(frame.session_id))
+                        if not self._sessions:
+                            self._ta.destroy()
+                            self._ta = None
+                except BaseException as exc:
+                    code = self._failure(exc)
+                    if frame.operation is _OPEN:
+                        session_out = 0
+                if (frame.operation is _OPEN and code is not _SUCCESS
+                        and not self._sessions and self._ta is not None):
+                    # Balance the instance created for a rejected first open.
+                    ta, self._ta = self._ta, None
+                    try:
+                        ta.destroy()
+                    except BaseException as exc:
+                        code = self._failure(exc)
+                reply = encode_reply((code, session_out, frame.param_type,
+                                      params._words, frame.cmd_id))
+            except InvalidFrame as exc:
+                # Only from `decode_frame`: a TA's errors are caught above.
+                self.uart.log(f"isr: bad frame: {exc}")
+                reply = encode_reply(
+                    (ReturnCode.ERROR_BAD_PARAMETERS, 0, 0, (0,) * 8, 0))
             except AbortedError:
                 pass
             finally:
@@ -584,64 +636,6 @@ class EnclaveRuntime:
         self._sessions.clear()
         self._last_sid = 0
         self._reply_serial = 0
-
-    def _next_sid(self):
-        self._last_sid = (self._last_sid + 1) & WORD_MASK or 1
-        return self._last_sid
-
-    def _dispatch(self, words):
-        """Serve one mailbox frame; returns the 12 reply words. The frame
-        is decoded and validated once, and its kinds unpacked once, here;
-        the reply is encoded from its fields."""
-        try:
-            frame = decode_frame(words)
-        except InvalidFrame as exc:
-            self.uart.log(f"isr: bad frame: {exc}")
-            return encode_reply(
-                (ReturnCode.ERROR_BAD_PARAMETERS, 0, 0, (0,) * 8, 0))
-        params = TaParams(_KINDS_BY_WORD[frame.param_type], frame.gp, self)
-        code = _SUCCESS
-        session_out = frame.session_id
-        try:
-            if frame.operation is _OPEN:
-                if self._ta is None:    # the load's first session
-                    self._ta = self._ta_factory(TaEnvironment(
-                        self._ta_uuid, *self._services.for_ta(self._ta_uuid),
-                        self.uart, self._rst, self._image_size,
-                        self._turnstile))
-                context = self._ta.open_session(params)
-                sid = self._next_sid()
-                self._sessions[sid] = context
-                session_out = sid
-            elif frame.operation is _INVOKE:
-                if frame.session_id not in self._sessions:
-                    raise BadParametersError(f"no session {frame.session_id}")
-                # The core holds its TA while any session is open.
-                self._ta.invoke_command(
-                    self._sessions[frame.session_id], frame.cmd_id, params)
-            else:
-                if frame.session_id not in self._sessions:
-                    raise BadParametersError(f"no session {frame.session_id}")
-                context = self._sessions.pop(frame.session_id)
-                ta = self._ta
-                ta.close_session(context)
-                if not self._sessions:
-                    ta.destroy()
-                    self._ta = None
-        except BaseException as exc:
-            code = self._failure(exc)
-            if frame.operation is _OPEN:
-                session_out = 0
-        if (frame.operation is _OPEN and code is not _SUCCESS
-                and not self._sessions and self._ta is not None):
-            # Balance the instance created for a rejected first open.
-            ta, self._ta = self._ta, None
-            try:
-                ta.destroy()
-            except BaseException as exc:
-                code = self._failure(exc)
-        return encode_reply(
-            (code, session_out, frame.param_type, params._words, frame.cmd_id))
 
     def _failure(self, exc):
         """The reply code for `exc`, which a TA raised, called in the

@@ -203,7 +203,9 @@ class Turnstile:
             self._running -= 1
             if not (self._running or self._parked):
                 return
-            self._handover()
+            if not self._running:  # `_handover`'s rule, copied in place
+                self._running = 1
+                self._parked.popleft().release()
             waiter = turn.waiter
             self._parked.append(waiter)
         self._park(waiter)
@@ -239,36 +241,37 @@ class Turnstile:
 
     def _handover(self):
         """The last running contender wakes the oldest parked one, or it
-        would wait out its bound. Caller holds the mutex."""
+        would wait out its bound. Caller holds the mutex; `leave` copies it."""
         if not self._running and self._parked:
             self._running += 1
             self._parked.popleft().release()
 
 
 class _Exchange:
-    """`with fabric.exchange(slot)`: the slot lock for one request, and a
-    turn at the fabric's turnstile. A thread that cannot get the slot lock
-    within a switch interval waits on for it outside the contention, as
-    one behind a TA in `env.sleep` would hold up every other client."""
+    """`with fabric.exchange(slot) as load`: the slot lock for one request,
+    a turn at the turnstile, and `slot_load`'s reading, which holds until
+    the exchange ends. A thread that misses the lock for a switch interval
+    waits on outside the contention, lest it hold up every other client."""
 
-    __slots__ = ("_lock", "_turnstile")
+    __slots__ = ("_slot", "_turnstile")
 
-    def __init__(self, lock, turnstile):
-        self._lock = lock
+    def __init__(self, slot, turnstile):
+        self._slot = slot
         self._turnstile = turnstile
 
     def __enter__(self):
         self._turnstile.enter()
-        lock = self._lock
+        slot = self._slot
+        lock = slot.runtime.lock
         if not (lock.acquire(False)
                 or lock.acquire(True, sys.getswitchinterval())):
             with self._turnstile.stepped_out():
                 lock.acquire()
-        return self
+        return (slot.uuid if slot.state is _TAKEN else None), slot.generation
 
     def __exit__(self, *exc_info):
         # Parks, if at all, only after the slot lock is let go.
-        self._lock.release()
+        self._slot.runtime.lock.release()
         self._turnstile.leave()
         return False
 
@@ -281,7 +284,7 @@ class EnclaveSlot:
     def __init__(self, index, runtime, turnstile):
         self.index = index
         self.runtime = runtime
-        self.exchange = _Exchange(runtime.lock, turnstile)
+        self.exchange = _Exchange(self, turnstile)
         self.state = SlotState.FREE
         self.uuid = None
         self.generation = 0  # completed loads; binds sessions to one load
@@ -315,9 +318,8 @@ class Fabric:
         self.turnstile = Turnstile()
         self._slots = _Slots()
         for index in range(self.config.enclave_count):
-            uart_path = None
-            if uart_dir is not None:
-                uart_path = Path(uart_dir) / f"enclave{index}.log"
+            uart_path = (None if uart_dir is None
+                         else Path(uart_dir) / f"enclave{index}.log")
             runtime = EnclaveRuntime(index, self.services, self.turnstile,
                                      uart_path)
             self._slots[index] = EnclaveSlot(index, runtime, self.turnstile)
@@ -366,7 +368,8 @@ class Fabric:
                 # Another caller is loading this TA; join its outcome.
                 self._wait()
             if size > MAX_IMAGE_SIZE:
-                self._load_status(ta_uuid, LoadStatus.ERR_SIZE)
+                self._log("load_status", None, uuid=ta_uuid,
+                          status=LoadStatus.ERR_SIZE)
                 raise ImageSizeError(
                     f"image of {size} bytes exceeds the {MAX_IMAGE_SIZE}-byte "
                     f"private memory")
@@ -392,7 +395,8 @@ class Fabric:
                         f"no trusted application registered for ta_kind "
                         f"{ta_kind}")
             except (ImageFormatError, ImageSizeError):
-                self._load_status(ta_uuid, LoadStatus.ERR_FORMAT)
+                self._log("load_status", None, uuid=ta_uuid,
+                          status=LoadStatus.ERR_FORMAT)
                 raise
             record = self._acquire_free_slot(ta_uuid)
         slot = record.index
@@ -401,33 +405,32 @@ class Fabric:
             record.runtime.deassert_reset(ta_uuid, ta_kind, size, factory)
         except Exception:
             with self._manager:
-                self._load_status(ta_uuid, LoadStatus.ERR_FORMAT, slot)
+                self._log("load_status", slot, uuid=ta_uuid,
+                          status=LoadStatus.ERR_FORMAT)
                 record.state = _CLEANING
             self._scrub(record)
             raise
-        # Committed under the slot lock too, which `slot_load` reads under.
+        # Committed under the slot lock too, which an exchange reads under.
         with record.runtime.lock, self._manager:
             record.state = _TAKEN
             record.generation += 1
             record.pending = 1
             self._load_count += 1
-            self._load_status(ta_uuid, LoadStatus.LOADED, slot)
+            self._log("load_status", slot, uuid=ta_uuid,
+                      status=LoadStatus.LOADED)
             if self._waiting:
                 self._changed.notify_all()
         self._log("open", slot, uuid=ta_uuid, warm=False)
         return slot, True
-
-    def _load_status(self, ta_uuid, status, slot=None):
-        """Log the outcome of the load of ta_uuid."""
-        self._log("load_status", slot, uuid=ta_uuid, status=status)
 
     def _hosting(self, ta_uuid):
         """The record LOADING or TAKEN for ta_uuid, or None; no uuid is
         claimed on two slots. Caller holds the manager lock."""
         for record in self._slots.values():
             state = record.state
-            if ((state is _TAKEN or state is _LOADING)
-                    and record.uuid == ta_uuid):
+            # `is` first: the manager stores the caller's own UUID.
+            if ((state is _TAKEN or state is _LOADING) and (
+                    record.uuid is ta_uuid or record.uuid == ta_uuid)):
                 return record
         return None
 
@@ -451,7 +454,8 @@ class Fabric:
                     record.uuid = ta_uuid
                     return record
             if not any(r.state is _CLEANING for r in self._slots.values()):
-                self._load_status(ta_uuid, LoadStatus.ERR_FULL)
+                self._log("load_status", None, uuid=ta_uuid,
+                          status=LoadStatus.ERR_FULL)
                 raise OutOfEnclavesError("no free enclave slot")
             self._wait()
 
@@ -500,7 +504,7 @@ class Fabric:
         """CLEANING -> FREE on the calling thread. The reset aborts a
         dispatch in flight and zeroizes after any REE window copy already
         under way; CLEANING refuses new ones. The slot is freed under its
-        lock, which `slot_load` relies on."""
+        lock, under which an exchange reads the load."""
         runtime = record.runtime
         runtime.assert_reset()
         with runtime.lock, self._manager:
@@ -532,12 +536,14 @@ class Fabric:
                 raise AccessDeniedError(
                     f"slot {slot_index} was reset mid-request") from None
             finally:
-                # On every exit, a reply or an exception: the code is None
-                # when no reply came back.
-                self._log("dispatch", slot_index, op=frame.operation,
-                          cmd=frame.cmd_id,
-                          code=None if reply is None else reply.code,
-                          dur_ns=time.perf_counter_ns() - start)
+                # Logged on every exit, by `_log`'s rule copied in place.
+                fields = {"op": frame.operation, "cmd": frame.cmd_id,
+                          "code": None if reply is None else reply.code,
+                          "dur_ns": time.perf_counter_ns() - start}
+                with self._log_lock:
+                    self._seq += 1
+                    self._events.append(tuple.__new__(
+                        Event, (self._seq, "dispatch", slot_index, fields)))
                 # Under the slot lock, so the slot still holds the load
                 # that answered. A faulted core is scrubbed at once, which
                 # ends every session on the slot; a CLOSE frees the slot
@@ -559,7 +565,7 @@ class Fabric:
         """(uuid, generation) of the load the slot hosts; uuid is None unless
         the slot is TAKEN. Read under the slot lock, under which a load
         commits and a scrub frees the slot, not the fabric-wide manager
-        lock. Read under `exchange`, it holds until released."""
+        lock. Inside an exchange, take what `exchange` yields instead."""
         record = self._slots[slot_index]
         with record.runtime.lock:
             taken = record.state is _TAKEN

@@ -57,26 +57,25 @@ def percent_string(count, capacity):
     return f"{whole}.{frac:02d}"
 
 
-def utilization(n_enclaves, device=ZU3EG):
-    """Resource usage of an n-enclave design: measured rows for n <= 4,
+def _counts(n_enclaves):
+    """Resource counts of an n-enclave design: measured rows for n <= 4,
     linear extrapolation from the 4-enclave row beyond that."""
     if not isinstance(n_enclaves, int) or n_enclaves < 1:
         raise InvalidEnclaveCount(f"enclave count must be >= 1, got {n_enclaves!r}")
-    if n_enclaves in MEASURED:
-        counts = MEASURED[n_enclaves]
-    else:
-        extra = n_enclaves - 4
-        base = MEASURED[4]
-        counts = ResourceVector(**{
-            r: base.get(r) + extra * DELTA.get(r) for r in RESOURCES})
-    percent = {r: percent_string(counts.get(r), device.capacity.get(r))
-               for r in RESOURCES}
-    return counts, percent
+    extra = n_enclaves - 4
+    return MEASURED.get(n_enclaves) or ResourceVector(**{
+        r: MEASURED[4].get(r) + extra * DELTA.get(r) for r in RESOURCES})
+
+
+def utilization(n_enclaves, device=ZU3EG):
+    """(counts, percentages of the device) of an n-enclave design."""
+    counts = _counts(n_enclaves)
+    return counts, {r: percent_string(counts.get(r), device.capacity.get(r))
+                    for r in RESOURCES}
 
 
 def fits(n_enclaves, device=ZU3EG):
-    counts, _ = utilization(n_enclaves, device)
-    return counts.fits(device.capacity)
+    return _counts(n_enclaves).fits(device.capacity)
 
 
 def max_enclaves(device=ZU3EG):
@@ -85,7 +84,7 @@ def max_enclaves(device=ZU3EG):
     count = 0
     while fits(count + 1, device):
         count += 1
-    over, _ = utilization(count + 1, device)
+    over = _counts(count + 1)
     binding = max(FIT_RESOURCES,
                   key=lambda r: over.get(r) / device.capacity.get(r))
     return count, binding

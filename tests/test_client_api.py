@@ -85,11 +85,13 @@ def _frames_entered(call):
 
 
 def test_a_warm_request_stays_within_its_frame_budget(context):
-    """A warm increment enters at most 33 frames and a 256-byte echo at
-    most 40: a frame that only forwards a call, or rebuilds what its caller
-    holds, costs every request. A memref access is checked in the TA's
-    `MemRef` and an REE window copy by the window's `Space._check` under
-    `shm_write`/`shm_read`, each once."""
+    """A warm increment enters at most 28 frames and a 256-byte echo at
+    most 36: a frame that only forwards a call, or rebuilds what its caller
+    holds, costs every request. The session marshals its own operation and
+    reads its slot's load from the exchange, the fabric logs the dispatch
+    in place and the core serves the frame in `deliver`. A memref access
+    is checked in the TA's `MemRef` and an REE window copy by the window's
+    `Space._check` under `shm_write`/`shm_read`, each once."""
     inc = open_ta(context, TA_KIND_INCREMENT)
     echo = open_ta(context, TA_KIND_ECHO)
     block = echo.allocate_shared_memory(256, Direction.INOUT)
@@ -107,16 +109,16 @@ def test_a_warm_request_stays_within_its_frame_budget(context):
     increment()
     echo_block()            # warm-up: every lazy first use is behind us
     entered = _frames_entered(increment)
-    assert len(entered) <= 33, entered
+    assert len(entered) <= 28, entered
     entered = _frames_entered(echo_block)
-    assert len(entered) <= 40, entered
+    assert len(entered) <= 36, entered
     assert results == [(42, 0)] * 2
     assert block.read() == data[::-1]
 
 
 def test_a_cold_open_stays_within_its_frame_budget(fabric, context):
     """A cold open of a 32-byte image, one increment and the close that
-    scrubs the slot enter at most 121 frames: the manager parses the
+    scrubs the slot enter at most 109 frames: the manager parses the
     header once, looks the TA kind's factory up once and boots the core
     from that parse and that factory, and no frame packs the parameter
     kinds of an OPEN or CLOSE by hand."""
@@ -130,7 +132,7 @@ def test_a_cold_open_stays_within_its_frame_budget(fabric, context):
     cold_round()            # warm-up: the image is staged, lazy uses done
     loads = fabric.load_count
     entered = _frames_entered(cold_round)
-    assert len(entered) <= 121, entered
+    assert len(entered) <= 109, entered
     assert len(image) == 32 and fabric.load_count == loads + 1
 
 
@@ -296,6 +298,37 @@ def test_value_direction_gates_result_reads(context):
     session.close()
 
 
+@pytest.mark.parametrize("index", [4, -1, 1.0, "0", None])
+def test_a_result_index_outside_0_to_3_is_refused(context, index):
+    """-1 would read parameter 3's kind and words, and 4 would raise
+    IndexError: both reads refuse any index but the four parameters."""
+    session = open_ta(context, TA_KIND_ECHO)
+    result = session.invoke_command(0, Operation(
+        Value(Direction.IN, 9, 9), Value(Direction.OUT), None,
+        Value(Direction.OUT)))
+    assert result.value(1) == (9, 9) and result.value(3) == (0, 0)
+    for read in (result.value, result.memref_length):
+        with pytest.raises(BadParametersError, match="no parameter"):
+            read(index)
+    session.close()
+
+
+@pytest.mark.parametrize("call", [
+    lambda block: block.write(b"ab", at="x"),
+    lambda block: block.write(b"ab", at=1.5),
+    lambda block: block.read(at=1.0),
+    lambda block: block.read(0, 2.5),
+    lambda block: block.read(None, 2),
+], ids=["write_at_text", "write_at_float", "read_at_float",
+        "read_length_float", "read_at_none"])
+def test_a_shared_block_refuses_an_offset_that_is_no_int(call):
+    block = SharedMemory(0, 4, Direction.INOUT)
+    block.write(b"abcd")
+    with pytest.raises(BadParametersError, match="outside 4-byte block"):
+        call(block)
+    assert block.read() == b"abcd" and block.read(1, 2) == b"bc"
+
+
 def test_shared_memory_round_trip(context):
     session = open_ta(context, TA_KIND_SHMEM16)
     block = session.allocate_shared_memory(16, Direction.OUT)
@@ -412,6 +445,36 @@ def test_stale_session_cannot_reach_the_next_load(fabric):
             Value(Direction.IN, 3, 4), Value(Direction.OUT)))
         assert result.value(1) == (3, 4)
         echo.close()
+
+
+def test_the_exchange_yields_the_load_it_holds(fabric, monkeypatch):
+    """`with fabric.exchange(slot) as load` reads what `slot_load` reads:
+    (uuid, generation) while the slot is TAKEN, (None, generation) once it
+    is torn down, and a generation one higher after a reload. A session
+    compares against that reading, so it refuses a reloaded slot without
+    calling `slot_load`."""
+    with Context(fabric) as ctx:
+        stale = open_ta(ctx, TA_KIND_INCREMENT, tag=1)
+        slot = stale.slot_index
+        with fabric.exchange(slot) as load:
+            assert load == (stale.uuid, 1) == fabric.slot_load(slot)
+        fabric.manager_close(slot)
+        with fabric.exchange(slot) as load:
+            assert load == (None, 1)
+        echo = open_ta(ctx, TA_KIND_ECHO, tag=2)
+        assert echo.slot_index == slot
+        with fabric.exchange(slot) as load:
+            assert load == (echo.uuid, 2)
+        reads = []
+        monkeypatch.setattr(fabric, "slot_load",
+                            lambda index: reads.append(index))
+        with pytest.raises(AccessDeniedError, match="no longer hosts"):
+            stale.invoke_command(0, Operation(Value(Direction.INOUT, 7)))
+        stale.close()
+        assert echo.invoke_command(0, Operation(
+            Value(Direction.IN, 3, 4), Value(Direction.OUT))).value(1) == (3, 4)
+        echo.close()
+        assert reads == []
 
 
 def test_open_retries_when_its_slot_is_reloaded_before_open(fabric):

@@ -52,6 +52,25 @@ def test_bad_counts_rejected():
             utilization(bad)
 
 
+def test_the_ceiling_scan_formats_no_percentage(monkeypatch):
+    """`max_enclaves` runs on every `SimConfig.validate`: it compares
+    counts, and only `utilization` formats the percentages a report
+    shows."""
+    from teefab import resource_model
+    calls = []
+    format_percent = resource_model.percent_string
+
+    def counting(count, capacity):
+        calls.append(count)
+        return format_percent(count, capacity)
+
+    monkeypatch.setattr(resource_model, "percent_string", counting)
+    assert max_enclaves(ZU3EG) == (6, "bram")
+    assert calls == []
+    utilization(2)
+    assert len(calls) == len(RESOURCES)
+
+
 def test_fit_scan_matches_ceiling():
     ceiling, binding = max_enclaves(ZU3EG)
     assert fits(ceiling) and not fits(ceiling + 1)
