@@ -67,10 +67,9 @@ class Value:
             self.direction = _DIRECTIONS[direction]
         except (KeyError, TypeError):
             self.direction = Direction(direction)
-        if not isinstance(a, int) or not 0 <= a <= WORD_MASK:
-            raise BadParametersError(f"value word {a!r} is not 32-bit")
-        if not isinstance(b, int) or not 0 <= b <= WORD_MASK:
-            raise BadParametersError(f"value word {b!r} is not 32-bit")
+        for word in (a, b):
+            if not isinstance(word, int) or not 0 <= word <= WORD_MASK:
+                raise BadParametersError(f"value word {word!r} is not 32-bit")
         self.a = a
         self.b = b
 
@@ -261,26 +260,29 @@ class Session:
         as zeros), copy shared buffers in, dispatch, copy back out."""
         if not self.session_id:
             raise BadParametersError("session is closed")
-        kinds, words, shared = [], [], []
-        for index, param in enumerate((operation or _NO_OPERATION).params):
-            if param is None:
-                kinds.append(_NONE)
-                words += (0, 0)
-            elif isinstance(param, Value):
-                kinds.append(_VALUE_KINDS[param.direction])
-                if param.direction is _OUT:
-                    words += (0, 0)
-                else:
-                    words += (param.a, param.b)
-            else:
-                kinds.append(_MEMREF)
-                words += (param.offset, param.length)
-                shared.append((index, param))
-        frame = MailboxFrame.build(_INVOKE, self.session_id,
-                                   kinds, gp=words, cmd_id=cmd_id)
         fabric = self.context.fabric
         slot = self.slot_index
+        # Marshalled inside the exchange, so that the turnstile counts this
+        # thread as a contender for most of each request.
         with self._exchange as load:
+            kinds, words, shared = [], [], []
+            for index, param in enumerate(
+                    (operation or _NO_OPERATION).params):
+                if param is None:
+                    kinds.append(_NONE)
+                    words += (0, 0)
+                elif isinstance(param, Value):
+                    kinds.append(_VALUE_KINDS[param.direction])
+                    if param.direction is _OUT:
+                        words += (0, 0)
+                    else:
+                        words += (param.a, param.b)
+                else:
+                    kinds.append(_MEMREF)
+                    words += (param.offset, param.length)
+                    shared.append((index, param))
+            frame = MailboxFrame.build(_INVOKE, self.session_id,
+                                       kinds, gp=words, cmd_id=cmd_id)
             if load != self._load:
                 raise AccessDeniedError(
                     f"slot {slot} no longer hosts the load "

@@ -219,14 +219,12 @@ class TaParams:
         if self._kinds[index] not in _WRITABLE:
             raise BadParametersError(
                 f"parameter {index} is {self._kinds[index].name}, not writable")
-        if a is not None:
-            if not isinstance(a, int) or not 0 <= a <= WORD_MASK:
-                raise BadParametersError(f"value word {a!r} is not 32-bit")
-            self._words[2 * index] = a
-        if b is not None:
-            if not isinstance(b, int) or not 0 <= b <= WORD_MASK:
-                raise BadParametersError(f"value word {b!r} is not 32-bit")
-            self._words[2 * index + 1] = b
+        for slot, word in ((2 * index, a), (2 * index + 1, b)):
+            if word is None:
+                continue
+            if not isinstance(word, int) or not 0 <= word <= WORD_MASK:
+                raise BadParametersError(f"value word {word!r} is not 32-bit")
+            self._words[slot] = word
 
     @property
     def memory(self):
@@ -525,56 +523,57 @@ class EnclaveRuntime:
             self._mailbox[:] = words
             self._int = True
             try:
-                frame = decode_frame(words)
-                params = TaParams(_KINDS_BY_WORD[frame.param_type], frame.gp,
-                                  self)
-                code = _SUCCESS
-                session_out = frame.session_id
                 try:
-                    if frame.operation is _OPEN:
-                        if self._ta is None:    # the load's first session
-                            self._ta = self._ta_factory(TaEnvironment(
-                                self._ta_uuid,
-                                *self._services.for_ta(self._ta_uuid),
-                                self.uart, self._rst, self._image_size,
-                                self._turnstile))
-                        context = self._ta.open_session(params)
-                        self._last_sid = session_out = (
-                            (self._last_sid + 1) & WORD_MASK or 1)
-                        self._sessions[session_out] = context
-                    elif frame.session_id not in self._sessions:
-                        raise BadParametersError(
-                            f"no session {frame.session_id}")
-                    elif frame.operation is _INVOKE:
-                        # The core holds its TA while any session is open.
-                        self._ta.invoke_command(
-                            self._sessions[frame.session_id], frame.cmd_id,
-                            params)
-                    else:
-                        self._ta.close_session(
-                            self._sessions.pop(frame.session_id))
-                        if not self._sessions:
-                            self._ta.destroy()
-                            self._ta = None
-                except BaseException as exc:
-                    code = self._failure(exc)
-                    if frame.operation is _OPEN:
-                        session_out = 0
-                if (frame.operation is _OPEN and code is not _SUCCESS
-                        and not self._sessions and self._ta is not None):
-                    # Balance the instance created for a rejected first open.
-                    ta, self._ta = self._ta, None
+                    frame = decode_frame(words)
+                except InvalidFrame as exc:
+                    self.uart.log(f"isr: bad frame: {exc}")
+                    reply = encode_reply(
+                        (ReturnCode.ERROR_BAD_PARAMETERS, 0, 0, (0,) * 8, 0))
+                else:
+                    params = TaParams(_KINDS_BY_WORD[frame.param_type],
+                                      frame.gp, self)
+                    code = _SUCCESS
+                    session_out = frame.session_id
                     try:
-                        ta.destroy()
+                        if frame.operation is _OPEN:
+                            if self._ta is None:    # the load's first session
+                                self._ta = self._ta_factory(TaEnvironment(
+                                    self._ta_uuid,
+                                    *self._services.for_ta(self._ta_uuid),
+                                    self.uart, self._rst, self._image_size,
+                                    self._turnstile))
+                            context = self._ta.open_session(params)
+                            self._last_sid = session_out = (
+                                (self._last_sid + 1) & WORD_MASK or 1)
+                            self._sessions[session_out] = context
+                        elif frame.session_id not in self._sessions:
+                            raise BadParametersError(
+                                f"no session {frame.session_id}")
+                        elif frame.operation is _INVOKE:
+                            # The core holds its TA while a session is open.
+                            self._ta.invoke_command(
+                                self._sessions[frame.session_id],
+                                frame.cmd_id, params)
+                        else:
+                            self._ta.close_session(
+                                self._sessions.pop(frame.session_id))
+                            if not self._sessions:
+                                self._ta.destroy()
+                                self._ta = None
                     except BaseException as exc:
                         code = self._failure(exc)
-                reply = encode_reply((code, session_out, frame.param_type,
-                                      params._words, frame.cmd_id))
-            except InvalidFrame as exc:
-                # Only from `decode_frame`: a TA's errors are caught above.
-                self.uart.log(f"isr: bad frame: {exc}")
-                reply = encode_reply(
-                    (ReturnCode.ERROR_BAD_PARAMETERS, 0, 0, (0,) * 8, 0))
+                        if frame.operation is _OPEN:
+                            session_out = 0
+                    if (frame.operation is _OPEN and code is not _SUCCESS
+                            and not self._sessions and self._ta is not None):
+                        # Balance the instance made for a refused first open.
+                        ta, self._ta = self._ta, None
+                        try:
+                            ta.destroy()
+                        except BaseException as exc:
+                            code = self._failure(exc)
+                    reply = encode_reply((code, session_out, frame.param_type,
+                                          params._words, frame.cmd_id))
             except AbortedError:
                 pass
             finally:

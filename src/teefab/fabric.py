@@ -203,9 +203,7 @@ class Turnstile:
             self._running -= 1
             if not (self._running or self._parked):
                 return
-            if not self._running:  # `_handover`'s rule, copied in place
-                self._running = 1
-                self._parked.popleft().release()
+            self._handover()
             waiter = turn.waiter
             self._parked.append(waiter)
         self._park(waiter)
@@ -241,7 +239,7 @@ class Turnstile:
 
     def _handover(self):
         """The last running contender wakes the oldest parked one, or it
-        would wait out its bound. Caller holds the mutex; `leave` copies it."""
+        would wait out its bound. Caller holds the mutex."""
         if not self._running and self._parked:
             self._running += 1
             self._parked.popleft().release()
@@ -536,14 +534,12 @@ class Fabric:
                 raise AccessDeniedError(
                     f"slot {slot_index} was reset mid-request") from None
             finally:
-                # Logged on every exit, by `_log`'s rule copied in place.
-                fields = {"op": frame.operation, "cmd": frame.cmd_id,
-                          "code": None if reply is None else reply.code,
-                          "dur_ns": time.perf_counter_ns() - start}
-                with self._log_lock:
-                    self._seq += 1
-                    self._events.append(tuple.__new__(
-                        Event, (self._seq, "dispatch", slot_index, fields)))
+                # On every exit, a reply or an exception: the code is None
+                # when no reply came back.
+                self._log("dispatch", slot_index, op=frame.operation,
+                          cmd=frame.cmd_id,
+                          code=None if reply is None else reply.code,
+                          dur_ns=time.perf_counter_ns() - start)
                 # Under the slot lock, so the slot still holds the load
                 # that answered. A faulted core is scrubbed at once, which
                 # ends every session on the slot; a CLOSE frees the slot
