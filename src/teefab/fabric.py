@@ -316,8 +316,9 @@ class Fabric:
         self.turnstile = Turnstile()
         self._slots = _Slots()
         for index in range(self.config.enclave_count):
-            uart_path = (None if uart_dir is None
-                         else Path(uart_dir) / f"enclave{index}.log")
+            uart_path = None
+            if uart_dir is not None:
+                uart_path = Path(uart_dir) / f"enclave{index}.log"
             runtime = EnclaveRuntime(index, self.services, self.turnstile,
                                      uart_path)
             self._slots[index] = EnclaveSlot(index, runtime, self.turnstile)
