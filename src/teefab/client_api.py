@@ -35,8 +35,10 @@ class Direction(IntEnum):
 _IN, _OUT, _INOUT = Direction.IN, Direction.OUT, Direction.INOUT
 _NONE, _MEMREF = ParamKind.NONE, ParamKind.MEMREF
 _SUCCESS = ReturnCode.SUCCESS
-_OPEN, _INVOKE = OperationId.OPEN, OperationId.INVOKE
-_CLOSE = OperationId.CLOSE
+_INVOKE, _CLOSE = OperationId.INVOKE, OperationId.CLOSE
+# Every OPEN is the same frame, so it is built and checked once; the core
+# still decodes and checks each one it receives.
+_OPEN_FRAME = MailboxFrame.build(OperationId.OPEN, 0)
 
 _VALUE_KINDS = {
     _IN: ParamKind.VALUE_IN,
@@ -195,8 +197,7 @@ class Context:
                     continue
                 try:
                     # The reply drops this open's retain, whatever its code.
-                    reply = self.fabric.comm_dispatch(
-                        slot, MailboxFrame.build(_OPEN, 0))
+                    reply = self.fabric.comm_dispatch(slot, _OPEN_FRAME)
                 except AccessDeniedError as exc:
                     # Torn down under way; the scrub drops the retain.
                     last_error = exc

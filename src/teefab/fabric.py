@@ -53,14 +53,41 @@ _CLEANING = SlotState.CLEANING
 _OPEN, _CLOSE = OperationId.OPEN, OperationId.CLOSE
 
 
+# Each event kind's field names, in the order `_log` takes its values.
+_EVENT_FIELDS = {
+    "boot": ("slots", "device"),
+    "stage": ("offset", "size"),
+    "release": ("offset",),
+    "open": ("uuid", "warm"),
+    "load_status": ("uuid", "status"),
+    "load": ("size", "dur_ns"),
+    "close": (),
+    "dispatch": ("op", "cmd", "code", "dur_ns"),
+    "shutdown": (),
+}
+
+
 class Event(NamedTuple):
     """One fabric log record; `seq` numbers every event ever logged, so a
-    gap before the oldest kept record counts the events that fell off."""
+    gap before the oldest kept record counts the events that fell off.
+    `values` are kept as logged, and named only when `fields` is read."""
 
     seq: int
     kind: str
     slot: int | None
-    fields: dict
+    values: tuple
+
+    @property
+    def fields(self):
+        """{name: value} by the kind's schema, a new dict on each read, so
+        no reader can change the record."""
+        return dict(zip(_EVENT_FIELDS[self.kind], self.values, strict=True))
+
+    def __repr__(self):
+        named = "".join(f", {name}={value!r}"
+                        for name, value in self.fields.items())
+        return (f"Event(seq={self.seq!r}, kind={self.kind!r}, "
+                f"slot={self.slot!r}{named})")
 
 
 class DelayModel:
@@ -247,9 +274,12 @@ class Turnstile:
 
 class _Exchange:
     """`with fabric.exchange(slot) as load`: the slot lock for one request,
-    a turn at the turnstile, and `slot_load`'s reading, which holds until
-    the exchange ends. A thread that misses the lock for a switch interval
-    waits on outside the contention, lest it hold up every other client."""
+    a turn at the turnstile, and the slot's load, `(uuid, generation)`
+    with uuid None unless the slot is TAKEN. The load is read under the
+    slot lock, under which a load commits and a scrub frees the slot, so
+    it holds until the exchange ends; no manager lock is taken. A thread
+    that misses the lock for a switch interval waits on outside the
+    contention, lest it hold up every other client."""
 
     __slots__ = ("_slot", "_turnstile")
 
@@ -333,8 +363,7 @@ class Fabric:
         self._events = deque(maxlen=EVENT_CAPACITY)
         self._seq = 0
         self._log_lock = threading.Lock()
-        self._log("boot", None, slots=len(self._slots),
-                  device=self.config.device_profile)
+        self._log("boot", None, len(self._slots), self.config.device_profile)
 
     # ---- staging (CM region) ----
 
@@ -343,12 +372,12 @@ class Fabric:
         data = bytes(image_bytes)
         offset = self.cm.alloc(len(data))
         self.cm.write(offset, data)
-        self._log("stage", None, offset=offset, size=len(data))
+        self._log("stage", None, offset, len(data))
         return offset, len(data)
 
     def cm_release(self, offset):
         self.cm.free(offset)
-        self._log("release", None, offset=offset)
+        self._log("release", None, offset)
 
     # ---- manager agent ----
 
@@ -362,13 +391,12 @@ class Fabric:
                     break
                 if record.state is _TAKEN:
                     record.pending += 1
-                    self._log("open", record.index, uuid=ta_uuid, warm=True)
+                    self._log("open", record.index, ta_uuid, True)
                     return record.index, False
                 # Another caller is loading this TA; join its outcome.
                 self._wait()
             if size > MAX_IMAGE_SIZE:
-                self._log("load_status", None, uuid=ta_uuid,
-                          status=LoadStatus.ERR_SIZE)
+                self._log("load_status", None, ta_uuid, LoadStatus.ERR_SIZE)
                 raise ImageSizeError(
                     f"image of {size} bytes exceeds the {MAX_IMAGE_SIZE}-byte "
                     f"private memory")
@@ -394,8 +422,7 @@ class Fabric:
                         f"no trusted application registered for ta_kind "
                         f"{ta_kind}")
             except (ImageFormatError, ImageSizeError):
-                self._log("load_status", None, uuid=ta_uuid,
-                          status=LoadStatus.ERR_FORMAT)
+                self._log("load_status", None, ta_uuid, LoadStatus.ERR_FORMAT)
                 raise
             record = self._acquire_free_slot(ta_uuid)
         slot = record.index
@@ -404,8 +431,7 @@ class Fabric:
             record.runtime.deassert_reset(ta_uuid, ta_kind, size, factory)
         except Exception:
             with self._manager:
-                self._log("load_status", slot, uuid=ta_uuid,
-                          status=LoadStatus.ERR_FORMAT)
+                self._log("load_status", slot, ta_uuid, LoadStatus.ERR_FORMAT)
                 record.state = _CLEANING
             self._scrub(record)
             raise
@@ -415,11 +441,10 @@ class Fabric:
             record.generation += 1
             record.pending = 1
             self._load_count += 1
-            self._log("load_status", slot, uuid=ta_uuid,
-                      status=LoadStatus.LOADED)
+            self._log("load_status", slot, ta_uuid, LoadStatus.LOADED)
             if self._waiting:
                 self._changed.notify_all()
-        self._log("open", slot, uuid=ta_uuid, warm=False)
+        self._log("open", slot, ta_uuid, False)
         return slot, True
 
     def _hosting(self, ta_uuid):
@@ -453,8 +478,7 @@ class Fabric:
                     record.uuid = ta_uuid
                     return record
             if not any(r.state is _CLEANING for r in self._slots.values()):
-                self._log("load_status", None, uuid=ta_uuid,
-                          status=LoadStatus.ERR_FULL)
+                self._log("load_status", None, ta_uuid, LoadStatus.ERR_FULL)
                 raise OutOfEnclavesError("no free enclave slot")
             self._wait()
 
@@ -463,8 +487,8 @@ class Fabric:
         start = time.perf_counter_ns()
         self.delay.charge(len(data))
         record.runtime.load_image(data)
-        self._log("load", record.index, size=len(data),
-                  dur_ns=time.perf_counter_ns() - start)
+        self._log("load", record.index, len(data),
+                  time.perf_counter_ns() - start)
 
     def manager_close(self, slot_index):
         """Tear one slot down: reset, zeroize, mark free. Idempotent; a load
@@ -537,10 +561,9 @@ class Fabric:
             finally:
                 # On every exit, a reply or an exception: the code is None
                 # when no reply came back.
-                self._log("dispatch", slot_index, op=frame.operation,
-                          cmd=frame.cmd_id,
-                          code=None if reply is None else reply.code,
-                          dur_ns=time.perf_counter_ns() - start)
+                self._log("dispatch", slot_index, frame.operation,
+                          frame.cmd_id, None if reply is None else reply.code,
+                          time.perf_counter_ns() - start)
                 # Under the slot lock, so the slot still holds the load
                 # that answered. A faulted core is scrubbed at once, which
                 # ends every session on the slot; a CLOSE frees the slot
@@ -557,16 +580,6 @@ class Fabric:
         """Context manager serializing a multi-step request on one slot;
         leaving it hands the interpreter to another client in flight."""
         return self._slots[slot_index].exchange
-
-    def slot_load(self, slot_index):
-        """(uuid, generation) of the load the slot hosts; uuid is None unless
-        the slot is TAKEN. Read under the slot lock, under which a load
-        commits and a scrub frees the slot, not the fabric-wide manager
-        lock. Inside an exchange, take what `exchange` yields instead."""
-        record = self._slots[slot_index]
-        with record.runtime.lock:
-            taken = record.state is _TAKEN
-            return (record.uuid if taken else None), record.generation
 
     def shm_write(self, slot_index, offset, data):
         """REE copy into the slot's shared window (costed transfer): bytes
@@ -593,13 +606,14 @@ class Fabric:
 
     # ---- observability ----
 
-    def _log(self, kind, slot, **fields):
+    def _log(self, kind, slot, *values):
+        """Log `values` in the order `_EVENT_FIELDS[kind]` names them."""
         # _log_lock is a leaf: callers may hold the manager or a slot lock.
         with self._log_lock:
             self._seq += 1
             # Not Event(...): tuple.__new__ skips its Python-level __new__.
             self._events.append(
-                tuple.__new__(Event, (self._seq, kind, slot, fields)))
+                tuple.__new__(Event, (self._seq, kind, slot, values)))
 
     def events(self, kind=None):
         """The last EVENT_CAPACITY records, oldest first; only those of

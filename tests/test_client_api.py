@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_image
 import teefab
-from teefab import protocol
+from teefab import client_api, protocol
 from teefab.client_api import (
     Context,
     Direction,
@@ -118,7 +118,7 @@ def test_a_warm_request_stays_within_its_frame_budget(context):
 
 def test_a_cold_open_stays_within_its_frame_budget(fabric, context):
     """A cold open of a 32-byte image, one increment and the close that
-    scrubs the slot enter at most 112 frames: the manager parses the
+    scrubs the slot enter at most 109 frames: the manager parses the
     header once, looks the TA kind's factory up once and boots the core
     from that parse and that factory, and no frame packs the parameter
     kinds of an OPEN or CLOSE by hand."""
@@ -132,8 +132,42 @@ def test_a_cold_open_stays_within_its_frame_budget(fabric, context):
     cold_round()            # warm-up: the image is staged, lazy uses done
     loads = fabric.load_count
     entered = _frames_entered(cold_round)
-    assert len(entered) <= 112, entered
+    assert len(entered) <= 109, entered
     assert len(image) == 32 and fabric.load_count == loads + 1
+
+
+def test_every_open_sends_the_one_prebuilt_open_frame(fabric, context,
+                                                       monkeypatch):
+    """A cold and a warm `open_session` build no frame: each sends the
+    OPEN frame built at import, which the core decodes and checks as it
+    does any frame."""
+    ta_uuid, image = make_image(TA_KIND_INCREMENT)
+    built, opens = [], []
+    build, dispatch = MailboxFrame.build, fabric.comm_dispatch
+
+    def spy_build(cls, *args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    def spy_dispatch(slot, frame):
+        if frame.operation is protocol.OperationId.OPEN:
+            opens.append(frame)
+        return dispatch(slot, frame)
+
+    monkeypatch.setattr(fabric, "comm_dispatch", spy_dispatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(MailboxFrame, "build", classmethod(spy_build))
+        cold = context.open_session(ta_uuid, image)
+        warm = context.open_session(ta_uuid, image)
+    assert built == []
+    assert [event.fields["warm"] for event in fabric.events("open")] == [
+        False, True]
+    assert len(opens) == 2
+    assert all(frame is client_api._OPEN_FRAME for frame in opens)
+    assert client_api._OPEN_FRAME == MailboxFrame.build(
+        protocol.OperationId.OPEN, 0)
+    warm.close()
+    cold.close()
 
 
 class CountingLock:
@@ -447,17 +481,16 @@ def test_stale_session_cannot_reach_the_next_load(fabric):
         echo.close()
 
 
-def test_the_exchange_yields_the_load_it_holds(fabric, monkeypatch):
-    """`with fabric.exchange(slot) as load` reads what `slot_load` reads:
-    (uuid, generation) while the slot is TAKEN, (None, generation) once it
-    is torn down, and a generation one higher after a reload. A session
-    compares against that reading, so it refuses a reloaded slot without
-    calling `slot_load`."""
+def test_the_exchange_yields_the_load_it_holds(fabric):
+    """`with fabric.exchange(slot) as load` gives (uuid, generation) while
+    the slot is TAKEN, (None, generation) once it is torn down, and a
+    generation one higher after a reload. A session compares against that
+    reading, so it refuses a reloaded slot."""
     with Context(fabric) as ctx:
         stale = open_ta(ctx, TA_KIND_INCREMENT, tag=1)
         slot = stale.slot_index
         with fabric.exchange(slot) as load:
-            assert load == (stale.uuid, 1) == fabric.slot_load(slot)
+            assert load == (stale.uuid, 1)
         fabric.manager_close(slot)
         with fabric.exchange(slot) as load:
             assert load == (None, 1)
@@ -465,16 +498,12 @@ def test_the_exchange_yields_the_load_it_holds(fabric, monkeypatch):
         assert echo.slot_index == slot
         with fabric.exchange(slot) as load:
             assert load == (echo.uuid, 2)
-        reads = []
-        monkeypatch.setattr(fabric, "slot_load",
-                            lambda index: reads.append(index))
         with pytest.raises(AccessDeniedError, match="no longer hosts"):
             stale.invoke_command(0, Operation(Value(Direction.INOUT, 7)))
         stale.close()
         assert echo.invoke_command(0, Operation(
             Value(Direction.IN, 3, 4), Value(Direction.OUT))).value(1) == (3, 4)
         echo.close()
-        assert reads == []
 
 
 def test_open_retries_when_its_slot_is_reloaded_before_open(fabric):

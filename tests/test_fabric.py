@@ -307,16 +307,20 @@ def test_cold_then_warm_open(fabric):
     assert fabric.slot_snapshot()[slot]["state"] == "FREE"
 
 
-def test_slot_load_does_not_wait_for_the_manager_lock(fabric):
+def test_the_exchange_reads_its_load_without_the_manager_lock(fabric):
     """A warm request checks its slot's load under the slot lock alone, so
     a manager busy elsewhere does not hold it up."""
     ta_uuid, image = make_image(TA_KIND_INCREMENT)
     offset, size = fabric.cm_stage(image)
     slot, _fresh = fabric.manager_open(ta_uuid, offset, size)
     hosted = []
+
+    def read_load():
+        with fabric.exchange(slot) as load:
+            hosted.append(load)
+
     with fabric._manager:
-        reader = threading.Thread(
-            target=lambda: hosted.append(fabric.slot_load(slot)))
+        reader = threading.Thread(target=read_load)
         reader.start()
         reader.join(timeout=2.0)
         assert not reader.is_alive()
@@ -455,7 +459,6 @@ def test_an_index_that_names_no_slot_is_refused(fabric, index):
         "release_pending": lambda: fabric.release_pending(index),
         "comm_dispatch": lambda: fabric.comm_dispatch(index, invoke),
         "exchange": lambda: fabric.exchange(index),
-        "slot_load": lambda: fabric.slot_load(index),
         "shm_write": lambda: fabric.shm_write(index, 0, b"abcd"),
         "shm_read": lambda: fabric.shm_read(index, 0, 4),
         "slot_runtime": lambda: fabric.slot_runtime(index),
@@ -798,6 +801,85 @@ def test_events_record_lifecycle(fabric):
             for event in fabric.events("dispatch")] == [
         (OperationId.OPEN, ReturnCode.SUCCESS),
         (OperationId.CLOSE, ReturnCode.SUCCESS)]
+
+
+def test_every_event_kind_names_exactly_its_schema(fabric, monkeypatch):
+    """Each `_log` call site, driven once: a record keeps its values as a
+    tuple, `fields` names them by its kind's schema, and reading the log
+    builds no record."""
+    schema = fabric_module._EVENT_FIELDS
+    inc_uuid, inc_image = make_image(TA_KIND_INCREMENT)
+    offset, size = fabric.cm_stage(inc_image)
+    slot, fresh = fabric.manager_open(inc_uuid, offset, size)   # cold
+    assert fresh
+    assert fabric.manager_open(inc_uuid, offset, size) == (slot, False)
+    assert fabric.comm_dispatch(slot, open_frame()).code is ReturnCode.SUCCESS
+    fabric.release_pending(slot)
+    unloaded = make_image(TA_KIND_ECHO, tag=1)[0]
+    with pytest.raises(ImageSizeError):
+        fabric.manager_open(unloaded, 0, MAX_IMAGE_SIZE + 1)
+    with pytest.raises(ImageFormatError):       # before a slot is claimed
+        fabric.manager_open(unloaded, offset, size)
+    stall, stall_sid = open_ta(fabric, TA_KIND_STALL, payload=b"\xa5" * 600)
+    echo_uuid, echo_image = make_image(TA_KIND_ECHO)
+    echo_offset, echo_size = fabric.cm_stage(echo_image)
+    with pytest.raises(OutOfEnclavesError):
+        fabric.manager_open(echo_uuid, echo_offset, echo_size)
+    StallTa.started.clear()
+    outcome = []
+
+    def invoker():
+        try:
+            fabric.comm_dispatch(stall, MailboxFrame.build(
+                OperationId.INVOKE, stall_sid, [], cmd_id=0))
+        except AccessDeniedError:
+            outcome.append("denied")
+
+    cut_short = threading.Thread(target=invoker)
+    cut_short.start()
+    assert StallTa.started.wait(5.0)
+    fabric.manager_close(stall)                 # resets the core mid-call
+    cut_short.join(timeout=5.0)
+    assert outcome == ["denied"]
+
+    def broken_dma(runtime, data):
+        raise OSError("DMA broke off")
+
+    with monkeypatch.context() as patch:        # after a slot is claimed
+        patch.setattr(enclave.EnclaveRuntime, "load_image", broken_dma)
+        with pytest.raises(OSError):
+            fabric.manager_open(echo_uuid, echo_offset, echo_size)
+    fabric.cm_release(echo_offset)
+    fabric.shutdown()
+
+    events = fabric.events()
+    assert {event.kind for event in events} == schema.keys()
+    assert [(event.slot is None, event.fields["status"])
+            for event in fabric.events("load_status")] == [
+        (False, LoadStatus.LOADED), (True, LoadStatus.ERR_SIZE),
+        (True, LoadStatus.ERR_FORMAT), (False, LoadStatus.LOADED),
+        (True, LoadStatus.ERR_FULL), (False, LoadStatus.ERR_FORMAT)]
+    assert [event.fields["warm"] for event in fabric.events("open")] == [
+        False, True, False]
+    assert [event.fields["code"] for event in fabric.events("dispatch")] == [
+        ReturnCode.SUCCESS, ReturnCode.SUCCESS, None]
+    again = fabric.events()
+    for index, event in enumerate(events):
+        assert tuple(event.fields) == schema[event.kind], event
+        assert type(event.values) is tuple
+        assert again[index] is event
+
+
+def test_a_reader_cannot_rewrite_the_log(fabric):
+    """`fields` is a new dict on each read: changing or adding a key
+    changes nothing that the log keeps."""
+    fields = fabric.events()[-1].fields
+    fields["slots"] = 99
+    fields["extra"] = "added"
+    boot = fabric.events()[-1]
+    assert boot.fields == {"slots": 2, "device": fabric.config.device_profile}
+    assert boot.fields is not boot.fields
+    assert "slots=2" in repr(boot)
 
 
 def test_event_log_keeps_the_newest_records(fabric):
