@@ -39,6 +39,10 @@ _INVOKE, _CLOSE = OperationId.INVOKE, OperationId.CLOSE
 # Every OPEN is the same frame, so it is built and checked once; the core
 # still decodes and checks each one it receives.
 _OPEN_FRAME = MailboxFrame.build(OperationId.OPEN, 0)
+# A CLOSE differs from it only in its operation and its session id, which
+# came from a reply register and so is a 32-bit int: `Session.close` makes
+# it from these without `build`, and the core checks it as any frame.
+_NO_GP = (0,) * GP_WORDS
 
 _VALUE_KINDS = {
     _IN: ParamKind.VALUE_IN,
@@ -310,7 +314,8 @@ class Session:
         went away are no-ops."""
         if not self.session_id:
             return
-        frame = MailboxFrame.build(_CLOSE, self.session_id)
+        frame = tuple.__new__(MailboxFrame,
+                              (_CLOSE, self.session_id, 0, _NO_GP, 0))
         with self._exchange as load:
             if load == self._load:
                 try:

@@ -8,7 +8,7 @@ from enum import IntEnum
 
 from .protocol import (
     WORD_MASK,
-    MAILBOX_WORDS,
+    MAILBOX_BYTES,
     TCM_SIZE,
     SHM_WINDOW_SIZE,
     TA_KIND_ECHO,
@@ -25,6 +25,7 @@ from .protocol import (
     AccessDeniedError,
     ShortBufferError,
     _KINDS_BY_WORD,
+    _MAILBOX,
     decode_frame,
     encode_reply,
 )
@@ -431,9 +432,10 @@ class EnclaveRuntime:
     The fabric's manager checks a staged image once, its loader copies it
     over DMA while RST is asserted, and the manager deasserts RST with what
     it checked: the core boots that TA and never parses TCM. The fabric
-    then exchanges 12-word frames: deliver() places a request and
-    raises INT, and the core serves it in its ISR on the delivering thread,
-    clearing INT once the reply is in the mailbox. The core never yields
+    then exchanges frames through the mailbox, twelve 32-bit registers
+    (48 bytes): deliver() places a packed request and raises INT, and the
+    core serves it in its ISR on the delivering thread, clearing INT once
+    the packed reply is in the mailbox. The core never yields
     the interpreter itself: the fabric's turnstile hands it between
     client threads as their requests leave `Fabric.exchange`. The core
     passes that turnstile to its TA's environment, so that a TA waiting
@@ -455,7 +457,7 @@ class EnclaveRuntime:
         self.window = Space(SHM_WINDOW_SIZE)
         self.uart = UartLog(uart_path)
         self.lock = threading.RLock()
-        self._mailbox = [0] * MAILBOX_WORDS
+        self._mailbox = bytearray(MAILBOX_BYTES)
         self._rst = ResetLine()
         self._int = False
         self._reply_serial = 0
@@ -507,12 +509,15 @@ class EnclaveRuntime:
             self._image_size = image_size
             self.uart.log(f"boot: ta {ta_uuid} kind {ta_kind}")
 
-    def deliver(self, words):
-        """Place a request, ring INT and serve it in the ISR on this thread;
-        returns the 12 reply words. The ISR checks the words once, in
-        `decode_frame`, and encodes the reply from its fields."""
-        if len(words) != MAILBOX_WORDS:
-            raise InvalidFrame(f"mailbox holds {MAILBOX_WORDS} words")
+    def deliver(self, request):
+        """Place a request's 48 bytes in the mailbox, ring INT and serve it
+        in the ISR on this thread; returns the reply's 48 packed bytes. The
+        ISR unpacks and checks the request once, in `decode_frame`, and
+        packs the reply from its fields. Anything but 48 bytes of `bytes`
+        or `bytearray` is refused before the mailbox is written."""
+        if (type(request) is not bytes and type(request) is not bytearray
+                or len(request) != MAILBOX_BYTES):
+            raise InvalidFrame(f"the mailbox takes {MAILBOX_BYTES} bytes")
         reply = None
         rst = self._rst
         with self.lock:
@@ -520,11 +525,12 @@ class EnclaveRuntime:
                 raise EnclaveResetError(f"enclave {self.index} is in reset")
             if self._int:
                 raise RuntimeError(f"enclave {self.index} mailbox is busy")
-            self._mailbox[:] = words
+            mailbox = self._mailbox
+            mailbox[:] = request
             self._int = True
             try:
                 try:
-                    frame = decode_frame(words)
+                    frame = decode_frame(mailbox)
                 except InvalidFrame as exc:
                     self.uart.log(f"isr: bad frame: {exc}")
                     reply = encode_reply(
@@ -583,7 +589,7 @@ class EnclaveRuntime:
                 if rst.raised:
                     reply = None
                 elif reply is not None:
-                    self._mailbox[:] = reply
+                    mailbox[:] = reply
                     self._reply_serial += 1
         if reply is None:
             raise EnclaveResetError(
@@ -611,7 +617,8 @@ class EnclaveRuntime:
         }
 
     def mailbox_words(self):
-        return tuple(self._mailbox)
+        """The mailbox's twelve registers as words; takes no lock."""
+        return _MAILBOX.unpack(self._mailbox)
 
     @property
     def session_count(self):
@@ -624,7 +631,7 @@ class EnclaveRuntime:
         """Reset entry: no secret survives in TCM, window, mailbox or state."""
         self.tcm.zeroize()
         self.window.zeroize()
-        self._mailbox[:] = [0] * MAILBOX_WORDS
+        self._mailbox[:] = _ZEROS[:MAILBOX_BYTES]
         self._int = False
         self.faulted = False
         self._ta_uuid = None

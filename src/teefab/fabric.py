@@ -20,7 +20,7 @@ from .protocol import (
     CM_ALIGNMENT,
     CM_REGION_SIZE,
     IMAGE_HEADER_SIZE,
-    MAILBOX_WORDS,
+    MAILBOX_BYTES,
     MAX_IMAGE_SIZE,
     AccessDeniedError,
     ImageFormatError,
@@ -35,7 +35,6 @@ from .protocol import (
     encode_frame,
 )
 
-_MAILBOX_BYTES = MAILBOX_WORDS * 4
 EVENT_CAPACITY = 4096
 
 
@@ -547,14 +546,14 @@ class Fabric:
         with runtime.lock:
             if record.state is not _TAKEN:
                 raise AccessDeniedError(f"slot {slot_index} is not taken")
-            words = encode_frame(frame)
+            request = encode_frame(frame)
             start = time.perf_counter_ns()
-            self.delay.charge(_MAILBOX_BYTES)
+            self.delay.charge(MAILBOX_BYTES)
             reply = None
             try:
-                reply_words = runtime.deliver(words)
-                self.delay.charge(_MAILBOX_BYTES)
-                reply = decode_reply(reply_words)
+                packed = runtime.deliver(request)
+                self.delay.charge(MAILBOX_BYTES)
+                reply = decode_reply(packed)
             except EnclaveResetError:
                 raise AccessDeniedError(
                     f"slot {slot_index} was reset mid-request") from None

@@ -1,9 +1,15 @@
 """Wire-level data model shared by the REE and the enclave fabric.
 
 Everything that crosses the mailbox or the loader path is defined here:
-the 12-word request/reply frame, the packed parameter-type field, return
-codes, the loadable TA image container, and the load outcomes the manager
-logs (`LoadStatus`).
+the request/reply frame and the mailbox it travels in, twelve
+little-endian 32-bit registers (48 bytes), the packed parameter-type
+field, return codes, the loadable TA image container, and the load
+outcomes the manager logs (`LoadStatus`).
+
+The writer of each direction packs a frame into the mailbox with one
+struct pack, which is that frame's range check: a word that is not a
+32-bit integer cannot be written. The reader unpacks the 48 bytes once,
+so every word it gets is a 32-bit int and it checks no word again.
 All multi-word values are little-endian when serialized to bytes.
 """
 
@@ -17,6 +23,7 @@ from typing import NamedTuple
 
 WORD_MASK = 0xFFFFFFFF
 MAILBOX_WORDS = 12
+MAILBOX_BYTES = 4 * MAILBOX_WORDS
 
 TCM_SIZE = 64 * 1024          # private code+data memory per enclave
 SHM_WINDOW_SIZE = 8 * 1024    # REE-visible shared window per enclave
@@ -204,6 +211,15 @@ def unpack_param_types(packed):
 _EXACT_INT = frozenset((int,))
 
 
+def _bad_word(names, words):
+    """The InvalidFrame naming the first of `words` that is not an int in
+    0..2**32-1, or None: the per-word loop behind each one-pack check."""
+    for name, word in zip(names, words):
+        if not isinstance(word, int) or not 0 <= word <= WORD_MASK:
+            return InvalidFrame(f"{name} is not a 32-bit word: {word!r}")
+    return None
+
+
 def _word_checker(names):
     """A check that len(names) words are each 0..2**32-1.
 
@@ -220,22 +236,39 @@ def _word_checker(names):
                 return
             except struct.error:
                 pass
-        for name, word in zip(names, words):
-            if not isinstance(word, int) or not 0 <= word <= WORD_MASK:
-                raise InvalidFrame(f"{name} is not a 32-bit word: {word!r}")
+        error = _bad_word(names, words)
+        if error is not None:
+            raise error
     return check
 
 
 _check_frame_words = _word_checker(
     ("session_id", *(f"gp{i}" for i in range(GP_WORDS)), "cmd_id"))
-_check_mailbox_words = _word_checker(
-    tuple(f"word{i}" for i in range(MAILBOX_WORDS)))
 _check_ta_kind = _word_checker(("ta_kind",))
+
+# The mailbox: twelve little-endian 32-bit registers.
+_MAILBOX = struct.Struct(f"<{MAILBOX_WORDS}I")
+_MAILBOX_NAMES = tuple(f"word{i}" for i in range(MAILBOX_WORDS))
+
+
+def _unwritable(words):
+    """The InvalidFrame for words that `_MAILBOX` would not pack: a wrong
+    count, or the first word that is not 32-bit, by name."""
+    if len(words) != MAILBOX_WORDS:
+        return InvalidFrame(f"expected {MAILBOX_WORDS} words, got {len(words)}")
+    return _bad_word(_MAILBOX_NAMES, words) or InvalidFrame(
+        f"words do not fit the mailbox: {words!r}")
+
+
+def _unreadable(mailbox):
+    """The InvalidFrame for a mailbox that is not 48 bytes."""
+    return InvalidFrame(f"a mailbox holds {MAILBOX_BYTES} bytes, got "
+                        f"{type(mailbox).__name__} {mailbox!r:.60}")
 
 
 class MailboxFrame(NamedTuple):
-    """One 12-word request as placed in an enclave mailbox; an immutable
-    named tuple of five fields, not the words themselves.
+    """One request as its 12 mailbox words carry it; an immutable named
+    tuple of five fields, not the words themselves.
 
     Word layout: [operation, session_id, param_type, gp0..gp7, cmd_id].
     Logical parameter i owns gp words 2i and 2i+1: (a, b) for values,
@@ -291,8 +324,9 @@ class MailboxFrame(NamedTuple):
     def validate(self):
         """Check the operation, the gp word count, param_type and each
         memref's bounds. That every word is 32-bit is checked where the
-        words come in, once: by `build` from a caller's values and by
-        `decode_frame` from the mailbox, its two callers."""
+        words come in, once: `build` checks a caller's values, and
+        `decode_frame`, its other caller, unpacks them from the 48-byte
+        mailbox, where each is a 32-bit word by construction."""
         if self.operation not in _OPERATIONS:
             raise InvalidFrame(f"operation word {self.operation!r} not in 1..3")
         gp = self.gp
@@ -316,8 +350,8 @@ class MailboxFrame(NamedTuple):
 
 
 class ReplyFrame(NamedTuple):
-    """The 12 words an enclave leaves in the mailbox when INT clears, as
-    an immutable named tuple of five fields like MailboxFrame.
+    """The reply an enclave leaves in the mailbox when INT clears, as an
+    immutable named tuple of five fields like MailboxFrame.
 
     Identical layout to the request except word 0 carries the return code.
     """
@@ -330,18 +364,24 @@ class ReplyFrame(NamedTuple):
 
 
 def encode_frame(frame):
-    """MailboxFrame -> 12 words; build() has validated the frame."""
-    return (int(frame.operation), frame.session_id, frame.param_type,
-            *frame.gp, frame.cmd_id)
+    """MailboxFrame -> the 48 mailbox bytes. The pack is the request's
+    one range check: it refuses a word that is not a 32-bit integer,
+    naming it, so only 32-bit words reach the core."""
+    operation, session_id, param_type, gp, cmd_id = frame
+    try:
+        return _MAILBOX.pack(operation, session_id, param_type, *gp, cmd_id)
+    except struct.error:
+        raise _unwritable((operation, session_id, param_type, *gp,
+                           cmd_id)) from None
 
 
-def decode_frame(words):
-    """12 words -> MailboxFrame, rejecting anything malformed: the words
-    are converted and range-checked here, the rest by validate()."""
-    words = tuple(words)
-    if len(words) != MAILBOX_WORDS:
-        raise InvalidFrame(f"expected {MAILBOX_WORDS} words, got {len(words)}")
-    _check_mailbox_words(words)
+def decode_frame(mailbox):
+    """48 mailbox bytes -> MailboxFrame, rejecting anything malformed:
+    one unpack gives twelve 32-bit words, and validate() checks the rest."""
+    try:
+        words = _MAILBOX.unpack(mailbox)
+    except (struct.error, TypeError):
+        raise _unreadable(mailbox) from None
     frame = tuple.__new__(MailboxFrame, (_OPERATIONS.get(words[0], words[0]),
                                          words[1], words[2], words[3:11],
                                          words[11]))
@@ -350,18 +390,23 @@ def decode_frame(words):
 
 
 def encode_reply(reply):
-    """A ReplyFrame, or its five fields as a plain tuple -> 12 words
-    (return code in the operation slot)."""
+    """A ReplyFrame, or its five fields as a plain tuple -> the 48 mailbox
+    bytes (return code in the operation slot), checked as encode_frame
+    checks a request."""
     code, session_id, param_type, gp, cmd_id = reply
-    return (int(code), session_id, param_type, *gp, cmd_id)
+    try:
+        return _MAILBOX.pack(code, session_id, param_type, *gp, cmd_id)
+    except struct.error:
+        raise _unwritable((code, session_id, param_type, *gp,
+                           cmd_id)) from None
 
 
-def decode_reply(words):
-    """12 words -> ReplyFrame."""
-    words = tuple(words)
-    if len(words) != MAILBOX_WORDS:
-        raise InvalidFrame(f"expected {MAILBOX_WORDS} words, got {len(words)}")
-    _check_mailbox_words(words)
+def decode_reply(mailbox):
+    """48 mailbox bytes -> ReplyFrame, refusing an unknown return code."""
+    try:
+        words = _MAILBOX.unpack(mailbox)
+    except (struct.error, TypeError):
+        raise _unreadable(mailbox) from None
     code = _RETURN_CODES.get(words[0])
     if code is None:
         raise InvalidFrame(f"unknown return code {words[0]}")

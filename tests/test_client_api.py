@@ -85,8 +85,8 @@ def _frames_entered(call):
 
 
 def test_a_warm_request_stays_within_its_frame_budget(context):
-    """A warm increment enters at most 29 frames and a 256-byte echo at
-    most 37: a frame that only forwards a call, or rebuilds what its caller
+    """A warm increment enters at most 27 frames and a 256-byte echo at
+    most 35: a frame that only forwards a call, or rebuilds what its caller
     holds, costs every request. The session marshals its own operation and
     reads its slot's load from the exchange, and the core serves the frame
     in `deliver`. A memref access is checked in the TA's `MemRef` and an
@@ -109,19 +109,19 @@ def test_a_warm_request_stays_within_its_frame_budget(context):
     increment()
     echo_block()            # warm-up: every lazy first use is behind us
     entered = _frames_entered(increment)
-    assert len(entered) <= 29, entered
+    assert len(entered) <= 27, entered
     entered = _frames_entered(echo_block)
-    assert len(entered) <= 37, entered
+    assert len(entered) <= 35, entered
     assert results == [(42, 0)] * 2
     assert block.read() == data[::-1]
 
 
 def test_a_cold_open_stays_within_its_frame_budget(fabric, context):
     """A cold open of a 32-byte image, one increment and the close that
-    scrubs the slot enter at most 109 frames: the manager parses the
+    scrubs the slot enter at most 100 frames: the manager parses the
     header once, looks the TA kind's factory up once and boots the core
-    from that parse and that factory, and no frame packs the parameter
-    kinds of an OPEN or CLOSE by hand."""
+    from that parse and that factory, no frame packs the parameter kinds
+    of an OPEN or CLOSE by hand, and the CLOSE is sent without `build`."""
     ta_uuid, image = make_image(TA_KIND_INCREMENT)
 
     def cold_round():
@@ -132,7 +132,7 @@ def test_a_cold_open_stays_within_its_frame_budget(fabric, context):
     cold_round()            # warm-up: the image is staged, lazy uses done
     loads = fabric.load_count
     entered = _frames_entered(cold_round)
-    assert len(entered) <= 109, entered
+    assert len(entered) <= 100, entered
     assert len(image) == 32 and fabric.load_count == loads + 1
 
 
@@ -168,6 +168,51 @@ def test_every_open_sends_the_one_prebuilt_open_frame(fabric, context,
         protocol.OperationId.OPEN, 0)
     warm.close()
     cold.close()
+
+
+def test_every_close_is_sent_without_build(fabric, context, monkeypatch):
+    """A close builds no frame: it sends CLOSE with its own session id,
+    made from constants, and the core decodes and validates each such
+    frame once. A close after the slot was reset sends nothing."""
+    ta_uuid, image = make_image(TA_KIND_INCREMENT)
+    sessions = [context.open_session(ta_uuid, image) for _ in range(2)]
+    ids = [session.session_id for session in sessions]
+    built, closes, validated = [], [], []
+    build, dispatch = MailboxFrame.build, fabric.comm_dispatch
+    validate = MailboxFrame.validate
+
+    def spy_build(cls, *args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    def spy_dispatch(slot, frame):
+        if frame.operation is protocol.OperationId.CLOSE:
+            closes.append(frame)
+        return dispatch(slot, frame)
+
+    def spy_validate(frame):
+        validated.append((sys._getframe(1).f_code.co_name, frame.operation))
+        return validate(frame)
+
+    monkeypatch.setattr(fabric, "comm_dispatch", spy_dispatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(MailboxFrame, "build", classmethod(spy_build))
+        patch.setattr(MailboxFrame, "validate", spy_validate)
+        for session in sessions:
+            session.close()
+    assert built == []
+    assert validated == [("decode_frame", protocol.OperationId.CLOSE)] * 2
+    assert closes == [MailboxFrame.build(protocol.OperationId.CLOSE, sid)
+                      for sid in ids]
+    assert [session.session_id for session in sessions] == [0, 0]
+    assert fabric.events("close")
+
+    # A session whose slot was reset under it: its close is a no-op.
+    session = context.open_session(ta_uuid, image)
+    fabric.manager_close(session.slot_index)
+    closes.clear()
+    session.close()
+    assert closes == [] and not session.is_open
 
 
 class CountingLock:

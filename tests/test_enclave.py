@@ -1,5 +1,6 @@
 """Enclave core: boot, dispatch, grants, zeroization, fault containment."""
 
+import struct
 import threading
 import time
 import uuid as uuid_mod
@@ -29,7 +30,10 @@ from teefab.internal_api.storage import (
     SealedStorage,
     TeeServices,
 )
+from conftest import make_image
+from teefab.client_api import Context
 from teefab.protocol import (
+    MAILBOX_BYTES,
     MAILBOX_WORDS,
     SHM_WINDOW_SIZE,
     TCM_SIZE,
@@ -40,10 +44,13 @@ from teefab.protocol import (
     OperationId,
     ParamKind,
     ReturnCode,
+    InvalidFrame,
     TAImage,
     decode_reply,
     encode_frame,
     encode_image,
+    encode_reply,
+    words_to_bytes,
 )
 
 TA_KIND_SLEEPY = 240
@@ -503,10 +510,14 @@ def test_a_reset_aborts_a_request_at_a_memref_access(core, cmd_id):
     assert ReachTa.aborted == [cmd_id]
 
 
-def test_malformed_frame_words(core, monkeypatch):
+def test_malformed_frame_words(core, fabric, monkeypatch):
+    """A request the core must refuse, delivered as 48 bytes, is answered
+    ERROR_BAD_PARAMETERS with one more `bad frame` line, and no TA body
+    runs; the same frame undamaged reaches the body. A word that is not
+    32-bit cannot be delivered at all: the writer refuses it."""
     boot(core, TA_KIND_INCREMENT)
-    words = [9] + [0] * (MAILBOX_WORDS - 1)
-    reply = decode_reply(core.deliver(words))
+    reply = decode_reply(core.deliver(
+        words_to_bytes([9] + [0] * (MAILBOX_WORDS - 1))))
     assert reply.code is ReturnCode.ERROR_BAD_PARAMETERS
     assert any("bad frame" in line for line in core.uart.lines())
 
@@ -520,15 +531,15 @@ def test_malformed_frame_words(core, monkeypatch):
         OperationId.INVOKE, sid, [(ParamKind.VALUE_INOUT, 41, 0)]))
     memref_pair = (ParamKind.MEMREF << 4) | ParamKind.VALUE_INOUT
     for name, changes in (
-            ("gp word of 2**32", {4: 2 ** 32}),
+            ("unknown operation", {0: 9}),
             ("nibble 0x4", {2: (0x4 << 4) | ParamKind.VALUE_INOUT}),
             ("memref past the window",
              {2: memref_pair, 5: SHM_WINDOW_SIZE - 8, 6: 9})):
-        words = list(good)
+        words = list(struct.unpack("<12I", good))
         for index, word in changes.items():
             words[index] = word
         bad_frames = _bad_frame_lines(core)
-        reply = decode_reply(core.deliver(words))
+        reply = decode_reply(core.deliver(words_to_bytes(words)))
         assert reply.code is ReturnCode.ERROR_BAD_PARAMETERS, name
         assert _bad_frame_lines(core) == bad_frames + 1, name
     assert bodies == []
@@ -536,6 +547,56 @@ def test_malformed_frame_words(core, monkeypatch):
     reply = decode_reply(core.deliver(good))
     assert reply.code is ReturnCode.SUCCESS and reply.gp[0:2] == (42, 0)
     assert len(bodies) == 1
+
+    # A gp word of 2**32, in a frame made without `build`: the agent's
+    # pack refuses it and the core serves nothing.
+    ta_uuid, image = make_image(TA_KIND_INCREMENT)
+    with Context(fabric) as ctx:
+        session = ctx.open_session(ta_uuid, image)
+        runtime = fabric.slot_runtime(session.slot_index)
+        frame = MailboxFrame.build(OperationId.INVOKE, session.session_id,
+                                   [(ParamKind.VALUE_INOUT, 41, 0)])
+        gp = list(frame.gp)
+        gp[1] = 2 ** 32
+        served = runtime.snapshot()["reply_serial"]
+        lines, bodies[:] = runtime.uart.lines(), []
+        with pytest.raises(InvalidFrame, match="word4 "):
+            fabric.comm_dispatch(session.slot_index,
+                                 frame._replace(gp=tuple(gp)))
+        assert runtime.snapshot()["reply_serial"] == served
+        assert runtime.uart.lines() == lines and bodies == []
+        reply = fabric.comm_dispatch(session.slot_index, frame)
+        assert reply.code is ReturnCode.SUCCESS and reply.gp[0] == 42
+        assert runtime.snapshot()["reply_serial"] == served + 1
+        session.close()
+
+
+def test_the_mailbox_registers_hold_48_bytes(core):
+    """`deliver` takes 48 bytes and nothing else, and refuses the rest
+    before it writes the mailbox; the mailbox holds the reply after a
+    request and zeros after a scrub."""
+    boot(core, TA_KIND_INCREMENT)
+    sid = open_session(core)
+    request = MailboxFrame.build(OperationId.INVOKE, sid,
+                                 [(ParamKind.VALUE_INOUT, 41, 0)])
+    reply = core.deliver(encode_frame(request))
+    assert len(reply) == MAILBOX_BYTES
+    assert core.mailbox_words() == struct.unpack("<12I", reply)
+    assert core.mailbox_words()[3] == 42
+    before = core.mailbox_words()
+    for bad in (bytes(47), bytes(49), struct.unpack("<12I", reply),
+                "x" * MAILBOX_BYTES):
+        with pytest.raises(InvalidFrame, match="48 bytes"):
+            core.deliver(bad)
+        assert core.mailbox_words() == before
+    assert core.snapshot()["int"] is False
+    reply = core.deliver(bytearray(encode_frame(request)))
+    assert decode_reply(reply) == decode_reply(encode_reply(
+        (ReturnCode.SUCCESS, sid, request.param_type,
+         (42, 0) + (0,) * 6, 0)))
+    assert core.mailbox_words() == struct.unpack("<12I", reply)
+    core.assert_reset()
+    assert core.mailbox_words() == (0,) * MAILBOX_WORDS
 
 
 def _bad_frame_lines(core):

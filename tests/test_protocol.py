@@ -13,6 +13,7 @@ from teefab.protocol import (
     ReplyFrame,
     GP_WORDS,
     IMAGE_HEADER_SIZE,
+    MAILBOX_BYTES,
     MAILBOX_WORDS,
     MAX_IMAGE_SIZE,
     PARAM_SLOTS,
@@ -68,12 +69,11 @@ def test_frame_layout_is_twelve_words_little_endian():
         OperationId.INVOKE, 0xDEAD,
         [ParamKind.VALUE_IN, ParamKind.NONE, ParamKind.NONE, ParamKind.NONE],
         gp=[7, 8, 0, 0, 0, 0, 0, 0], cmd_id=42)
-    words = encode_frame(frame)
-    assert len(words) == MAILBOX_WORDS
-    raw = words_to_bytes(words)
-    assert len(raw) == 48
-    assert struct.unpack("<12I", raw) == tuple(words)
-    assert words[0] == 2 and words[1] == 0xDEAD and words[11] == 42
+    raw = encode_frame(frame)
+    assert type(raw) is bytes and len(raw) == MAILBOX_BYTES == 48
+    assert struct.unpack("<12I", raw) == (
+        2, 0xDEAD, ParamKind.VALUE_IN, 7, 8, 0, 0, 0, 0, 0, 0, 42)
+    assert raw == words_to_bytes(struct.unpack("<12I", raw))
 
 
 def test_frame_param_words_ownership():
@@ -124,11 +124,11 @@ def test_memref_bounds_validation():
 
 def test_decode_rejects_bad_operation_and_word_count():
     with pytest.raises(InvalidFrame):
-        decode_frame((9,) + (0,) * 11)
+        decode_frame(words_to_bytes((9,) + (0,) * 11))
     with pytest.raises(InvalidFrame):
-        decode_frame((1,) * 11)
+        decode_frame(words_to_bytes((1,) * 11))
     with pytest.raises(InvalidFrame):
-        decode_frame((1,) * 13)
+        decode_frame(words_to_bytes((1,) * 13))
 
 
 def test_reply_round_trip():
@@ -224,10 +224,10 @@ def test_random_frame_round_trip_property():
     for _ in range(2000):
         frame = _random_frame(rng)
         frame.validate()
-        words = encode_frame(frame)
-        back = decode_frame(words)
-        assert encode_frame(back) == words
-        assert words_to_bytes(words) == words_to_bytes(encode_frame(back))
+        raw = encode_frame(frame)
+        back = decode_frame(raw)
+        assert back == frame
+        assert encode_frame(back) == raw
 
 
 def test_rejects_oversized_words():
@@ -248,29 +248,54 @@ BAD_WORDS = (-1, 2 ** 32, 1.0, 1.5, "7", None)
 
 
 def _request_words():
-    return encode_frame(MailboxFrame.build(
+    frame = MailboxFrame.build(
         OperationId.INVOKE, 7,
-        [(ParamKind.VALUE_IN, 1, 2), (ParamKind.MEMREF, 16, 32)], cmd_id=4))
+        [(ParamKind.VALUE_IN, 1, 2), (ParamKind.MEMREF, 16, 32)], cmd_id=4)
+    return (frame.operation, frame.session_id, frame.param_type, *frame.gp,
+            frame.cmd_id)
 
 
 def _reply_words():
-    return encode_reply(ReplyFrame(
-        ReturnCode.SUCCESS, 7,
-        pack_param_types([ParamKind.VALUE_INOUT, ParamKind.MEMREF]),
-        (3, 4, 16, 32, 0, 0, 0, 0), 4))
+    return (ReturnCode.SUCCESS, 7,
+            pack_param_types([ParamKind.VALUE_INOUT, ParamKind.MEMREF]),
+            3, 4, 16, 32, 0, 0, 0, 0, 4)
+
+
+def _fields(words):
+    """The five fields of a frame with these twelve words, as the named
+    tuple constructors take them: no word is checked."""
+    return words[0], words[1], words[2], tuple(words[3:11]), words[11]
 
 
 @pytest.mark.parametrize("bad", BAD_WORDS, ids=repr)
 @pytest.mark.parametrize("position", range(MAILBOX_WORDS))
-@pytest.mark.parametrize("decode, words", [
-    (decode_frame, _request_words), (decode_reply, _reply_words)],
-    ids=["decode_frame", "decode_reply"])
-def test_decoders_reject_a_bad_word_anywhere(decode, words, position, bad):
+@pytest.mark.parametrize("direction", ["decode_frame", "decode_reply"])
+def test_decoders_reject_a_bad_word_anywhere(direction, position, bad):
+    """A word that is not 32-bit never reaches the decoder of its
+    direction: the writer's pack refuses it, naming the word, and the
+    decoder takes nothing but the 48 bytes a pack makes."""
+    encode, decode, frame, words = {
+        "decode_frame": (encode_frame, decode_frame, MailboxFrame,
+                         _request_words),
+        "decode_reply": (encode_reply, decode_reply, ReplyFrame,
+                         _reply_words)}[direction]
     words = list(words())
-    decode(words)
+    assert decode(encode(frame(*_fields(words)))) == frame(*_fields(words))
     words[position] = bad
+    with pytest.raises(InvalidFrame, match=f"word{position} "):
+        encode(frame(*_fields(words)))
     with pytest.raises(InvalidFrame):
         decode(words)
+
+
+@pytest.mark.parametrize("mailbox", [
+    b"", bytes(47), bytes(49), tuple(_request_words()), "x" * 48],
+    ids=["0 bytes", "47 bytes", "49 bytes", "12-word tuple", "str"])
+@pytest.mark.parametrize("decode", [decode_frame, decode_reply],
+                         ids=["decode_frame", "decode_reply"])
+def test_decoders_take_only_48_bytes(decode, mailbox):
+    with pytest.raises(InvalidFrame, match="48 bytes"):
+        decode(mailbox)
 
 
 @pytest.mark.parametrize("param_type", [0x4, 0x60, 0xF000, 0x10000,
@@ -279,8 +304,10 @@ def test_decode_frame_rejects_a_32_bit_param_type_that_is_no_kind(
         param_type):
     words = list(_request_words())
     words[2] = param_type
+    raw = words_to_bytes(words)
+    assert len(raw) == MAILBOX_BYTES
     with pytest.raises(InvalidFrame, match="param_type|parameter"):
-        decode_frame(words)
+        decode_frame(raw)
 
 
 class _Index:
@@ -295,22 +322,29 @@ class _Small(IntEnum):
 
 
 def test_word_checks_take_int_subclasses_but_not_index_objects():
-    for decode, words in ((decode_frame, _request_words()),
-                          (decode_reply, _reply_words())):
+    """`build` takes an int subclass but not an `__index__` object. The
+    writers pack what struct packs: an int subclass as its value, and an
+    `__index__` object as its index, so the reader gets a 32-bit word
+    either way."""
+    for encode, decode, frame, words in (
+            (encode_frame, decode_frame, MailboxFrame, _request_words()),
+            (encode_reply, decode_reply, ReplyFrame, _reply_words())):
         for position in (1, 3, 11):
-            accepted = list(words)
-            accepted[position] = _Small.ONE
-            decode(accepted)
-            accepted[position] = True
-            decode(accepted)
-            refused = list(words)
-            refused[position] = _Index()
-            with pytest.raises(InvalidFrame, match=f"word{position} "):
-                decode(refused)
+            plain = list(words)
+            plain[position] = 1
+            for word in (_Small.ONE, True, _Index()):
+                packed = list(words)
+                packed[position] = word
+                raw = encode(frame(*_fields(packed)))
+                assert raw == encode(frame(*_fields(plain)))
+                assert struct.unpack("<12I", raw)[position] == 1
+                assert decode(raw) == frame(*_fields(plain))
     with pytest.raises(InvalidFrame, match="gp2 "):
         MailboxFrame.build(OperationId.INVOKE, 1, gp=[0, 0, _Index()])
     with pytest.raises(InvalidFrame, match="cmd_id "):
         MailboxFrame.build(OperationId.INVOKE, 1, cmd_id=_Index())
+    assert MailboxFrame.build(OperationId.INVOKE, _Small.ONE,
+                              gp=[True], cmd_id=_Small.ONE).cmd_id == 1
 
 
 def _reference_kinds(word):
@@ -370,7 +404,7 @@ def test_a_kind_that_is_not_a_member_or_an_exact_int_is_refused():
 def _frames():
     request = MailboxFrame.build(
         OperationId.INVOKE, 7, [(ParamKind.MEMREF, 16, 32)], cmd_id=4)
-    return request, decode_reply(_reply_words())
+    return request, decode_reply(encode_reply(_fields(_reply_words())))
 
 
 FIELDS = ("session_id", "param_type", "gp", "cmd_id")
@@ -397,9 +431,9 @@ def test_frames_compare_by_value_across_the_codec():
     lambda words: EnclaveRuntime(0, None, Turnstile()).deliver(words)],
     ids=["decode_frame", "decode_reply", "deliver"])
 def test_a_frame_object_is_not_mailbox_words(accept):
-    # A frame holds five fields; the mailbox takes the twelve words that
-    # encode_frame / encode_reply make of it. The core is never booted,
-    # so deliver refuses the word count before it looks at anything else.
+    # A frame holds five fields; the mailbox takes the 48 bytes that
+    # encode_frame / encode_reply pack of it. The core is never booted,
+    # so deliver refuses the input before it looks at anything else.
     for frame in _frames():
         with pytest.raises(InvalidFrame):
             accept(frame)
