@@ -252,12 +252,10 @@ _MAILBOX_NAMES = tuple(f"word{i}" for i in range(MAILBOX_WORDS))
 
 
 def _unwritable(words):
-    """The InvalidFrame for words that `_MAILBOX` would not pack: a wrong
-    count, or the first word that is not 32-bit, by name."""
-    if len(words) != MAILBOX_WORDS:
-        return InvalidFrame(f"expected {MAILBOX_WORDS} words, got {len(words)}")
+    """The InvalidFrame for words that `_MAILBOX` would not pack: the
+    first word that is not 32-bit, by name, or else the word count."""
     return _bad_word(_MAILBOX_NAMES, words) or InvalidFrame(
-        f"words do not fit the mailbox: {words!r}")
+        f"expected {MAILBOX_WORDS} words, got {len(words)}")
 
 
 def _unreadable(mailbox):
