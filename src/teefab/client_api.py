@@ -7,17 +7,18 @@ from enum import IntEnum
 
 from .protocol import (
     GP_WORDS,
+    MAX_IMAGE_SIZE,
     PARAM_SLOTS,
     SHM_WINDOW_SIZE,
     WORD_MASK,
     AccessDeniedError,
     BadParametersError,
+    ImageSizeError,
     MailboxFrame,
     OperationId,
     OutOfMemoryError,
     ParamKind,
     ReturnCode,
-    decode_image,
     error_for_code,
 )
 
@@ -170,24 +171,24 @@ class Context:
         self._lock = threading.Lock()
 
     def _stage(self, ta_uuid, image):
-        """(offset, size) of ta_uuid's staged copy; the first staging
-        decodes the image in full, the same bytes again are not decoded."""
+        """(offset, size) of the block staged for exactly these bytes under
+        ta_uuid. Nothing is parsed: the manager checks an image when it
+        loads it. An image over the cap, which no load could take, is
+        refused before it takes CM space."""
         image = bytes(image)
+        if len(image) > MAX_IMAGE_SIZE:
+            raise ImageSizeError(
+                f"image is {len(image)} bytes, cap is {MAX_IMAGE_SIZE}")
+        key = ta_uuid, image
         with self._lock:
-            staged = self._staged.get(ta_uuid)
-        if staged is not None and (staged[2] is image or staged[2] == image):
-            return staged[:2]
-        decoded = decode_image(image)
-        if decoded.uuid != ta_uuid:
-            raise BadParametersError(
-                f"image uuid {decoded.uuid} does not match requested {ta_uuid}")
-        with self._lock:
-            if ta_uuid not in self._staged:
-                self._staged[ta_uuid] = (*self.fabric.cm_stage(image), image)
-            return self._staged[ta_uuid][:2]
+            staged = self._staged.get(key)
+            if staged is None:
+                staged = self._staged[key] = self.fabric.cm_stage(image)
+            return staged
 
     def open_session(self, ta_uuid, image):
-        """Stage (once), find-or-load the slot, dispatch OPEN."""
+        """Stage these bytes (once per Context), find-or-load the slot and
+        dispatch OPEN; a warm open attaches by uuid alone."""
         cm_addr, size = self._stage(ta_uuid, image)
         last_error = None
         for _ in range(_OPEN_RETRIES):
@@ -215,7 +216,7 @@ class Context:
     def close(self):
         """Release every staged image."""
         with self._lock:
-            for offset, _size, _image in self._staged.values():
+            for offset, _size in self._staged.values():
                 self.fabric.cm_release(offset)
             self._staged.clear()
 

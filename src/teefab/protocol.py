@@ -362,9 +362,10 @@ class ReplyFrame(NamedTuple):
 
 
 def encode_frame(frame):
-    """MailboxFrame -> the 48 mailbox bytes. The pack is the request's
-    one range check: it refuses a word that is not a 32-bit integer,
-    naming it, so only 32-bit words reach the core."""
+    """A MailboxFrame, a ReplyFrame or their five fields as a tuple -> the
+    48 mailbox bytes, a reply's return code in the operation's word. The
+    pack is the one range check of a frame in either direction: it refuses
+    a word that is not a 32-bit integer, naming it."""
     operation, session_id, param_type, gp, cmd_id = frame
     try:
         return _MAILBOX.pack(operation, session_id, param_type, *gp, cmd_id)
@@ -387,16 +388,9 @@ def decode_frame(mailbox):
     return frame
 
 
-def encode_reply(reply):
-    """A ReplyFrame, or its five fields as a plain tuple -> the 48 mailbox
-    bytes (return code in the operation slot), checked as encode_frame
-    checks a request."""
-    code, session_id, param_type, gp, cmd_id = reply
-    try:
-        return _MAILBOX.pack(code, session_id, param_type, *gp, cmd_id)
-    except struct.error:
-        raise _unwritable((code, session_id, param_type, *gp,
-                           cmd_id)) from None
+# The core writes its replies with the same pack; the two names stay so
+# that each side's writer can be wrapped on its own.
+encode_reply = encode_frame
 
 
 def decode_reply(mailbox):

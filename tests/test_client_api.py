@@ -18,16 +18,22 @@ from teefab.client_api import (
 )
 from teefab.enclave import TA_KIND_ECHO, TA_KIND_INCREMENT, TA_KIND_SHMEM16
 from teefab.protocol import (
+    CM_REGION_SIZE,
+    MAX_IMAGE_SIZE,
     SHM_WINDOW_SIZE,
     AccessDeniedError,
     BadParametersError,
     ImageFormatError,
+    ImageSizeError,
     InvalidFrame,
+    LoadStatus,
     MailboxFrame,
     OutOfMemoryError,
     ReturnCode,
     ShortBufferError,
+    TAImage,
     TeeError,
+    encode_image,
 )
 
 
@@ -40,6 +46,10 @@ def context(fabric):
 def open_ta(context, ta_kind, tag=0):
     ta_uuid, image = make_image(ta_kind, tag=tag)
     return context.open_session(ta_uuid, image)
+
+
+def load_statuses(fabric):
+    return [event.fields["status"] for event in fabric.events("load_status")]
 
 
 def test_invoke_validates_once_per_trust_boundary(context, monkeypatch):
@@ -603,24 +613,58 @@ def test_staging_cache_reuses_cm_offset(fabric):
         second.close()
 
 
-def test_restaging_other_bytes_is_checked_in_full(fabric):
-    """Bytes other than the staged ones for a uuid are decoded again:
-    another uuid or a corrupt image raises, and a valid image of the
-    same uuid keeps the staged copy."""
+def test_restaging_other_bytes_leaves_the_check_to_the_manager(fabric):
+    """Bytes other than the staged ones for a uuid get a block of their
+    own and a cold load, so the manager checks them: another uuid's image
+    and a corrupt or wrong-length one are each refused with ERR_FORMAT,
+    and a valid image of the same uuid loads from its own block."""
     ta_uuid, image = make_image(TA_KIND_INCREMENT, tag=10, payload=b"v1")
     _, other_uuid_image = make_image(TA_KIND_INCREMENT, tag=11)
     _, same_uuid_image = make_image(TA_KIND_INCREMENT, tag=10, payload=b"v2")
     corrupt = bytearray(image)
     corrupt[0] ^= 0xFF
+    bad_images = (other_uuid_image, bytes(corrupt), image[:-1],
+                  image + b"\x00")
     with Context(fabric) as ctx:
         ctx.open_session(ta_uuid, image).close()
-        with pytest.raises(BadParametersError):
-            ctx.open_session(ta_uuid, other_uuid_image)
-        for bad in (bytes(corrupt), image[:-1], image + b"\x00"):
+        for bad in bad_images:
+            refusals = load_statuses(fabric).count(LoadStatus.ERR_FORMAT)
             with pytest.raises(ImageFormatError):
                 ctx.open_session(ta_uuid, bad)
-        ctx.open_session(ta_uuid, same_uuid_image).close()
-        assert len(fabric.events("stage")) == 1
+            assert load_statuses(fabric).count(
+                LoadStatus.ERR_FORMAT) == refusals + 1
+        loads = fabric.load_count
+        with ctx.open_session(ta_uuid, same_uuid_image) as session:
+            assert fabric.load_count == loads + 1
+            tcm = fabric.slot_runtime(session.slot_index).tcm
+            assert tcm.read(0, len(same_uuid_image)) == same_uuid_image
+        assert len(fabric.events("stage")) == 2 + len(bad_images)
+
+
+def test_a_context_loads_the_bytes_it_is_handed(fabric):
+    """A Context handed other bytes for a uuid it staged before loads
+    those bytes, not the ones it staged first."""
+    ta_uuid, increment_image = make_image(TA_KIND_INCREMENT, tag=12)
+    echo_image = encode_image(TAImage(ta_uuid, TA_KIND_ECHO))
+    with Context(fabric) as ctx:
+        ctx.open_session(ta_uuid, increment_image).close()
+        fabric.wait_idle()
+        with ctx.open_session(ta_uuid, echo_image) as session:
+            runtime = fabric.slot_runtime(session.slot_index)
+            assert runtime.snapshot()["ta_kind"] == TA_KIND_ECHO
+        assert len(fabric.events("stage")) == 2
+
+
+def test_open_refuses_an_image_over_the_cap_before_staging_it(fabric):
+    """No load could take an image over MAX_IMAGE_SIZE, so the client
+    refuses it before it takes any CM space."""
+    ta_uuid, _ = make_image(TA_KIND_INCREMENT, tag=13)
+    with Context(fabric) as ctx:
+        with pytest.raises(ImageSizeError):
+            ctx.open_session(ta_uuid, bytes(MAX_IMAGE_SIZE + 1))
+        assert fabric.events("stage") == ()
+        # The whole region is free: nothing was staged.
+        fabric.cm.free(fabric.cm.alloc(CM_REGION_SIZE))
 
 
 def test_sessions_share_one_warm_slot(fabric):

@@ -1310,21 +1310,17 @@ def test_shutdown_frees_every_slot(fabric):
 
 
 def test_cold_open_does_each_piece_of_image_work_once(fabric, monkeypatch):
-    """The client decodes an image only when first staging it, and a load
-    reads the staged bytes from CM once and parses their header once, in
-    the manager. The core boots from that parse: it neither parses its
-    TCM nor copies the whole of it."""
-    calls = {"decode": 0, "cm_read": 0}
+    """The client stages the bytes it is handed and parses none of them,
+    and a load reads the staged bytes from CM once and parses their
+    header once, in the manager. The core boots from that parse: it
+    neither parses its TCM nor copies the whole of it."""
+    calls = {"cm_read": 0}
     header_parsers = []
+    image_parsers = []
     tcm_reads = []
-    decode_image, cm_read, space_read = \
-        client_api.decode_image, fabric.cm.read, Space.read
+    cm_read, space_read = fabric.cm.read, Space.read
     tcms = {id(fabric.slot_runtime(i).tcm)
             for i in range(fabric.config.enclave_count)}
-
-    def counting_decode(image):
-        calls["decode"] += 1
-        return decode_image(image)
 
     def counting_cm_read(offset, length):
         calls["cm_read"] += 1
@@ -1335,32 +1331,40 @@ def test_cold_open_does_each_piece_of_image_work_once(fabric, monkeypatch):
             tcm_reads.append(length)
         return space_read(space, offset, length)
 
-    def recording_header_parse(parse):
-        def parse_header(buf):
-            header_parsers.append(
-                Path(sys._getframe(1).f_code.co_filename).name)
+    def recording_parse(parse, parsers):
+        def recorded(buf):
+            parsers.append(Path(sys._getframe(1).f_code.co_filename).name)
             return parse(buf)
-        return parse_header
+        return recorded
 
-    # Each module that binds the parser; the core should bind none.
-    for module in (protocol, fabric_module, enclave):
+    # Each module that binds a parser; the client and the core should
+    # bind none.
+    for module in (protocol, fabric_module, enclave, client_api):
         if hasattr(module, "decode_image_header"):
             monkeypatch.setattr(module, "decode_image_header",
-                                recording_header_parse(
-                                    module.decode_image_header))
-    monkeypatch.setattr(client_api, "decode_image", counting_decode)
+                                recording_parse(module.decode_image_header,
+                                                header_parsers))
+        for name in ("decode_image", "decode_image_prefix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording_parse(
+                    getattr(module, name), image_parsers))
     monkeypatch.setattr(fabric.cm, "read", counting_cm_read)
     monkeypatch.setattr(Space, "read", recording_space_read)
     ta_uuid, image = make_image(TA_KIND_INCREMENT, payload=b"\x11" * 4000)
+    _, other_image = make_image(TA_KIND_INCREMENT, payload=b"\x22" * 4000)
     with Context(fabric) as ctx:
-        for same_bytes in (image, image, bytes(bytearray(image))):
+        # Two first-time stages, each followed by opens with equal bytes.
+        for same_bytes in (image, image, bytes(bytearray(image)),
+                           other_image, bytes(bytearray(other_image))):
             with ctx.open_session(ta_uuid, same_bytes) as session:
                 assert session.invoke_command(
                     0, Operation(Value(Direction.INOUT, 7))).value(0) == (8, 0)
-    assert fabric.load_count == 3
-    assert calls == {"decode": 1, "cm_read": 3}
-    # One parse per load, in the manager; the other is the client's decode.
-    assert sorted(header_parsers) == ["fabric.py"] * 3 + ["protocol.py"]
+    assert fabric.load_count == 5
+    assert len(fabric.events("stage")) == 2
+    assert calls == {"cm_read": 5}
+    # One parse per load, in the manager, and no other parse of an image.
+    assert header_parsers == ["fabric.py"] * 5
+    assert image_parsers == []
     assert TCM_SIZE not in tcm_reads
 
 
@@ -1692,7 +1696,7 @@ def test_a_spinning_ta_delays_other_clients_by_bounded_parks(fabric):
         assert not thread.is_alive()
         session.close()
         spinner.close()
-    assert elapsed < 0.3
+    assert elapsed < 0.3, f"10 increments took {elapsed:.3f} s"
 
 
 def test_two_clients_take_turns(fabric):
@@ -1722,7 +1726,9 @@ def test_two_clients_take_turns(fabric):
         assert len(order) == 4000
         middle = order[1000:3000]
         switches = sum(a != b for a, b in zip(middle, middle[1:]))
-        assert switches / (len(middle) - 1) >= 0.6
+        assert switches / (len(middle) - 1) >= 0.6, (
+            f"switch ratio {switches}/{len(middle) - 1} = "
+            f"{switches / (len(middle) - 1):.3f}")
         fabric.wait_idle()
         fabric.audit()
 
