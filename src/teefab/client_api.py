@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
-import threading
 from enum import IntEnum
 
 from .protocol import (
     GP_WORDS,
-    MAX_IMAGE_SIZE,
     PARAM_SLOTS,
     SHM_WINDOW_SIZE,
     WORD_MASK,
     AccessDeniedError,
     BadParametersError,
-    ImageSizeError,
     MailboxFrame,
     OperationId,
     OutOfMemoryError,
@@ -91,7 +88,15 @@ class SharedMemory:
         self.buffer = bytearray(length)
 
     def write(self, data, at=0):
-        data = bytes(data)
+        """Copy bytes-like data into the buffer at `at`; anything else,
+        an int taken as a length included, is refused."""
+        try:
+            with memoryview(data) as view:
+                data = view.tobytes()
+        except TypeError:
+            raise BadParametersError(
+                f"block data is bytes-like, not {type(data).__name__}"
+            ) from None
         if not isinstance(at, int) or at < 0 or at + len(data) > self.length:
             raise BadParametersError(
                 f"write [{at!r}, +{len(data)}) outside {self.length}-byte block")
@@ -163,36 +168,20 @@ class InvokeResult:
 
 
 class Context:
-    """One client connection to a running fabric; stages TA images."""
+    """One client connection to a running fabric. It holds nothing on the
+    fabric: an open hands its image to the manager, which checks and loads
+    it on a cold open."""
 
     def __init__(self, fabric):
         self.fabric = fabric
-        self._staged = {}
-        self._lock = threading.Lock()
-
-    def _stage(self, ta_uuid, image):
-        """(offset, size) of the block staged for exactly these bytes under
-        ta_uuid. Nothing is parsed: the manager checks an image when it
-        loads it. An image over the cap, which no load could take, is
-        refused before it takes CM space."""
-        image = bytes(image)
-        if len(image) > MAX_IMAGE_SIZE:
-            raise ImageSizeError(
-                f"image is {len(image)} bytes, cap is {MAX_IMAGE_SIZE}")
-        key = ta_uuid, image
-        with self._lock:
-            staged = self._staged.get(key)
-            if staged is None:
-                staged = self._staged[key] = self.fabric.cm_stage(image)
-            return staged
 
     def open_session(self, ta_uuid, image):
-        """Stage these bytes (once per Context), find-or-load the slot and
-        dispatch OPEN; a warm open attaches by uuid alone."""
-        cm_addr, size = self._stage(ta_uuid, image)
+        """Find-or-load the slot and dispatch OPEN. A cold open loads
+        exactly these bytes, once the manager has checked them; a warm open
+        attaches by uuid alone and reads none of them."""
         last_error = None
         for _ in range(_OPEN_RETRIES):
-            slot, _fresh = self.fabric.manager_open(ta_uuid, cm_addr, size)
+            slot, _fresh = self.fabric.manager_open(ta_uuid, image)
             with self.fabric.exchange(slot) as (hosted, generation):
                 if hosted is not ta_uuid and hosted != ta_uuid:
                     # Torn down (and maybe reloaded) since the lookup; the
@@ -214,11 +203,9 @@ class Context:
         raise last_error
 
     def close(self):
-        """Release every staged image."""
-        with self._lock:
-            for offset, _size in self._staged.values():
-                self.fabric.cm_release(offset)
-            self._staged.clear()
+        """Finalize the context, as a GlobalPlatform client does. It holds
+        no fabric resource, so this releases nothing; each session is
+        closed on its own."""
 
     def __enter__(self):
         return self

@@ -429,7 +429,7 @@ register_ta_kind(TA_KIND_WALLET, _wallet_ta)
 class EnclaveRuntime:
     """One emulated core: mailbox, RST/INT lines, an ISR on the caller's thread.
 
-    The fabric's manager checks a staged image once, its loader copies it
+    The fabric's manager checks an image once, its loader copies it
     over DMA while RST is asserted, and the manager deasserts RST with what
     it checked: the core boots that TA and never parses TCM. The fabric
     then exchanges frames through the mailbox, twelve 32-bit registers

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import mmap
 import sys
 import threading
 import time
@@ -17,8 +16,6 @@ from .config import SimConfig
 from .enclave import EnclaveRuntime, EnclaveResetError, ta_factory
 from .internal_api import Csprng, SealedStorage, TeeServices
 from .protocol import (
-    CM_ALIGNMENT,
-    CM_REGION_SIZE,
     IMAGE_HEADER_SIZE,
     MAILBOX_BYTES,
     MAX_IMAGE_SIZE,
@@ -28,7 +25,6 @@ from .protocol import (
     LoadStatus,
     OperationId,
     OutOfEnclavesError,
-    OutOfMemoryError,
     decode_frame,
     decode_image_header,
     decode_reply,
@@ -55,8 +51,6 @@ _OPEN, _CLOSE = OperationId.OPEN, OperationId.CLOSE
 # Each event kind's field names, in the order `_log` takes its values.
 _EVENT_FIELDS = {
     "boot": ("slots", "device"),
-    "stage": ("offset", "size"),
-    "release": ("offset",),
     "open": ("uuid", "warm"),
     "load_status": ("uuid", "status"),
     "load": ("size", "dur_ns"),
@@ -103,68 +97,6 @@ class DelayModel:
         deadline = time.perf_counter_ns() + cost
         while time.perf_counter_ns() < deadline:
             pass
-
-
-# A private map, so that a forked process gets its own copy of the region
-# on write, as it would of a bytearray, instead of sharing it.
-_PRIVATE_MAP = ({"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE")
-                else {})
-
-
-class CmRegion:
-    """Flat staging region with a 64-byte-aligned first-fit allocator.
-
-    The region is reserved address space: anonymous memory reads as zeros
-    and the host commits a page only when something is first written
-    there, so a fabric's resident cost follows what is staged, not the
-    capacity."""
-
-    def __init__(self, capacity=CM_REGION_SIZE):
-        if capacity <= 0:
-            raise ValueError(
-                f"staging capacity must be positive, got {capacity}")
-        self._buf = mmap.mmap(-1, capacity, **_PRIVATE_MAP)
-        self._allocs = {}
-        self._lock = threading.Lock()
-
-    def alloc(self, size):
-        if size < 0:
-            raise OutOfMemoryError(f"negative staging size {size}")
-        span = max(size, 1)  # zero-size stakes out one aligned slot
-        with self._lock:
-            cursor = 0
-            for offset in sorted(self._allocs):
-                if offset - cursor >= span:
-                    break
-                cursor = _align(offset + self._allocs[offset])
-            if cursor + span > len(self._buf):
-                raise OutOfMemoryError("staging region exhausted")
-            self._allocs[cursor] = span
-            return cursor
-
-    def free(self, offset):
-        with self._lock:
-            if self._allocs.pop(offset, None) is None:
-                raise OutOfMemoryError(f"no staging block at offset {offset}")
-
-    def write(self, offset, data):
-        data = bytes(data)
-        self._check(offset, len(data))
-        self._buf[offset:offset + len(data)] = data
-
-    def read(self, offset, length):
-        self._check(offset, length)
-        with memoryview(self._buf) as view:
-            return bytes(view[offset:offset + length])
-
-    def _check(self, offset, length):
-        if offset < 0 or length < 0 or offset + length > len(self._buf):
-            raise OutOfMemoryError(
-                f"staging access [{offset}, +{length}) out of range")
-
-
-def _align(offset):
-    return (offset + CM_ALIGNMENT - 1) & ~(CM_ALIGNMENT - 1)
 
 
 class _Turn:
@@ -338,7 +270,6 @@ class Fabric:
             storage=SealedStorage(storage_root, self.config.device_key()))
         self.delay = DelayModel(self.config.dma_ns_per_byte,
                                 self.config.dma_ns_per_op)
-        self.cm = CmRegion()
         uart_dir = self.config.uart_dir
         if uart_dir is not None:
             Path(uart_dir).mkdir(parents=True, exist_ok=True)
@@ -364,25 +295,19 @@ class Fabric:
         self._log_lock = threading.Lock()
         self._log("boot", None, len(self._slots), self.config.device_profile)
 
-    # ---- staging (CM region) ----
-
-    def cm_stage(self, image_bytes):
-        """Stage a TA binary; returns (offset, size) inside the CM region."""
-        data = bytes(image_bytes)
-        offset = self.cm.alloc(len(data))
-        self.cm.write(offset, data)
-        self._log("stage", None, offset, len(data))
-        return offset, len(data)
-
-    def cm_release(self, offset):
-        self.cm.free(offset)
-        self._log("release", None, offset)
-
     # ---- manager agent ----
 
-    def manager_open(self, ta_uuid, cm_addr, size):
+    def manager_open(self, ta_uuid, image):
         """Find or create the slot hosting ta_uuid; retains the slot for one
-        follow-up OPEN dispatch. Returns (slot_index, fresh_load)."""
+        follow-up OPEN dispatch. Returns (slot_index, fresh_load).
+
+        A warm open attaches by uuid alone and reads none of `image`. A
+        cold open takes one `bytes` snapshot of it, checks that snapshot
+        and hands the same object to the loader, so what was checked is
+        what is loaded. An image that is not bytes-like is refused with
+        ERR_FORMAT, and one over MAX_IMAGE_SIZE with ERR_SIZE, before it
+        is copied; a failed header check is ERR_FORMAT. Each is refused
+        before a slot is claimed."""
         with self._manager:
             while True:
                 record = self._hosting(ta_uuid)
@@ -394,20 +319,30 @@ class Fabric:
                     return record.index, False
                 # Another caller is loading this TA; join its outcome.
                 self._wait()
+            try:
+                with memoryview(image) as view:
+                    size = view.nbytes
+            except TypeError:
+                self._log("load_status", None, ta_uuid, LoadStatus.ERR_FORMAT)
+                raise ImageFormatError(
+                    f"an image is bytes-like, not {type(image).__name__}"
+                ) from None
             if size > MAX_IMAGE_SIZE:
                 self._log("load_status", None, ta_uuid, LoadStatus.ERR_SIZE)
                 raise ImageSizeError(
                     f"image of {size} bytes exceeds the {MAX_IMAGE_SIZE}-byte "
                     f"private memory")
-            # The one CM read and the one check of this load: the loader
-            # copies these bytes to TCM, and the core boots from the check.
-            data = self.cm.read(cm_addr, size)
+            # The one snapshot and the one check of this load: the loader
+            # copies this object to TCM, and the core boots from the check,
+            # so the size is the snapshot's. No copy is made of `bytes`.
+            data = bytes(image)
+            size = len(data)
             try:
                 uuid_bytes, ta_kind, total = decode_image_header(data)
                 if total != size:
                     raise ImageFormatError(
                         f"payload_len {total - IMAGE_HEADER_SIZE} "
-                        f"inconsistent with the {size}-byte staged image")
+                        f"inconsistent with the {size}-byte image")
                 # Matched as the integer a UUID holds: no UUID is built
                 # for the header unless it is refused.
                 if not (isinstance(ta_uuid, uuid_mod.UUID) and ta_uuid.int
@@ -482,7 +417,7 @@ class Fabric:
             self._wait()
 
     def _loader_copy(self, record, data):
-        """Loader agent DMA: the staged bytes land at TCM offset 0."""
+        """Loader agent DMA: the checked bytes land at TCM offset 0."""
         start = time.perf_counter_ns()
         self.delay.charge(len(data))
         record.runtime.load_image(data)

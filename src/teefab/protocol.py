@@ -27,8 +27,6 @@ MAILBOX_BYTES = 4 * MAILBOX_WORDS
 
 TCM_SIZE = 64 * 1024          # private code+data memory per enclave
 SHM_WINDOW_SIZE = 8 * 1024    # REE-visible shared window per enclave
-CM_REGION_SIZE = 16 * 1024 * 1024   # staging region for TA images
-CM_ALIGNMENT = 64
 
 IMAGE_MAGIC = b"TEOD"
 IMAGE_VERSION = 1

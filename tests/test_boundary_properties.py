@@ -1,8 +1,7 @@
-"""Property checks at four more trust boundaries: the core's frame decode,
-the framing of a sealed blob, the wallet's record parse and the staging
-allocator. At each, any input either decodes to a value that re-encodes
-to itself or raises the boundary's one typed error; the allocator places
-each block where a first-fit interval model says it goes."""
+"""Property checks at three more trust boundaries: the core's frame
+decode, the framing of a sealed blob and the wallet's record parse. At
+each, any input either decodes to a value that re-encodes to itself or
+raises the boundary's one typed error."""
 
 import struct
 import uuid as uuid_mod
@@ -13,19 +12,16 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, seed, settings, strategies as st
 
-from teefab.fabric import CmRegion
 from teefab.internal_api.storage import (
     DeviceKey,
     SealedStorage,
     TamperedObjectError,
 )
 from teefab.protocol import (
-    CM_ALIGNMENT,
     MAILBOX_BYTES,
     SHM_WINDOW_SIZE,
     WORD_MASK,
     InvalidFrame,
-    OutOfMemoryError,
     decode_frame,
     encode_frame,
 )
@@ -196,54 +192,3 @@ def test_a_record_parses_to_what_re_encodes_to_it_or_is_refused(drawn):
     assert b"".join((master_sk, chain_code, salt, pin_digest, *(
         _CHILD_ENTRY.pack(index, *children[index])
         for index in sorted(children)))) == blob
-
-
-# --- CmRegion.alloc / free against an interval model ------------------------
-
-def _first_fit(live, span, capacity):
-    """The lowest aligned offset where span bytes fit beside the live
-    blocks, or None."""
-    for start in range(0, capacity, CM_ALIGNMENT):
-        if start + span <= capacity and all(
-                start + span <= offset or offset + size <= start
-                for offset, size in live.items()):
-            return start
-    return None
-
-
-sizes = st.one_of(st.integers(-1, 2), st.integers(CM_ALIGNMENT - 2,
-                                                  CM_ALIGNMENT + 2),
-                  st.integers(0, 300))
-
-
-@seed(0x7EEFAB)
-@settings(max_examples=150, **_SETTINGS)
-@given(capacity=st.sampled_from((512, 1000, 1024)),
-       ops=st.lists(st.one_of(st.tuples(st.just("alloc"), sizes),
-                              st.tuples(st.just("free"), st.integers(0, 20))),
-                    max_size=30))
-def test_cm_region_places_blocks_where_the_interval_model_does(capacity,
-                                                                ops):
-    """Blocks never overlap and never pass the capacity, a zero-size block
-    stakes out one byte, and a free releases exactly a live block."""
-    region = CmRegion(capacity)
-    live = {}
-    for op, arg in ops:
-        if op == "alloc":
-            want = _first_fit(live, max(arg, 1), capacity) if arg >= 0 \
-                else None
-            try:
-                got = region.alloc(arg)
-            except OutOfMemoryError:
-                assert want is None
-            else:
-                assert got == want
-                live[got] = max(arg, 1)
-            continue
-        offset = sorted(live)[arg] if arg < len(live) else arg * CM_ALIGNMENT
-        try:
-            region.free(offset)
-        except OutOfMemoryError:
-            assert offset not in live
-        else:
-            del live[offset]

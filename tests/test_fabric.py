@@ -1,4 +1,4 @@
-"""Fabric agents: staging, loads, slot lifecycle, dispatch, observability."""
+"""Fabric agents: loads, slot lifecycle, dispatch, observability."""
 
 import os
 import random
@@ -26,7 +26,6 @@ from teefab.enclave import (
 )
 from teefab.fabric import (
     EVENT_CAPACITY,
-    CmRegion,
     DelayModel,
     Event,
     Fabric,
@@ -44,7 +43,6 @@ from teefab.protocol import (
     MailboxFrame,
     OperationId,
     OutOfEnclavesError,
-    OutOfMemoryError,
     ParamKind,
     ReplyFrame,
     ReturnCode,
@@ -278,13 +276,11 @@ def close_frame(session_id):
 
 
 def open_ta(fabric, ta_kind, tag=0, payload=b""):
-    """Stage, load and OPEN one TA; returns (slot, session_id)."""
+    """Load and OPEN one TA; returns (slot, session_id)."""
     ta_uuid, image = make_image(ta_kind, tag=tag, payload=payload)
-    offset, size = fabric.cm_stage(image)
-    slot, _fresh = fabric.manager_open(ta_uuid, offset, size)
+    slot, _fresh = fabric.manager_open(ta_uuid, image)
     reply = fabric.comm_dispatch(slot, open_frame())
     assert reply.code is ReturnCode.SUCCESS
-    fabric.cm_release(offset)
     return slot, reply.session_id
 
 
@@ -294,10 +290,9 @@ def load_statuses(fabric):
 
 def test_cold_then_warm_open(fabric):
     ta_uuid, image = make_image(TA_KIND_INCREMENT)
-    offset, size = fabric.cm_stage(image)
-    slot, fresh = fabric.manager_open(ta_uuid, offset, size)
+    slot, fresh = fabric.manager_open(ta_uuid, image)
     assert fresh and fabric.load_count == 1
-    again, fresh = fabric.manager_open(ta_uuid, offset, size)
+    again, fresh = fabric.manager_open(ta_uuid, image)
     assert again == slot and not fresh
     assert fabric.load_count == 1
     assert load_statuses(fabric) == [LoadStatus.LOADED]
@@ -311,8 +306,7 @@ def test_the_exchange_reads_its_load_without_the_manager_lock(fabric):
     """A warm request checks its slot's load under the slot lock alone, so
     a manager busy elsewhere does not hold it up."""
     ta_uuid, image = make_image(TA_KIND_INCREMENT)
-    offset, size = fabric.cm_stage(image)
-    slot, _fresh = fabric.manager_open(ta_uuid, offset, size)
+    slot, _fresh = fabric.manager_open(ta_uuid, image)
     hosted = []
 
     def read_load():
@@ -331,15 +325,14 @@ def test_the_exchange_reads_its_load_without_the_manager_lock(fabric):
 def test_oversized_image_rejected(fabric):
     ta_uuid, _ = make_image(TA_KIND_INCREMENT)
     with pytest.raises(ImageSizeError):
-        fabric.manager_open(ta_uuid, 0, MAX_IMAGE_SIZE + 1)
+        fabric.manager_open(ta_uuid, bytes(MAX_IMAGE_SIZE + 1))
     assert load_statuses(fabric) == [LoadStatus.ERR_SIZE]
 
 
 def test_malformed_image_rejected(fabric):
     ta_uuid, _ = make_image(TA_KIND_INCREMENT)
-    offset, size = fabric.cm_stage(b"not an image at all" * 4)
     with pytest.raises(ImageFormatError):
-        fabric.manager_open(ta_uuid, offset, size)
+        fabric.manager_open(ta_uuid, b"not an image at all" * 4)
     assert load_statuses(fabric) == [LoadStatus.ERR_FORMAT]
     assert fabric.slot_snapshot()[0]["state"] == "FREE"
 
@@ -347,9 +340,8 @@ def test_malformed_image_rejected(fabric):
 def test_image_uuid_must_match_request(fabric):
     _, image = make_image(TA_KIND_INCREMENT, tag=1)
     wrong_uuid, _ = make_image(TA_KIND_INCREMENT, tag=2)
-    offset, size = fabric.cm_stage(image)
     with pytest.raises(ImageFormatError):
-        fabric.manager_open(wrong_uuid, offset, size)
+        fabric.manager_open(wrong_uuid, image)
     assert load_statuses(fabric) == [LoadStatus.ERR_FORMAT]
 
 
@@ -367,13 +359,12 @@ def _set_word(image, at, word):
     (lambda image: _set_word(image, 28, MAX_IMAGE_SIZE), ImageSizeError),
 ], ids=["payload_len_short", "payload_len_long", "magic", "version", "cap"])
 def test_staged_image_rejected_before_any_slot(fabric, staged, error):
-    """The manager's header check of the staged bytes: a payload_len
-    that disagrees with the staged size, a bad magic or version, or an
-    image over the cap is ERR_FORMAT, and no slot is touched."""
+    """The manager's header check of the bytes it is handed: a
+    payload_len that disagrees with their size, a bad magic or version, or
+    an image over the cap is ERR_FORMAT, and no slot is touched."""
     ta_uuid, image = make_image(TA_KIND_INCREMENT, payload=b"\x11" * 100)
-    offset, size = fabric.cm_stage(staged(image))
     with pytest.raises(error):
-        fabric.manager_open(ta_uuid, offset, size)
+        fabric.manager_open(ta_uuid, staged(image))
     assert load_statuses(fabric) == [LoadStatus.ERR_FORMAT]
     assert fabric.load_count == 0
     assert all(row["state"] == "FREE" for row in fabric.slot_snapshot())
@@ -384,11 +375,10 @@ def test_unregistered_kind_frees_slot(fabric, monkeypatch):
     check, before any slot is claimed: no loader run, no DMA charged, and
     every slot stays FREE and zeroed."""
     ta_uuid, image = make_image(209)
-    offset, size = fabric.cm_stage(image)
     charges = []
     monkeypatch.setattr(fabric.delay, "charge", charges.append)
     with pytest.raises(ImageFormatError):
-        fabric.manager_open(ta_uuid, offset, size)
+        fabric.manager_open(ta_uuid, image)
     assert load_statuses(fabric) == [LoadStatus.ERR_FORMAT]
     assert fabric.load_count == 0 and fabric.events("load") == ()
     assert charges == []
@@ -402,7 +392,6 @@ def test_a_load_that_fails_after_its_claim_frees_the_slot(fabric,
     slot: the load is logged ERR_FORMAT on that slot and the slot closed,
     the error reaches the caller, and the slot is FREE and zeroed."""
     ta_uuid, image = make_image(TA_KIND_INCREMENT, payload=b"\xa5" * 256)
-    offset, size = fabric.cm_stage(image)
 
     def broken_dma(runtime, data):
         runtime.tcm.write(0, data[:len(data) // 2])
@@ -410,7 +399,7 @@ def test_a_load_that_fails_after_its_claim_frees_the_slot(fabric,
 
     monkeypatch.setattr(enclave.EnclaveRuntime, "load_image", broken_dma)
     with pytest.raises(OSError, match="DMA broke off"):
-        fabric.manager_open(ta_uuid, offset, size)
+        fabric.manager_open(ta_uuid, image)
     failed = [event for event in fabric.events()
               if event.kind in ("load_status", "close")]
     assert [(e.kind, e.slot) for e in failed] == [("load_status", 0),
@@ -426,9 +415,8 @@ def test_fabric_full(fabric):
     open_ta(fabric, TA_KIND_INCREMENT, tag=1)
     open_ta(fabric, TA_KIND_ECHO, tag=2)
     ta_uuid, image = make_image(TA_KIND_INCREMENT, tag=3)
-    offset, size = fabric.cm_stage(image)
     with pytest.raises(OutOfEnclavesError):
-        fabric.manager_open(ta_uuid, offset, size)
+        fabric.manager_open(ta_uuid, image)
     assert load_statuses(fabric) == [
         LoadStatus.LOADED, LoadStatus.LOADED, LoadStatus.ERR_FULL]
 
@@ -474,8 +462,7 @@ def test_an_index_that_names_no_slot_is_refused(fabric, index):
 
 def test_release_pending_without_open(fabric):
     ta_uuid, image = make_image(TA_KIND_INCREMENT)
-    offset, size = fabric.cm_stage(image)
-    slot, _ = fabric.manager_open(ta_uuid, offset, size)
+    slot, _ = fabric.manager_open(ta_uuid, image)
     fabric.release_pending(slot)
     fabric.wait_idle()
     assert fabric.slot_snapshot()[slot]["state"] == "FREE"
@@ -488,12 +475,11 @@ def test_dispatch_to_free_slot_denied(fabric):
 
 def test_concurrent_same_uuid_single_load(fabric):
     ta_uuid, image = make_image(TA_KIND_INCREMENT)
-    offset, size = fabric.cm_stage(image)
     results, errors = [], []
 
     def opener():
         try:
-            results.append(fabric.manager_open(ta_uuid, offset, size))
+            results.append(fabric.manager_open(ta_uuid, image))
         except Exception as exc:
             errors.append(exc)
 
@@ -577,8 +563,6 @@ def test_concurrent_cold_loads_log_their_own_uuid(fabric):
     uuid that the first load's outcome is logged with."""
     first_uuid, first_image = make_image(TA_KIND_INCREMENT, tag=1)
     second_uuid, second_image = make_image(TA_KIND_ECHO, tag=2)
-    first_at, first_size = fabric.cm_stage(first_image)
-    second_at, second_size = fabric.cm_stage(second_image)
     copying, second_opened = threading.Event(), threading.Event()
     runtime = fabric.slot_runtime(0)
     load_image = runtime.load_image
@@ -591,10 +575,10 @@ def test_concurrent_cold_loads_log_their_own_uuid(fabric):
     runtime.load_image = held_load_image
     first = []
     loader = threading.Thread(target=lambda: first.append(
-        fabric.manager_open(first_uuid, first_at, first_size)))
+        fabric.manager_open(first_uuid, first_image)))
     loader.start()
     assert copying.wait(5.0)
-    second = fabric.manager_open(second_uuid, second_at, second_size)
+    second = fabric.manager_open(second_uuid, second_image)
     second_opened.set()
     loader.join(timeout=5.0)
     assert not loader.is_alive()
@@ -613,7 +597,6 @@ def test_an_open_that_joins_a_load_is_woken_when_it_commits(fabric):
     load's commit wakes it: only a change that finds a waiter notifies,
     and one that finds a waiter does."""
     ta_uuid, image = make_image(TA_KIND_INCREMENT)
-    offset, size = fabric.cm_stage(image)
     copying, release = threading.Event(), threading.Event()
     runtime = fabric.slot_runtime(0)
     load_image = runtime.load_image
@@ -626,7 +609,7 @@ def test_an_open_that_joins_a_load_is_woken_when_it_commits(fabric):
     runtime.load_image = held_load_image
     opened = []
     threads = [threading.Thread(target=lambda: opened.append(
-        fabric.manager_open(ta_uuid, offset, size))) for _ in range(2)]
+        fabric.manager_open(ta_uuid, image))) for _ in range(2)]
     threads[0].start()
     assert copying.wait(5.0)
     threads[1].start()
@@ -783,7 +766,7 @@ def test_frames_and_events_keep_their_named_tuple_types(fabric):
     assert all(type(event) is Event for event in events)
     opened = fabric.events("open")[0]
     assert (opened.seq, opened.kind, opened.slot, opened.fields["warm"]) == \
-        (5, "open", slot, False)
+        (4, "open", slot, False)
 
 
 def test_events_record_lifecycle(fabric):
@@ -792,9 +775,9 @@ def test_events_record_lifecycle(fabric):
     fabric.wait_idle()
     events = fabric.events()
     assert [event.kind for event in events] == [
-        "boot", "stage", "load", "load_status", "open", "dispatch",
-        "release", "dispatch", "close"]
-    assert [event.seq for event in events] == list(range(1, 10))
+        "boot", "load", "load_status", "open", "dispatch", "dispatch",
+        "close"]
+    assert [event.seq for event in events] == list(range(1, 8))
     assert all(event.slot == slot for event in events
                if event.kind in ("load", "open", "dispatch", "close"))
     assert [(event.fields["op"], event.fields["code"])
@@ -809,22 +792,20 @@ def test_every_event_kind_names_exactly_its_schema(fabric, monkeypatch):
     builds no record."""
     schema = fabric_module._EVENT_FIELDS
     inc_uuid, inc_image = make_image(TA_KIND_INCREMENT)
-    offset, size = fabric.cm_stage(inc_image)
-    slot, fresh = fabric.manager_open(inc_uuid, offset, size)   # cold
+    slot, fresh = fabric.manager_open(inc_uuid, inc_image)      # cold
     assert fresh
-    assert fabric.manager_open(inc_uuid, offset, size) == (slot, False)
+    assert fabric.manager_open(inc_uuid, inc_image) == (slot, False)
     assert fabric.comm_dispatch(slot, open_frame()).code is ReturnCode.SUCCESS
     fabric.release_pending(slot)
     unloaded = make_image(TA_KIND_ECHO, tag=1)[0]
     with pytest.raises(ImageSizeError):
-        fabric.manager_open(unloaded, 0, MAX_IMAGE_SIZE + 1)
+        fabric.manager_open(unloaded, bytes(MAX_IMAGE_SIZE + 1))
     with pytest.raises(ImageFormatError):       # before a slot is claimed
-        fabric.manager_open(unloaded, offset, size)
+        fabric.manager_open(unloaded, inc_image)
     stall, stall_sid = open_ta(fabric, TA_KIND_STALL, payload=b"\xa5" * 600)
     echo_uuid, echo_image = make_image(TA_KIND_ECHO)
-    echo_offset, echo_size = fabric.cm_stage(echo_image)
     with pytest.raises(OutOfEnclavesError):
-        fabric.manager_open(echo_uuid, echo_offset, echo_size)
+        fabric.manager_open(echo_uuid, echo_image)
     StallTa.started.clear()
     outcome = []
 
@@ -848,8 +829,7 @@ def test_every_event_kind_names_exactly_its_schema(fabric, monkeypatch):
     with monkeypatch.context() as patch:        # after a slot is claimed
         patch.setattr(enclave.EnclaveRuntime, "load_image", broken_dma)
         with pytest.raises(OSError):
-            fabric.manager_open(echo_uuid, echo_offset, echo_size)
-    fabric.cm_release(echo_offset)
+            fabric.manager_open(echo_uuid, echo_image)
     fabric.shutdown()
 
     events = fabric.events()
@@ -888,8 +868,8 @@ def test_event_log_keeps_the_newest_records(fabric):
         OperationId.INVOKE, sid, [(ParamKind.VALUE_INOUT, 0, 0)], cmd_id=0)
     for _ in range(EVENT_CAPACITY + 50):
         assert fabric.comm_dispatch(slot, invoke).code is ReturnCode.SUCCESS
-    # boot, stage, load, load_status, open, the OPEN dispatch, release
-    total = 7 + EVENT_CAPACITY + 50
+    # boot, load, load_status, open, the OPEN dispatch
+    total = 5 + EVENT_CAPACITY + 50
     events = fabric.events()
     assert len(events) == EVENT_CAPACITY
     assert [event.seq for event in events] == list(
@@ -1035,52 +1015,6 @@ def test_a_uart_file_opens_once_for_many_cold_loads(fabric_factory, tmp_path,
     assert sinks[0].closed
 
 
-def test_cm_region_alloc_cycle():
-    cm = CmRegion(capacity=4096)
-    a = cm.alloc(100)
-    b = cm.alloc(200)
-    assert a != b
-    cm.write(a, b"A" * 100)
-    cm.write(b, b"B" * 200)
-    assert cm.read(a, 100) == b"A" * 100
-    cm.free(a)
-    c = cm.alloc(50)
-    cm.write(c, b"C" * 50)
-    assert cm.read(b, 200) == b"B" * 200
-    with pytest.raises(OutOfMemoryError):
-        cm.alloc(4096)
-    with pytest.raises(OutOfMemoryError):
-        cm.read(4090, 100)
-    with pytest.raises(OutOfMemoryError):
-        CmRegion(capacity=64).alloc(65)
-
-
-def test_cm_free_unknown_offset():
-    cm = CmRegion(capacity=1024)
-    with pytest.raises(OutOfMemoryError):
-        cm.free(512)
-
-
-def test_cm_region_is_zeroed_and_byte_exact_across_pages():
-    capacity = 3 * 4096
-    cm = CmRegion(capacity=capacity)
-    for offset in (0, capacity // 2, capacity - 1):
-        assert cm.read(offset, 1) == b"\x00"
-    data = bytes(range(256)) * 2
-    cm.write(4096 - 200, data)
-    assert cm.read(4096 - 200, len(data)) == data
-    assert cm.read(4096 - 201, 1) == b"\x00"
-    assert cm.read(4096 - 200 + len(data), 1) == b"\x00"
-    cm.write(capacity - 1, b"\xff")
-    assert cm.read(capacity - 1, 1) == b"\xff"
-    with pytest.raises(OutOfMemoryError):
-        cm.write(capacity, b"\xff")
-    with pytest.raises(OutOfMemoryError):
-        cm.read(capacity, 1)
-    with pytest.raises(ValueError):
-        CmRegion(capacity=0)
-
-
 # Run in a fresh interpreter: in this one, the allocator may hand a
 # bytearray pages that an earlier test's fabric left resident.
 _BOOT_RESIDENT_SCRIPT = """
@@ -1102,8 +1036,8 @@ fabric.shutdown()
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
                     reason="needs /proc/self/statm")
 def test_booting_a_fabric_commits_no_staging_pages(tmp_path):
-    """The 16 MiB CM region is reserved address space, not touched at
-    boot, so a default fabric's resident cost is about its slots."""
+    """A fabric keeps no staging region, so a default fabric's resident
+    cost at boot is about its slots."""
     src = str(Path(teefab.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
@@ -1310,21 +1244,22 @@ def test_shutdown_frees_every_slot(fabric):
 
 
 def test_cold_open_does_each_piece_of_image_work_once(fabric, monkeypatch):
-    """The client stages the bytes it is handed and parses none of them,
-    and a load reads the staged bytes from CM once and parses their
-    header once, in the manager. The core boots from that parse: it
-    neither parses its TCM nor copies the whole of it."""
-    calls = {"cm_read": 0}
+    """The client parses none of the bytes it is handed, and a load parses
+    their header once, in the manager. The object the loader copies to
+    TCM is the very object that was checked, and a `bytes` image is not
+    copied on its way there. The core boots from that parse: it neither
+    parses its TCM nor copies the whole of it."""
     header_parsers = []
     image_parsers = []
+    loaded = []
     tcm_reads = []
-    cm_read, space_read = fabric.cm.read, Space.read
+    load_image, space_read = enclave.EnclaveRuntime.load_image, Space.read
     tcms = {id(fabric.slot_runtime(i).tcm)
             for i in range(fabric.config.enclave_count)}
 
-    def counting_cm_read(offset, length):
-        calls["cm_read"] += 1
-        return cm_read(offset, length)
+    def recording_load_image(runtime, data):
+        loaded.append(data)
+        return load_image(runtime, data)
 
     def recording_space_read(space, offset, length):
         if id(space) in tcms:
@@ -1333,7 +1268,8 @@ def test_cold_open_does_each_piece_of_image_work_once(fabric, monkeypatch):
 
     def recording_parse(parse, parsers):
         def recorded(buf):
-            parsers.append(Path(sys._getframe(1).f_code.co_filename).name)
+            parsers.append((Path(sys._getframe(1).f_code.co_filename).name,
+                            buf))
             return parse(buf)
         return recorded
 
@@ -1348,23 +1284,27 @@ def test_cold_open_does_each_piece_of_image_work_once(fabric, monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, recording_parse(
                     getattr(module, name), image_parsers))
-    monkeypatch.setattr(fabric.cm, "read", counting_cm_read)
+    monkeypatch.setattr(enclave.EnclaveRuntime, "load_image",
+                        recording_load_image)
     monkeypatch.setattr(Space, "read", recording_space_read)
     ta_uuid, image = make_image(TA_KIND_INCREMENT, payload=b"\x11" * 4000)
     _, other_image = make_image(TA_KIND_INCREMENT, payload=b"\x22" * 4000)
+    rounds = (image, image, bytes(bytearray(image)),
+              other_image, bytes(bytearray(other_image)))
     with Context(fabric) as ctx:
-        # Two first-time stages, each followed by opens with equal bytes.
-        for same_bytes in (image, image, bytes(bytearray(image)),
-                           other_image, bytes(bytearray(other_image))):
+        # Each round loads cold: its close frees the slot.
+        for same_bytes in rounds:
             with ctx.open_session(ta_uuid, same_bytes) as session:
                 assert session.invoke_command(
                     0, Operation(Value(Direction.INOUT, 7))).value(0) == (8, 0)
     assert fabric.load_count == 5
-    assert len(fabric.events("stage")) == 2
-    assert calls == {"cm_read": 5}
     # One parse per load, in the manager, and no other parse of an image.
-    assert header_parsers == ["fabric.py"] * 5
+    assert [name for name, _buf in header_parsers] == ["fabric.py"] * 5
     assert image_parsers == []
+    assert len(loaded) == 5
+    assert all(data is buf for data, (_name, buf) in zip(loaded,
+                                                          header_parsers))
+    assert all(data is handed for data, handed in zip(loaded, rounds))
     assert TCM_SIZE not in tcm_reads
 
 

@@ -1,4 +1,4 @@
-"""Property checks at the one check of a staged image: the header parser
+"""Property checks at the one check of an image: the header parser
 and the manager's load. On any bytes, the parser either refuses them with
 an image error or returns a header that re-encodes to the bytes it
 covers, and the manager either loads them or refuses them with no slot
@@ -89,10 +89,9 @@ def test_manager_loads_staged_bytes_or_refuses_them_untouched(
         ta_uuid = STRANGER
     else:
         ta_uuid = uuid_mod.UUID(bytes=staged[UUID_FIELD])
-    offset, size = fabric.cm_stage(staged)
     loads = fabric.load_count
     try:
-        slot, fresh = fabric.manager_open(ta_uuid, offset, size)
+        slot, fresh = fabric.manager_open(ta_uuid, staged)
     except (ImageFormatError, ImageSizeError):
         assert fabric.load_count == loads
         assert all(row["state"] == "FREE" for row in fabric.slot_snapshot())
@@ -104,5 +103,3 @@ def test_manager_loads_staged_bytes_or_refuses_them_untouched(
         assert fabric.loaded_tas == {ta_uuid: slot}
         fabric.release_pending(slot)
         assert fabric.slot_snapshot()[slot]["state"] == "FREE"
-    finally:
-        fabric.cm_release(offset)

@@ -68,7 +68,6 @@ class SlotLifecycle(RuleBasedStateMachine):
         self.fabric = Fabric(SimConfig(
             enclave_count=SLOTS, storage_dir=self.storage, rng_seed=7))
         self.context = Context(self.fabric)
-        self.staged = [self.fabric.cm_stage(image) for _uuid, image in TAS]
         self.hosted = {}
         self.live = {}
 
@@ -143,13 +142,13 @@ class SlotLifecycle(RuleBasedStateMachine):
     @rule(ta=ta_index)
     def retain_then_release(self, ta):
         """A bare manager_open whose retain no OPEN follows."""
-        ta_uuid, _image = TAS[ta]
+        ta_uuid, image = TAS[ta]
         expected = self._expected_slot(ta_uuid)
         if expected is None:
             with pytest.raises(OutOfEnclavesError):
-                self.fabric.manager_open(ta_uuid, *self.staged[ta])
+                self.fabric.manager_open(ta_uuid, image)
             return
-        assert self.fabric.manager_open(ta_uuid, *self.staged[ta]) == expected
+        assert self.fabric.manager_open(ta_uuid, image) == expected
         self.fabric.release_pending(expected[0])
 
     @invariant()

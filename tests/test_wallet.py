@@ -360,8 +360,8 @@ def test_client_names_the_child_index_range(wallet):
 
 def test_a_refused_request_loads_no_enclave(fabric, wallet):
     def loads():
-        return (fabric.load_count, len(fabric.events("stage")),
-                len(fabric.events("load")), len(fabric.events("open")))
+        return (fabric.load_count, len(fabric.events("load")),
+                len(fabric.events("open")))
 
     before = loads()
     for call in (lambda: wallet.get_address(PIN, 2**31),
